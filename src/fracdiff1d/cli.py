@@ -173,18 +173,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_ic(label: str) -> InitialCondition:
-    if label == "tent":
-        return InitialCondition.tent()
-    if label == "bump":
-        return InitialCondition.sine_bump()
-    if label == "uniform":
-        return InitialCondition.uniform()
-    if label.startswith("file:"):
-        return InitialCondition.from_file(label[len("file:"):])
-    raise UsageError(f"unknown initial condition {label!r}")
-
-
 def _parse_snapshots(raw: str | Sequence[float]) -> tuple[float, ...]:
     if isinstance(raw, str):
         try:
@@ -210,18 +198,43 @@ _SOLVE_DEFAULTS = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_config_value(key: str, value) -> None:
+    """Reject a JSON config value whose type differs from what its flag
+    parses to (a string ``"false"`` is not ``false``; ``20.7`` is not an
+    integer)."""
+    if key == "allow_unstable":
+        ok = isinstance(value, bool)
+    elif key == "n":
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif key in ("alpha", "c", "dt", "t_end"):
+        ok = _is_number(value)
+    elif key == "snapshots":
+        ok = isinstance(value, str) or (
+            isinstance(value, list) and all(_is_number(t) for t in value))
+    else:
+        ok = isinstance(value, str)
+    if not ok:
+        raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
+
+
 def _solve_command(args: argparse.Namespace) -> SolveCommand:
     merged: dict = {}
     if args.config is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
         unknown = set(loaded) - set(_SOLVE_DEFAULTS) - {"alpha", "out"}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            _check_config_value(key, value)
         merged.update(loaded)
     for key in ("alpha", "c", "n", "dt", "t_end", "deriv", "left", "right",
                 "ic", "method", "snapshots", "allow_unstable", "out"):
@@ -232,7 +245,7 @@ def _solve_command(args: argparse.Namespace) -> SolveCommand:
         merged.setdefault(key, default)
     if "alpha" not in merged:
         raise UsageError("solve needs --alpha (flag or config file)")
-    if "out" not in merged or merged["out"] is None:
+    if "out" not in merged:
         raise UsageError("solve needs --out")
     try:
         spec = SchemeSpec(
@@ -241,7 +254,7 @@ def _solve_command(args: argparse.Namespace) -> SolveCommand:
             right=_BCS[merged["right"]],
             alpha=float(merged["alpha"]),
             c=float(merged["c"]),
-            n=int(merged["n"]),
+            n=merged["n"],
         )
         config = SolverConfig(
             spec=spec,
@@ -249,10 +262,10 @@ def _solve_command(args: argparse.Namespace) -> SolveCommand:
             t_end=float(merged["t_end"]),
             method=_METHODS[merged["method"]],
             snapshot_times=_parse_snapshots(merged["snapshots"]),
-            initial=_parse_ic(str(merged["ic"])),
-            allow_unstable=bool(merged["allow_unstable"]),
+            initial=InitialCondition.parse(merged["ic"]),
+            allow_unstable=merged["allow_unstable"],
         )
-    except KeyError as exc:
+    except (KeyError, OverflowError) as exc:
         raise UsageError(f"bad value: {exc}") from None
     except FracDiffError as exc:
         raise UsageError(str(exc)) from None
@@ -394,7 +407,7 @@ def _figure_config(cmd: FigureCommand) -> SolverConfig:
         t_end=snaps[-1],
         method=cmd.method,
         snapshot_times=snaps,
-        initial=_parse_ic(ic),
+        initial=InitialCondition.parse(ic),
     )
 
 

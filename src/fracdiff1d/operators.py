@@ -36,9 +36,12 @@ apply is explicitly out of scope.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .errors import DimensionMismatch, InvalidSpec, UnsupportedCombination
 from .grunwald import DerivativeForm, grunwald_weights
@@ -75,8 +78,10 @@ class SchemeSpec:
     def __post_init__(self) -> None:
         if not 1.0 < self.alpha < 2.0:
             raise InvalidSpec(f"alpha must lie strictly in (1, 2), got {self.alpha}")
-        if self.c <= 0.0:
-            raise InvalidSpec(f"diffusivity must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise InvalidSpec(f"diffusivity must be positive and finite, got {self.c}")
+        if not isinstance(self.n, numbers.Integral):
+            raise InvalidSpec(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise InvalidSpec(f"need n >= 2 so interior nodes exist, got {self.n}")
         if self.form is DerivativeForm.CAPUTO and (
@@ -124,12 +129,13 @@ def build_matrix(spec: SchemeSpec) -> IterationMatrix:
     g2 = grunwald_weights(alpha - 2.0, n + 1).values
     reflect_left = spec.left is BoundaryCondition.REFLECTING
     reflect_right = spec.right is BoundaryCondition.REFLECTING
-    B = np.zeros((n + 1, n + 1))
+
+    # Shared stencil b_ij = g_{j-i+1} for i <= j+1, zero below; every case
+    # keeps it in interior columns 0 < j < n and patches the rest.
+    B = toeplitz(np.r_[g[1], g[0], np.zeros(n - 1)], g[1:])
+    B[:, [0, n]] = 0.0  # absorbing unless a reflecting patch refills them
 
     if spec.form is DerivativeForm.RIEMANN_LIOUVILLE:
-        # b_ij = g_{j-i+1} for i <= j+1, including the i = 0 row.
-        for j in range(1, n):
-            B[: j + 2, j] = g[j + 1 :: -1]
         if reflect_left:
             B[0, 0] = 1.0 - alpha
             B[1, 0] = 1.0
@@ -137,10 +143,8 @@ def build_matrix(spec: SchemeSpec) -> IterationMatrix:
             # b_in = -g^{alpha-1}_{n-i}: all mass overshooting x = 1 lands there.
             B[: n + 1, n] = -g1[n::-1]
     elif spec.form is DerivativeForm.PATIE_SIMON:
-        # Interior clause excludes i = 0; the first row is -g^{alpha-1}_j.
-        for j in range(1, n):
-            B[1 : j + 2, j] = g[j::-1]
-            B[0, j] = -g1[j]
+        # The first row is -g^{alpha-1}_j instead of the stencil.
+        B[0, 1:n] = -g1[1:n]
         if reflect_left:
             B[0, 0] = -1.0
             B[1, 0] = 1.0
@@ -151,10 +155,9 @@ def build_matrix(spec: SchemeSpec) -> IterationMatrix:
             B[1 : n + 1, n] = -g1[n - 1 :: -1]
             B[0, n] = g2[n - 1]
     else:  # Caputo, absorbing/absorbing only (guaranteed by SchemeSpec).
-        for j in range(1, n):
-            B[2 : j + 2, j] = g[j - 1 :: -1]
-            B[0, j] = -g1[j] + g2[j + 1]
-            B[1, j] = g[j] - g2[j + 1]
+        # Rows 0 and 1 carry the g^{alpha-2} correction.
+        B[0, 1:n] = -g1[1:n] + g2[2 : n + 1]
+        B[1, 1:n] = g[1:n] - g2[2 : n + 1]
 
     return IterationMatrix(n, B)
 

@@ -5,14 +5,25 @@ Explicit update (row-vector convention):
 :math:`\beta = C h^{-\alpha} \Delta t`, stable for
 :math:`\Delta t < h^\alpha / (C \alpha)`.  Implicit update:
 :math:`(I - \beta B^T)\, \mathbf{u}_{k+1}^T = \mathbf{u}_k^T`,
-unconditionally stable and solved by dense LU with partial pivoting
-(factored once per run, reused every step).
+unconditionally stable and solved by dense LU with partial pivoting.
+
+Both updates live in one private stepper, built once per run: it holds
+``B``, ``beta``, the outflow vector and the pinned absorbing nodes, and for
+implicit runs the single LU factorization of ``I - beta B^T`` that every
+step reuses.  Each step returns the new state and the mass absorbed during
+it.
 
 A run keeps two independently computed accounts: the retained mass
 :math:`M_k = h \sum_j u_j` measured from the state, and the cumulative
 absorbed mass accumulated from the per-node absorption rates
 ``-row_sums(B)``.  For the Riemann-Liouville and Patie-Simon schemes the two
 must reconcile: ``mass + absorbed == initial mass`` up to roundoff.
+
+A NaN or inf anywhere in the state makes both accounts non-finite, so
+checking the per-step increment and each snapshot mass catches a blown-up
+run in O(1): it raises :class:`~fracdiff1d.errors.StabilityViolation`
+naming the step (the CLI reports it on one ``error:`` line, exit code 1,
+and writes no file).
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -122,11 +134,23 @@ class InitialCondition:
     def from_file(cls, path: str | Path) -> "InitialCondition":
         return cls(Profile.FROM_FILE, Path(path))
 
+    @classmethod
+    def parse(cls, label: str) -> "InitialCondition":
+        """Inverse of :meth:`label`: ``tent``, ``bump``, ``uniform`` or
+        ``file:PATH``."""
+        if label.startswith("file:"):
+            return cls.from_file(label[len("file:"):])
+        try:
+            profile = Profile(label)
+        except ValueError:
+            raise InvalidSpec(f"unknown initial condition {label!r}") from None
+        return cls(profile)
+
     def sample(self, n: int) -> GridFunction:
         """Sample onto the nodes of an ``n``-interval grid.
 
-        A file must hold exactly ``n + 1`` whitespace-separated values
-        (one concentration per node).
+        A file must hold exactly ``n + 1`` whitespace-separated finite
+        values (one concentration per node).
         """
         if self.profile is Profile.TENT:
             return GridFunction.sample(tent_profile, n)
@@ -134,15 +158,21 @@ class InitialCondition:
             return GridFunction.sample(sine_bump_profile, n)
         if self.profile is Profile.UNIFORM:
             return GridFunction(n, np.ones(n + 1))
-        values = np.atleast_1d(np.loadtxt(self.path, dtype=float))
+        try:
+            values = np.atleast_1d(np.loadtxt(self.path, dtype=float))
+        except ValueError as exc:
+            raise InvalidSpec(f"{self.path} is not a list of numbers: {exc}") from None
         if values.shape != (n + 1,):
             raise DimensionMismatch(
                 f"{self.path} holds {values.size} values, grid needs {n + 1}"
             )
+        if not np.all(np.isfinite(values)):
+            raise InvalidSpec(f"{self.path} holds non-finite values")
         return GridFunction(n, values)
 
     def label(self) -> str:
-        """Stable textual form (used by the CLI and run metadata)."""
+        """Stable textual form (used by the CLI and run metadata); see
+        :meth:`parse`."""
         if self.profile is Profile.FROM_FILE:
             return f"file:{self.path}"
         return self.profile.value
@@ -167,12 +197,12 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "snapshot_times", tuple(self.snapshot_times))
-        if self.dt <= 0.0:
-            raise InvalidSpec(f"dt must be positive, got {self.dt}")
-        if self.t_end <= 0.0:
-            raise InvalidSpec(f"t_end must be positive, got {self.t_end}")
+        if not 0.0 < self.dt < math.inf:
+            raise InvalidSpec(f"dt must be positive and finite, got {self.dt}")
+        if not 0.0 < self.t_end < math.inf:
+            raise InvalidSpec(f"t_end must be positive and finite, got {self.t_end}")
         times = self.snapshot_times
-        if any(t < 0.0 or t > self.t_end for t in times):
+        if not all(0.0 <= t <= self.t_end for t in times):
             raise InvalidSpec("snapshot times must lie within [0, t_end]")
         if any(a > b for a, b in zip(times, times[1:])):
             raise InvalidSpec("snapshot times must be sorted")
@@ -208,57 +238,95 @@ class TimeSeries:
         return len(self.snapshots)
 
 
+class _Stepper:
+    """One Euler step under ``beta * B``: the update, the ledger and the pins.
+
+    The only place the update rule lives.  Built once per run: the implicit
+    system ``I - beta B^T`` is assembled in one buffer and LU-factored here,
+    and reused by every :meth:`step`.  ``pinned`` lists the absorbing
+    boundary nodes, zeroed after every step (their matrix columns are already
+    zero; pinning suppresses roundoff drift).
+    """
+
+    def __init__(self, matrix: IterationMatrix, beta: float, method: Method,
+                 pinned: Sequence[int] = ()) -> None:
+        if not 0.0 <= beta < math.inf:
+            raise InvalidSpec(f"beta must be finite and nonnegative, got {beta}")
+        n = matrix.n
+        self.n, self.h, self.beta = n, 1.0 / n, beta
+        self.B = matrix.entries
+        self.outflow = -self.B.sum(axis=1)
+        self.pinned = list(pinned)
+        self.steps = 0
+        self.factors = None
+        if method is Method.IMPLICIT:
+            # Bit-identical to ``eye - beta * B.T``: 0 - x == -x and
+            # 1 - y == 1 + (-y) hold exactly in IEEE arithmetic.
+            system = -beta * self.B.T
+            system.flat[:: n + 2] += 1.0
+            lu, piv = lu_factor(system, overwrite_a=True)
+            if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
+                raise SingularSystem("implicit system matrix is numerically singular")
+            self.factors = (lu, piv)
+
+    def step(self, u: np.ndarray) -> tuple[np.ndarray, float]:
+        """Advance ``u`` by one step; return the new state and the mass
+        absorbed during the step.
+
+        Explicit steps book the outflow of the state they start from,
+        implicit steps that of the state they solve for.  A NaN or inf
+        anywhere in the state makes the increment non-finite, which raises
+        :class:`StabilityViolation`.
+        """
+        if u.shape != (self.n + 1,):
+            raise DimensionMismatch(f"grid has n={u.size - 1} but matrix has n={self.n}")
+        if self.factors is None:
+            booked = u
+            u = u + self.beta * (u @ self.B)
+        else:
+            u = booked = lu_solve(self.factors, u, check_finite=False)
+        increment = self.beta * self.h * float(booked @ self.outflow)
+        self.steps += 1
+        if not math.isfinite(increment):
+            raise _non_finite(self.steps)
+        u[self.pinned] = 0.0
+        return u, increment
+
+
+def _non_finite(step: int) -> StabilityViolation:
+    return StabilityViolation(f"the state or its ledger is no longer finite at step {step}")
+
+
 def explicit_step(u: GridFunction, matrix: IterationMatrix, beta: float) -> GridFunction:
     """One explicit Euler update ``u + beta * (u B)``."""
-    if u.n != matrix.n:
-        raise DimensionMismatch(f"grid has n={u.n} but matrix has n={matrix.n}")
-    return GridFunction(u.n, u.values + beta * (u.values @ matrix.entries))
-
-
-def _factor_system(matrix: IterationMatrix, beta: float):
-    """LU-factor ``I - beta * B^T``, rejecting numerically singular systems."""
-    system = np.eye(matrix.n + 1) - beta * matrix.entries.T
-    lu, piv = lu_factor(system)
-    diag = np.abs(np.diag(lu))
-    if not np.all(np.isfinite(lu)) or np.any(diag == 0.0):
-        raise SingularSystem("implicit system matrix is numerically singular")
-    return lu, piv
+    return GridFunction(u.n, _Stepper(matrix, beta, Method.EXPLICIT).step(u.values)[0])
 
 
 def implicit_step(u: GridFunction, matrix: IterationMatrix, beta: float) -> GridFunction:
     """One implicit Euler update, solving ``(I - beta B^T) v = u``.
 
-    Factors the system on every call; :func:`run_simulation` caches the
-    factorization across steps instead.
+    Factors the system on every call; :func:`run_simulation` factors once
+    per run instead.
     """
-    if u.n != matrix.n:
-        raise DimensionMismatch(f"grid has n={u.n} but matrix has n={matrix.n}")
-    if beta < 0.0:
-        raise InvalidSpec(f"beta must be nonnegative, got {beta}")
-    factors = _factor_system(matrix, beta)
-    return GridFunction(u.n, lu_solve(factors, u.values))
+    return GridFunction(u.n, _Stepper(matrix, beta, Method.IMPLICIT).step(u.values)[0])
 
 
 def run_simulation(config: SolverConfig) -> TimeSeries:
     """Advance the scheme to ``t_end``, recording snapshots and the ledger.
 
-    The iteration matrix is built once.  Snapshots are taken at the first
-    completed step with ``t >= requested``; the actual times are recorded.
-    Absorbing boundary nodes are hard-pinned to zero after every step (their
-    matrix columns are already zero; pinning suppresses roundoff drift).
+    The iteration matrix is built and (for implicit runs) factored once.
+    Snapshots are taken at the first completed step with
+    ``t >= requested``; the actual times are recorded.  Absorbing boundary
+    nodes are hard-pinned to zero, initially and after every step.  A state
+    that turns non-finite raises :class:`StabilityViolation` before any
+    later snapshot is recorded.
     """
     spec = config.spec
     n, h, dt = spec.n, spec.h, config.dt
-    matrix = build_matrix(spec)
-    B = matrix.entries
-    beta = spec.c * h**-spec.alpha * dt
-    outflow = -B.sum(axis=1)
-
-    pinned = []
-    if spec.left is BoundaryCondition.ABSORBING:
-        pinned.append(0)
-    if spec.right is BoundaryCondition.ABSORBING:
-        pinned.append(n)
+    pinned = [node for node, side in ((0, spec.left), (n, spec.right))
+              if side is BoundaryCondition.ABSORBING]
+    stepper = _Stepper(build_matrix(spec), spec.c * h**-spec.alpha * dt,
+                       config.method, pinned)
 
     u = config.initial.sample(n).values.copy()
     u[pinned] = 0.0
@@ -270,9 +338,6 @@ def run_simulation(config: SolverConfig) -> TimeSeries:
     snap_steps = [step_of(t) for t in config.snapshot_times]
     total_steps = max(step_of(config.t_end), max(snap_steps, default=0))
 
-    if config.method is Method.IMPLICIT:
-        factors = _factor_system(matrix, beta)
-
     times: list[float] = []
     snapshots: list[GridFunction] = []
     mass_trace: list[float] = []
@@ -280,22 +345,22 @@ def run_simulation(config: SolverConfig) -> TimeSeries:
     absorbed = 0.0
     next_snap = 0
 
-    for k in range(total_steps + 1):
-        while next_snap < len(snap_steps) and snap_steps[next_snap] == k:
-            times.append(k * dt)
-            snapshots.append(GridFunction(n, u))
-            mass_trace.append(h * float(u.sum()))
-            absorbed_trace.append(absorbed)
-            next_snap += 1
-        if k == total_steps:
-            break
-        if config.method is Method.EXPLICIT:
-            absorbed += beta * h * float(u @ outflow)
-            u = u + beta * (u @ B)
-        else:
-            u = lu_solve(factors, u)
-            absorbed += beta * h * float(u @ outflow)
-        u[pinned] = 0.0
+    # Overflow is reported by the non-finite guard, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(total_steps + 1):
+            while next_snap < len(snap_steps) and snap_steps[next_snap] == k:
+                mass = h * float(u.sum())
+                if not math.isfinite(mass):
+                    raise _non_finite(k)
+                times.append(k * dt)
+                snapshots.append(GridFunction(n, u))
+                mass_trace.append(mass)
+                absorbed_trace.append(absorbed)
+                next_snap += 1
+            if k == total_steps:
+                break
+            u, increment = stepper.step(u)
+            absorbed += increment
 
     return TimeSeries(
         spec=spec,

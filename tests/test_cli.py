@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracdiff1d import (
     BoundaryCondition,
@@ -140,6 +142,53 @@ class TestParse:
             parse_args(["solve", "--config", str(path)])
 
 
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_NUMBER = st.integers() | st.floats()
+# Values of the type each key's flag parses to, often inside its valid range.
+_WELL_TYPED = {
+    "alpha": _NUMBER | st.floats(1.0, 2.0),
+    "c": _NUMBER | st.floats(0.1, 10.0),
+    "n": st.integers() | st.integers(-2, 300),
+    "dt": _NUMBER | st.floats(1e-6, 1e-2),
+    "t_end": _NUMBER | st.floats(0.0, 1.0),
+    "deriv": st.sampled_from(["rl", "ps", "caputo"]) | st.text(max_size=8),
+    "left": st.sampled_from(["absorbing", "reflecting"]) | st.text(max_size=8),
+    "right": st.sampled_from(["absorbing", "reflecting"]) | st.text(max_size=8),
+    "ic": st.sampled_from(["tent", "bump", "uniform", "file:p.txt"]) | st.text(max_size=8),
+    "method": st.sampled_from(["explicit", "implicit"]) | st.text(max_size=8),
+    "snapshots": st.lists(_NUMBER | st.floats(0.0, 0.01), max_size=3)
+    | st.text(max_size=12),
+    "allow_unstable": st.booleans(),
+    "out": st.text(max_size=8),
+}
+# Mostly well-typed, so that most examples reach the library's own checks.
+_CONFIGS = st.fixed_dictionaries({}, optional={
+    key: st.sampled_from([typed] * 9 + [_ANY_JSON]).flatmap(lambda s: s)
+    for key, typed in _WELL_TYPED.items()
+})
+
+
+class TestConfigProperty:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=_CONFIGS,
+           flags=st.sampled_from([[], ["--alpha", "1.5"], ["--out", "x.csv"],
+                                  ["--alpha", "1.5", "--out", "x.csv"]]))
+    def test_config_parses_or_is_usage_error(self, tmp_path, config, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        try:
+            cmd = parse_args(["solve", "--config", str(path), *flags])
+        except UsageError:
+            return
+        assert isinstance(cmd, SolveCommand)
+
+
 class TestEmission:
     def zero_series(self):
         spec = SchemeSpec(DerivativeForm.RIEMANN_LIOUVILLE,
@@ -223,7 +272,54 @@ class TestMain:
         assert main(["verify", "bogus"]) == 2
         assert main(["solve", "--alpha", "2.5", "--out", "x.csv"]) == 2
         assert main(["weights", "--order", "1.5", "--m", "-3", "--out", "w.csv"]) == 2
+        for flags in (["--dt", "nan"], ["--t-end", "inf"], ["--snapshots", "0,nan"],
+                      ["--c", "nan"], ["--ic", "bogus"]):
+            assert main(["solve", "--alpha", "1.5", "--n", "20", *flags,
+                         "--out", "x.csv"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("config", [
+        {"allow_unstable": "false", "n": 20, "dt": 0.5, "t_end": 5.0,
+         "method": "explicit", "snapshots": [0.0, 5.0]},
+        {"n": 20.7},
+        {"snapshots": 5},
+        {"alpha": "x"},
+    ])
+    def test_config_values_of_the_wrong_type_exit_two(self, tmp_path, capsys, config):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"alpha": 1.5, **config}))
+        out = tmp_path / "run.csv"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_blown_up_explicit_run_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # dt = 0.5 is far above the CFL limit at n = 20; the state overflows
+        # around step 150.
+        out = tmp_path / "run.csv"
+        code = main(["solve", "--alpha", "1.5", "--n", "20", "--method", "explicit",
+                     "--dt", "0.5", "--t-end", "100", "--snapshots", "0,100",
+                     "--allow-unstable", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "step 150" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method", ["explicit", "implicit"])
+    def test_non_finite_ic_file_exits_one_and_writes_nothing(self, tmp_path, capsys,
+                                                             method):
+        profile = tmp_path / "profile.txt"
+        profile.write_text("\n".join(["0.0"] * 10 + ["nan"] + ["1.0"] * 10))
+        out = tmp_path / "run.csv"
+        code = main(["solve", "--alpha", "1.5", "--n", "20", "--method", method,
+                     "--dt", "1e-4", "--t-end", "1e-3", "--snapshots", "0,1e-3",
+                     "--ic", f"file:{profile}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.txt"]
 
     def test_weights_command_writes_file(self, tmp_path):
         out = tmp_path / "w.csv"

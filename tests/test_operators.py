@@ -11,6 +11,7 @@ from fracdiff1d import (
     UnsupportedCombination,
     absorbed_rates,
     build_matrix,
+    grunwald_weights,
     row_sums,
 )
 
@@ -63,6 +64,48 @@ class TestHandMatrices:
         B = build_matrix(spec(PS, R, R))
         assert np.max(np.abs(B.entries - HAND_PS_RR)) <= 1e-15
         assert np.max(np.abs(row_sums(B))) <= 1e-15
+
+
+def loop_reference(s):
+    """Column-by-column assembly of the nine cases, entry for entry."""
+    n, alpha = s.n, s.alpha
+    g = grunwald_weights(alpha, n + 1).values
+    g1 = grunwald_weights(alpha - 1.0, n + 1).values
+    g2 = grunwald_weights(alpha - 2.0, n + 1).values
+    B = np.zeros((n + 1, n + 1))
+    if s.form is RL:
+        for j in range(1, n):
+            B[: j + 2, j] = g[j + 1 :: -1]
+        if s.left is R:
+            B[0, 0], B[1, 0] = 1.0 - alpha, 1.0
+        if s.right is R:
+            B[:, n] = -g1[n::-1]
+    elif s.form is PS:
+        for j in range(1, n):
+            B[1 : j + 2, j] = g[j::-1]
+            B[0, j] = -g1[j]
+        if s.left is R:
+            B[0, 0], B[1, 0] = -1.0, 1.0
+        if s.right is R:
+            B[1:, n] = -g1[n - 1 :: -1]
+            B[0, n] = g2[n - 1]
+    else:
+        for j in range(1, n):
+            B[2 : j + 2, j] = g[j - 1 :: -1]
+            B[0, j] = -g1[j] + g2[j + 1]
+            B[1, j] = g[j] - g2[j + 1]
+    return B
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("form,left,right", SUPPORTED)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_entries_are_bit_identical(self, form, left, right, alpha):
+        for n in (2, 3, 8, 64, 257):
+            s = spec(form, left, right, alpha=alpha, n=n)
+            expected = loop_reference(s)
+            got = build_matrix(s).entries
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestStructure:
@@ -155,12 +198,14 @@ class TestSpecValidation:
             spec(RL, A, A, alpha=alpha, n=8)
 
     def test_tiny_grid_is_rejected(self):
-        with pytest.raises(InvalidSpec):
-            spec(RL, A, A, n=1)
+        for n in (1, 20.5):
+            with pytest.raises(InvalidSpec):
+                spec(RL, A, A, n=n)
 
     def test_nonpositive_diffusivity_is_rejected(self):
-        with pytest.raises(InvalidSpec):
-            spec(RL, A, A, n=8, c=0.0)
+        for c in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidSpec):
+                spec(RL, A, A, n=8, c=c)
 
     def test_matrix_entries_are_immutable(self):
         B = build_matrix(spec(RL, R, R, n=8))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,21 @@ class TestInitialConditions:
         with pytest.raises(DimensionMismatch):
             InitialCondition.from_file(path).sample(8)
 
+    def test_from_file_rejects_non_finite_and_non_numeric_values(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for bad in ("nan", "inf", "abc"):
+            path.write_text("\n".join(["0.0"] * 4 + [bad] + ["0.0"] * 4))
+            with pytest.raises(InvalidSpec):
+                InitialCondition.from_file(path).sample(8)
+
+    def test_label_parse_roundtrip(self):
+        for label in ("tent", "bump", "uniform", "file:some/profile.txt"):
+            ic = InitialCondition.parse(label)
+            assert ic.label() == label
+            assert InitialCondition.parse(ic.label()) == ic
+        with pytest.raises(InvalidSpec):
+            InitialCondition.parse("bogus")
+
     def test_from_file_requires_path(self):
         from fracdiff1d.timestepper import Profile
         with pytest.raises(InvalidSpec):
@@ -179,6 +196,12 @@ class TestConfigValidation:
             make_config(dt=1e-3, steps=10, snapshot_times=(0.0, 1.0))
         with pytest.raises(InvalidSpec):
             make_config(dt=1e-3, steps=10, snapshot_times=(5e-3, 1e-3))
+        with pytest.raises(InvalidSpec):
+            make_config(dt=float("nan"), steps=10, snapshot_times=())
+        with pytest.raises(InvalidSpec):
+            make_config(dt=1e-3, steps=10, snapshot_times=(0.0, float("nan")))
+        with pytest.raises(InvalidSpec):
+            dataclasses.replace(make_config(dt=1e-3, steps=10), t_end=float("inf"))
 
 
 class TestRunSimulation:
@@ -246,6 +269,18 @@ class TestRunSimulation:
         for snap in series.snapshots:
             assert snap.values[0] == 0.0
             assert snap.values[64] == 0.0
+
+    def test_state_overflowing_on_the_last_step_is_not_recorded(self, tmp_path):
+        # The last step's increment is booked from the finite state before
+        # it, so only the snapshot mass sees the overflow.
+        path = tmp_path / "huge.txt"
+        path.write_text("\n".join(["0.0"] * 4 + ["1e308"] + ["0.0"] * 4))
+        limit = stability_limit(1.5, 1.0, 1.0 / 8)
+        config = make_config(form=RL, left=R, right=R, n=8, dt=100 * limit, steps=1,
+                             method=Method.EXPLICIT, ic=InitialCondition.from_file(path),
+                             snapshot_times=(0.0, 100 * limit), allow_unstable=True)
+        with pytest.raises(StabilityViolation, match="at step 1$"):
+            run_simulation(config)
 
     def test_left_absorbing_forms_produce_identical_explicit_runs(self):
         runs = []
