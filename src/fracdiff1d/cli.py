@@ -317,8 +317,13 @@ def parse_args(argv: Sequence[str]) -> CliCommand:
             )
         if args.out is None:
             raise UsageError("figure needs --out")
-        return FigureCommand(figure_id=args.figure_id, out=args.out, n=args.n,
-                             dt=args.dt, method=_METHODS[args.method])
+        cmd = FigureCommand(figure_id=args.figure_id, out=args.out, n=args.n,
+                            dt=args.dt, method=_METHODS[args.method])
+        try:
+            _figure_config(cmd)
+        except FracDiffError as exc:
+            raise UsageError(str(exc)) from None
+        return cmd
     raise UsageError(f"unknown command {args.command!r}")
 
 

@@ -11,9 +11,9 @@ where the entry :math:`b_{ij}` of the :math:`(n+1)\times(n+1)` matrix
 :math:`j`.  :math:`B` holds pure rates; the factor :math:`\beta` is applied
 by the time stepper, never baked in here.
 
-All nine supported cases share a lower-Hessenberg interior built from the
-Grünwald weights (:math:`b_{ij} = g^\alpha_{j-i+1}`, so mass moves at most
-one step left) and differ in their boundary rows/columns:
+All nine supported cases share an upper-Hessenberg interior built from the
+Grünwald weights (:math:`b_{ij} = g^\alpha_{j-i+1}`, zero for
+:math:`i > j + 1`, so mass moves at most one step left) and differ in their boundary rows/columns:
 
 * absorbing at a boundary zeroes the corresponding column, deleting from the
   system any mass scheduled to land on or beyond that node;
@@ -29,8 +29,10 @@ The Caputo form is only defined here with absorbing boundaries on both
 sides; no scheme exists for Caputo with a reflecting boundary.
 
 Matrices are dense and immutable: at desk scale (``n`` up to a few thousand)
-this keeps the case tables literal and auditable, and a structured fast
-apply is explicitly out of scope.
+this keeps the case tables literal and auditable.  The time stepper exploits
+only the Hessenberg shape (an O(n^2) factor without pivoting); a structured
+O(n) representation with fast apply and solve is not implemented.  A grid
+whose dense matrix alone would exceed physical memory is rejected.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +58,19 @@ __all__ = [
     "build_matrix",
     "row_sums",
 ]
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or the address-space limit where the
+    platform cannot say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return sys.maxsize
+
+
+# A grid whose dense (n+1)^2 float64 matrix alone exceeds this cannot run.
+_MEMORY_BYTES = _physical_memory()
 
 
 class BoundaryCondition(enum.Enum):
@@ -84,6 +101,11 @@ class SchemeSpec:
             raise InvalidSpec(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise InvalidSpec(f"need n >= 2 so interior nodes exist, got {self.n}")
+        if 8 * (self.n + 1) ** 2 > _MEMORY_BYTES:
+            raise InvalidSpec(
+                f"n={self.n} is too large: one dense (n+1)^2 matrix would exceed "
+                f"the {_MEMORY_BYTES / 2**30:.1f} GiB of physical memory"
+            )
         if self.form is DerivativeForm.CAPUTO and (
             self.left is BoundaryCondition.REFLECTING
             or self.right is BoundaryCondition.REFLECTING

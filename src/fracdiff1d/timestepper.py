@@ -5,13 +5,20 @@ Explicit update (row-vector convention):
 :math:`\beta = C h^{-\alpha} \Delta t`, stable for
 :math:`\Delta t < h^\alpha / (C \alpha)`.  Implicit update:
 :math:`(I - \beta B^T)\, \mathbf{u}_{k+1}^T = \mathbf{u}_k^T`,
-unconditionally stable and solved by dense LU with partial pivoting.
+unconditionally stable.  Every ``B`` is upper Hessenberg
+(:math:`b_{ij} = 0` for :math:`i > j + 1`), so the implicit update is solved
+in row form :math:`\mathbf{u}_{k+1} M = \mathbf{u}_k` with
+:math:`M = I - \beta B = L U` factored without pivoting: ``L`` is unit lower
+bidiagonal (one multiplier per row) and ``U`` upper triangular.  The factor
+costs O(n^2) and each step one triangular and one bidiagonal BLAS solve.
+For the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
+dominant Z-matrix, so the growth factor is at most 2; a pivot check still
+runs for every scheme.
 
 Both updates live in one private stepper, built once per run: it holds
 ``B``, ``beta``, the outflow vector and the pinned absorbing nodes, and for
-implicit runs the single LU factorization of ``I - beta B^T`` that every
-step reuses.  Each step returns the new state and the mass absorbed during
-it.
+implicit runs the single factorization of ``M`` that every step reuses.
+Each step returns the new state and the mass absorbed during it.
 
 A run keeps two independently computed accounts: the retained mass
 :math:`M_k = h \sum_j u_j` measured from the state, and the cumulative
@@ -35,7 +42,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dtbsv, dtrsv
 
 from .errors import (
     DimensionMismatch,
@@ -242,10 +249,11 @@ class _Stepper:
     """One Euler step under ``beta * B``: the update, the ledger and the pins.
 
     The only place the update rule lives.  Built once per run: the implicit
-    system ``I - beta B^T`` is assembled in one buffer and LU-factored here,
-    and reused by every :meth:`step`.  ``pinned`` lists the absorbing
-    boundary nodes, zeroed after every step (their matrix columns are already
-    zero; pinning suppresses roundoff drift).
+    system ``M = I - beta B`` is assembled in one buffer and factored here as
+    ``M = L U`` without pivoting, which every :meth:`step` reuses.
+    ``pinned`` lists the absorbing boundary nodes, zeroed after every step
+    (their matrix columns are already zero; pinning suppresses roundoff
+    drift).
     """
 
     def __init__(self, matrix: IterationMatrix, beta: float, method: Method,
@@ -260,14 +268,7 @@ class _Stepper:
         self.steps = 0
         self.factors = None
         if method is Method.IMPLICIT:
-            # Bit-identical to ``eye - beta * B.T``: 0 - x == -x and
-            # 1 - y == 1 + (-y) hold exactly in IEEE arithmetic.
-            system = -beta * self.B.T
-            system.flat[:: n + 2] += 1.0
-            lu, piv = lu_factor(system, overwrite_a=True)
-            if not np.all(np.isfinite(lu)) or np.any(np.diag(lu) == 0.0):
-                raise SingularSystem("implicit system matrix is numerically singular")
-            self.factors = (lu, piv)
+            self.factors = _hessenberg_lu(self.B, beta)
 
     def step(self, u: np.ndarray) -> tuple[np.ndarray, float]:
         """Advance ``u`` by one step; return the new state and the mass
@@ -284,13 +285,39 @@ class _Stepper:
             booked = u
             u = u + self.beta * (u @ self.B)
         else:
-            u = booked = lu_solve(self.factors, u, check_finite=False)
+            # v L U = u: solve U^T w = u, then L^T v = w.
+            upper_t, band = self.factors
+            w = dtrsv(upper_t, u, lower=1)
+            u = booked = dtbsv(1, band, w, diag=1, overwrite_x=1)
         increment = self.beta * self.h * float(booked @ self.outflow)
         self.steps += 1
         if not math.isfinite(increment):
             raise _non_finite(self.steps)
         u[self.pinned] = 0.0
         return u, increment
+
+
+def _hessenberg_lu(B: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factor the upper-Hessenberg ``M = I - beta B`` as ``L U`` without
+    pivoting, one row axpy per row.
+
+    Returns ``U^T`` (F-contiguous, so BLAS reads it in place; only its lower
+    triangle is meaningful) and the multipliers of ``L`` as the band of the
+    unit upper bidiagonal ``L^T``.  A non-finite factor or a zero pivot
+    raises :class:`SingularSystem`.
+    """
+    n = B.shape[0] - 1
+    band = np.zeros((2, n + 1), order="F")
+    with np.errstate(all="ignore"):
+        U = -beta * B
+        U.flat[:: n + 2] += 1.0
+        for k in range(n):
+            band[0, k + 1] = multiplier = U[k + 1, k] / U[k, k]
+            U[k + 1, k + 1:] -= multiplier * U[k, k + 1:]
+        healthy = np.isfinite(U).all() and np.isfinite(band).all()
+    if not healthy or not np.diagonal(U).all():
+        raise SingularSystem("implicit system matrix is numerically singular")
+    return U.T, band
 
 
 def _non_finite(step: int) -> StabilityViolation:

@@ -276,6 +276,10 @@ class TestMain:
                       ["--c", "nan"], ["--ic", "bogus"]):
             assert main(["solve", "--alpha", "1.5", "--n", "20", *flags,
                          "--out", "x.csv"]) == 2
+        assert main(["solve", "--alpha", "1.5", "--n", "1" + "0" * 400,
+                     "--out", "x.csv"]) == 2
+        assert main(["figure", "2", "--dt", "nan", "--out", "x.csv"]) == 2
+        assert main(["figure", "2", "--n", "1", "--out", "x.csv"]) == 2
         capsys.readouterr()
 
     @pytest.mark.parametrize("config", [

@@ -5,14 +5,18 @@ from fracdiff1d import (
     BoundaryCondition,
     DerivativeForm,
     DimensionMismatch,
+    GridFunction,
     InvalidSpec,
     IterationMatrix,
     SchemeSpec,
     UnsupportedCombination,
     absorbed_rates,
     build_matrix,
+    convergence_order,
     grunwald_weights,
+    l1_distance_interior,
     row_sums,
+    steady_state_reference,
 )
 
 RL = DerivativeForm.RIEMANN_LIOUVILLE
@@ -167,6 +171,42 @@ class TestStructure:
         assert np.any(off[1] < 0.0)
 
 
+def discrete_steady_state(s):
+    """Unit-mass null vector of ``u B = 0`` and its relative residual.
+
+    Column ``j`` of the upper-Hessenberg ``B`` couples ``u_0..u_{j+1}`` and
+    ``b_{j+1,j} = 1``, so forward substitution from ``u_0 = 1`` yields
+    ``u_{j+1}`` from column ``j``; the last column then holds because the
+    reflecting rows sum to zero.
+    """
+    B = build_matrix(s).entries
+    columns = np.ascontiguousarray(B.T)
+    u = np.zeros(s.n + 1)
+    u[0] = 1.0
+    for j in range(s.n):
+        u[j + 1] = -(u[: j + 1] @ columns[j, : j + 1]) / columns[j, j + 1]
+    u /= s.h * u.sum()
+    residual = np.abs(u @ B).max() / (np.abs(u).max() * np.abs(B).sum(axis=0).max())
+    return GridFunction(s.n, u), float(residual)
+
+
+class TestSteadyStateConvergence:
+    @pytest.mark.parametrize("form", (RL, PS))
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_null_vector_converges_to_the_reference(self, form, alpha):
+        # Measured orders: alpha - 1 for RL (0.21, 0.53, 0.85), 1.00 for PS.
+        sizes = (64, 128, 256, 512, 1024)
+        errors = []
+        for n in sizes:
+            s = spec(form, R, R, alpha=alpha, n=n)
+            u, residual = discrete_steady_state(s)
+            assert residual <= 1e-13
+            errors.append(l1_distance_interior(u, steady_state_reference(s)))
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        order = convergence_order([(1.0 / n, e) for n, e in zip(sizes, errors)])
+        assert order >= (alpha - 1.1 if form is RL else 0.9)
+
+
 class TestRowAccounting:
     def test_row_sums_of_zero_matrix(self):
         m = IterationMatrix(4, np.zeros((5, 5)))
@@ -200,6 +240,12 @@ class TestSpecValidation:
     def test_tiny_grid_is_rejected(self):
         for n in (1, 20.5):
             with pytest.raises(InvalidSpec):
+                spec(RL, A, A, n=n)
+
+    def test_grid_beyond_memory_is_rejected(self):
+        # 10**6 needs an 8 TB dense matrix; 10**400 is not even a float.
+        for n in (10**6, 10**400):
+            with pytest.raises(InvalidSpec, match="physical memory"):
                 spec(RL, A, A, n=n)
 
     def test_nonpositive_diffusivity_is_rejected(self):
