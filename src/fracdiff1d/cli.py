@@ -334,11 +334,11 @@ def emit_timeseries_csv(series: TimeSeries, path: Path) -> None:
     trace, the absorption ledger, and the actual snapshot times.
     """
     n = series.spec.n
+    x_strs = [_fmt(j / n) for j in range(n + 1)]
     lines = ["t,x,u"]
     for t, snap in zip(series.times, series.snapshots):
         t_str = _fmt(t)
-        for j in range(n + 1):
-            lines.append(f"{t_str},{_fmt(j / n)},{_fmt(snap.values[j])}")
+        lines += [f"{t_str},{x},{_fmt(v)}" for x, v in zip(x_strs, snap.values.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
     config = series.config
     meta = {

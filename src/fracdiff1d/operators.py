@@ -28,11 +28,15 @@ Grünwald weights (:math:`b_{ij} = g^\alpha_{j-i+1}`, zero for
 The Caputo form is only defined here with absorbing boundaries on both
 sides; no scheme exists for Caputo with a reflecting boundary.
 
-Matrices are dense and immutable: at desk scale (``n`` up to a few thousand)
-this keeps the case tables literal and auditable.  The time stepper exploits
-only the Hessenberg shape (an O(n^2) factor without pivoting); a structured
-O(n) representation with fast apply and solve is not implemented.  A grid
-whose dense matrix alone would exceed physical memory is rejected.
+The case table produces one private structured form, held in O(n) memory:
+the weights of the shared stencil plus the boundary columns and the
+replaced rows.  Runs use only that form: explicit steps apply it by
+convolution (FFT from ``n = 512`` up) and take its row sums in O(n);
+implicit runs expand it once into the buffer that their O(n^2) Hessenberg
+factorization overwrites.  :func:`build_matrix` is its dense, immutable
+expansion, kept for the ``matrix`` command and as the oracle of the tests.
+No O(n log n) implicit solve is implemented.  A grid whose dense matrix
+alone would exceed physical memory is rejected.
 """
 
 from __future__ import annotations
@@ -136,52 +140,139 @@ class IterationMatrix:
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
 
+    @classmethod
+    def _adopt(cls, entries: np.ndarray) -> "IterationMatrix":
+        """Freeze a fresh square float array that no caller holds, without
+        the copy :meth:`__post_init__` makes of arrays passed in."""
+        entries.flags.writeable = False
+        matrix = cls.__new__(cls)
+        object.__setattr__(matrix, "n", entries.shape[0] - 1)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
 
-def build_matrix(spec: SchemeSpec) -> IterationMatrix:
-    """Assemble the iteration matrix for one of the nine supported cases.
 
-    Interior columns (``0 < j < n``) carry the Grünwald stencil; the first
-    and last columns and, for the Patie-Simon form, the first row implement
-    the boundary conditions.  Entries are populated from the weight
-    sequences of orders ``alpha``, ``alpha - 1`` and ``alpha - 2`` only.
+# Below this n, np.convolve beats numpy's ~10 us per-FFT floor.
+_FFT_MIN_N = 512
+
+
+class _Stencil:
+    """``B`` in O(n) memory: the shared Grünwald stencil plus the boundary
+    patches of one case.
+
+    ``b_ij = g_{j-i+1}`` (zero for ``i > j + 1``) in the interior columns
+    ``0 < j < n``, except in the first ``len(head)`` rows, whose interior
+    entries ``head`` holds (Patie-Simon, Caputo).  ``edges`` holds columns
+    0 and ``n``.
+    """
+
+    def __init__(self, g: np.ndarray, head: np.ndarray, edges: np.ndarray) -> None:
+        self.n = n = len(g) - 1
+        self.g, self.head, self.edges = g, head, edges
+        self.pad = np.zeros(n - 1 + len(head))
+        self.g_hat = None
+        if n >= _FFT_MIN_N:
+            # a * g (see apply) is nonzero up to entry 3n - 1; a period above
+            # 2n holds all of a and aliases none of the entries n+1 .. 2n-1.
+            self.period = 1 << (2 * n).bit_length()
+            self.g_hat = np.fft.rfft(g, self.period)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """``u B``: the stencil rows convolve ``u`` with ``g``, in O(n log n)
+        by FFT from ``_FFT_MIN_N`` up; the patches add O(n) dot products."""
+        n, rows = self.n, len(self.head)
+        # Entry j of u B, 0 < j < n, is entry j + 1 of the convolution of u
+        # with g, and so entry n + j of that of a = (0 * (n - 1), u, 0) with
+        # g; "valid" yields entries n .. 2n, one per node.  Zeroing (not
+        # dropping) the head rows keeps one sum order for all cases, so
+        # schemes that differ only in rows without mass step bit for bit
+        # alike.
+        a = np.concatenate((self.pad, u[rows:], (0.0,)))
+        if self.g_hat is None:
+            out = np.convolve(a, self.g, "valid")
+        else:
+            period = self.period
+            out = np.fft.irfft(np.fft.rfft(a, period) * self.g_hat, period)[n : 2 * n + 1]
+        if rows:
+            out[1:n] += u[:rows] @ self.head
+        out[::n] = u @ self.edges
+        return out
+
+    def row_sums(self) -> np.ndarray:
+        """Per-row totals of ``B`` in O(n), from prefix sums of ``g``."""
+        n, rows = self.n, len(self.head)
+        prefix = np.cumsum(self.g)
+        sums = np.empty(n + 1)
+        # Row i >= 2 meets g_0 .. g_{n-i} in columns 0 < j < n; rows 0 and
+        # 1 start at g_2 and g_1.
+        sums[2:] = prefix[n - 2 :: -1]
+        sums[1] = prefix[n - 1] - prefix[0]
+        sums[0] = prefix[n] - prefix[1]
+        sums += self.edges.sum(axis=1)
+        # Patched rows have no prefix structure (Caputo's grow like
+        # n^(2-alpha)): sum each whole row in the order of a dense row.
+        sums[:rows] = np.column_stack(
+            (self.edges[:rows, 0], self.head, self.edges[:rows, 1])).sum(axis=1)
+        return sums
+
+    def dense(self) -> np.ndarray:
+        """A fresh, writable dense ``B``."""
+        n, g = self.n, self.g
+        B = toeplitz(np.r_[g[1], g[0], np.zeros(n - 1)], np.r_[g[1:], 0.0])
+        B[:, [0, n]] = self.edges
+        B[: len(self.head), 1:n] = self.head
+        return B
+
+
+def _stencil(spec: SchemeSpec) -> _Stencil:
+    """The case table: the patches of each of the nine supported cases.
+
+    Entries come from the weight sequences of orders ``alpha``,
+    ``alpha - 1`` and ``alpha - 2`` only; every boundary column is zero
+    (absorbing) unless a reflecting patch fills it.
     """
     n, alpha = spec.n, spec.alpha
-    g = grunwald_weights(alpha, n + 1).values
-    g1 = grunwald_weights(alpha - 1.0, n + 1).values
-    g2 = grunwald_weights(alpha - 2.0, n + 1).values
+    g = grunwald_weights(alpha, n).values
+    g1 = grunwald_weights(alpha - 1.0, n).values
+    g2 = grunwald_weights(alpha - 2.0, n).values
     reflect_left = spec.left is BoundaryCondition.REFLECTING
     reflect_right = spec.right is BoundaryCondition.REFLECTING
-
-    # Shared stencil b_ij = g_{j-i+1} for i <= j+1, zero below; every case
-    # keeps it in interior columns 0 < j < n and patches the rest.
-    B = toeplitz(np.r_[g[1], g[0], np.zeros(n - 1)], g[1:])
-    B[:, [0, n]] = 0.0  # absorbing unless a reflecting patch refills them
+    head = np.zeros((0, n - 1))
+    edges = np.zeros((n + 1, 2))  # columns 0 and n
 
     if spec.form is DerivativeForm.RIEMANN_LIOUVILLE:
         if reflect_left:
-            B[0, 0] = 1.0 - alpha
-            B[1, 0] = 1.0
+            edges[:2, 0] = 1.0 - alpha, 1.0
         if reflect_right:
             # b_in = -g^{alpha-1}_{n-i}: all mass overshooting x = 1 lands there.
-            B[: n + 1, n] = -g1[n::-1]
+            edges[:, 1] = -g1[n::-1]
     elif spec.form is DerivativeForm.PATIE_SIMON:
         # The first row is -g^{alpha-1}_j instead of the stencil.
-        B[0, 1:n] = -g1[1:n]
+        head = -g1[1:n][None, :]
         if reflect_left:
-            B[0, 0] = -1.0
-            B[1, 0] = 1.0
+            edges[:2, 0] = -1.0, 1.0
         if reflect_right:
             # Zeroing the left column leaves the rest of the reflecting
             # matrix unchanged, so b_0n keeps its sign either way; with an
             # absorbing left boundary row 0 never carries mass anyway.
-            B[1 : n + 1, n] = -g1[n - 1 :: -1]
-            B[0, n] = g2[n - 1]
+            edges[1:, 1] = -g1[n - 1 :: -1]
+            edges[0, 1] = g2[n - 1]
     else:  # Caputo, absorbing/absorbing only (guaranteed by SchemeSpec).
         # Rows 0 and 1 carry the g^{alpha-2} correction.
-        B[0, 1:n] = -g1[1:n] + g2[2 : n + 1]
-        B[1, 1:n] = g[1:n] - g2[2 : n + 1]
+        head = np.stack([-g1[1:n] + g2[2 : n + 1], g[1:n] - g2[2 : n + 1]])
 
-    return IterationMatrix(n, B)
+    return _Stencil(g, head, edges)
+
+
+def build_matrix(spec: SchemeSpec) -> IterationMatrix:
+    """Assemble the dense iteration matrix for one of the nine supported
+    cases.
+
+    Interior columns (``0 < j < n``) carry the Grünwald stencil; the first
+    and last columns and, for the Patie-Simon and Caputo forms, the first
+    rows implement the boundary conditions (see :func:`_stencil`).  Runs
+    never build it; it serves the ``matrix`` command and as the oracle.
+    """
+    return IterationMatrix._adopt(_stencil(spec).dense())
 
 
 def row_sums(matrix: IterationMatrix) -> np.ndarray:

@@ -15,10 +15,11 @@ For the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
 dominant Z-matrix, so the growth factor is at most 2; a pivot check still
 runs for every scheme.
 
-Both updates live in one private stepper, built once per run: it holds
-``B``, ``beta``, the outflow vector and the pinned absorbing nodes, and for
-implicit runs the single factorization of ``M`` that every step reuses.
-Each step returns the new state and the mass absorbed during it.
+Both updates live in one private stepper, built once per run from the O(n)
+stencil form of ``B``: it holds ``beta``, the outflow vector and the pinned
+absorbing nodes, and either the stencil's apply (explicit) or the single
+factorization of ``M`` that every step reuses (implicit).  Each step
+returns the new state and the mass absorbed during it.
 
 A run keeps two independently computed accounts: the retained mass
 :math:`M_k = h \sum_j u_j` measured from the state, and the cumulative
@@ -51,7 +52,7 @@ from .errors import (
     StabilityViolation,
 )
 from .grunwald import GridFunction
-from .operators import BoundaryCondition, IterationMatrix, SchemeSpec, build_matrix
+from .operators import BoundaryCondition, IterationMatrix, SchemeSpec, _stencil
 
 __all__ = [
     "InitialCondition",
@@ -248,27 +249,38 @@ class TimeSeries:
 class _Stepper:
     """One Euler step under ``beta * B``: the update, the ledger and the pins.
 
-    The only place the update rule lives.  Built once per run: the implicit
-    system ``M = I - beta B`` is assembled in one buffer and factored here as
-    ``M = L U`` without pivoting, which every :meth:`step` reuses.
-    ``pinned`` lists the absorbing boundary nodes, zeroed after every step
-    (their matrix columns are already zero; pinning suppresses roundoff
-    drift).
+    The only place the update rule lives.  Built once per run from an
+    operator holding ``B`` (the stencil of :mod:`~fracdiff1d.operators`):
+    explicit steps apply it and book its O(n) row sums; implicit runs
+    expand it once into the buffer that is factored in place as
+    ``M = I - beta B = L U`` without pivoting, which every :meth:`step`
+    reuses, so no dense ``B`` outlives the factorization.  ``pinned`` lists
+    the absorbing boundary nodes, zeroed after every step (their matrix
+    columns are already zero; pinning suppresses roundoff drift).
     """
 
-    def __init__(self, matrix: IterationMatrix, beta: float, method: Method,
+    def __init__(self, operator, beta: float, method: Method,
                  pinned: Sequence[int] = ()) -> None:
         if not 0.0 <= beta < math.inf:
             raise InvalidSpec(f"beta must be finite and nonnegative, got {beta}")
-        n = matrix.n
+        n = operator.n
         self.n, self.h, self.beta = n, 1.0 / n, beta
-        self.B = matrix.entries
-        self.outflow = -self.B.sum(axis=1)
         self.pinned = list(pinned)
         self.steps = 0
-        self.factors = None
+        self.apply = self.factors = None
         if method is Method.IMPLICIT:
-            self.factors = _hessenberg_lu(self.B, beta)
+            # One buffer: B, then M = I - beta B in place, then its factors.
+            # Its row sums are those of the dense B bit for bit, so implicit
+            # ledgers do not depend on how B is stored.
+            M = operator.dense()
+            self.outflow = -M.sum(axis=1)
+            with np.errstate(over="ignore"):  # an overflow fails the pivot check
+                M *= -beta
+            M.flat[:: n + 2] += 1.0
+            self.factors = _hessenberg_lu(M)
+        else:
+            self.apply = operator.apply
+            self.outflow = -operator.row_sums()
 
     def step(self, u: np.ndarray) -> tuple[np.ndarray, float]:
         """Advance ``u`` by one step; return the new state and the mass
@@ -283,7 +295,7 @@ class _Stepper:
             raise DimensionMismatch(f"grid has n={u.size - 1} but matrix has n={self.n}")
         if self.factors is None:
             booked = u
-            u = u + self.beta * (u @ self.B)
+            u = u + self.beta * self.apply(u)
         else:
             # v L U = u: solve U^T w = u, then L^T v = w.
             upper_t, band = self.factors
@@ -293,12 +305,13 @@ class _Stepper:
         self.steps += 1
         if not math.isfinite(increment):
             raise _non_finite(self.steps)
-        u[self.pinned] = 0.0
+        if self.pinned:  # indexing with an empty list still costs ~2 us
+            u[self.pinned] = 0.0
         return u, increment
 
 
-def _hessenberg_lu(B: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factor the upper-Hessenberg ``M = I - beta B`` as ``L U`` without
+def _hessenberg_lu(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor the upper-Hessenberg ``M`` as ``L U`` in place, without
     pivoting, one row axpy per row.
 
     Returns ``U^T`` (F-contiguous, so BLAS reads it in place; only its lower
@@ -306,15 +319,16 @@ def _hessenberg_lu(B: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     unit upper bidiagonal ``L^T``.  A non-finite factor or a zero pivot
     raises :class:`SingularSystem`.
     """
-    n = B.shape[0] - 1
+    n = M.shape[0] - 1
     band = np.zeros((2, n + 1), order="F")
+    U = M
     with np.errstate(all="ignore"):
-        U = -beta * B
-        U.flat[:: n + 2] += 1.0
         for k in range(n):
             band[0, k + 1] = multiplier = U[k + 1, k] / U[k, k]
             U[k + 1, k + 1:] -= multiplier * U[k, k + 1:]
-        healthy = np.isfinite(U).all() and np.isfinite(band).all()
+        # min and max propagate NaN and, unlike isfinite, need no n^2 mask.
+        healthy = (math.isfinite(U.min()) and math.isfinite(U.max())
+                   and np.isfinite(band).all())
     if not healthy or not np.diagonal(U).all():
         raise SingularSystem("implicit system matrix is numerically singular")
     return U.T, band
@@ -324,9 +338,26 @@ def _non_finite(step: int) -> StabilityViolation:
     return StabilityViolation(f"the state or its ledger is no longer finite at step {step}")
 
 
+class _Dense:
+    """A dense :class:`IterationMatrix` behind the operator interface of
+    :class:`_Stepper`, for the one-step functions below."""
+
+    def __init__(self, matrix: IterationMatrix) -> None:
+        self.n, self.entries = matrix.n, matrix.entries
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return u @ self.entries
+
+    def row_sums(self) -> np.ndarray:
+        return self.entries.sum(axis=1)
+
+    def dense(self) -> np.ndarray:
+        return self.entries.copy()
+
+
 def explicit_step(u: GridFunction, matrix: IterationMatrix, beta: float) -> GridFunction:
     """One explicit Euler update ``u + beta * (u B)``."""
-    return GridFunction(u.n, _Stepper(matrix, beta, Method.EXPLICIT).step(u.values)[0])
+    return GridFunction(u.n, _Stepper(_Dense(matrix), beta, Method.EXPLICIT).step(u.values)[0])
 
 
 def implicit_step(u: GridFunction, matrix: IterationMatrix, beta: float) -> GridFunction:
@@ -335,13 +366,14 @@ def implicit_step(u: GridFunction, matrix: IterationMatrix, beta: float) -> Grid
     Factors the system on every call; :func:`run_simulation` factors once
     per run instead.
     """
-    return GridFunction(u.n, _Stepper(matrix, beta, Method.IMPLICIT).step(u.values)[0])
+    return GridFunction(u.n, _Stepper(_Dense(matrix), beta, Method.IMPLICIT).step(u.values)[0])
 
 
 def run_simulation(config: SolverConfig) -> TimeSeries:
     """Advance the scheme to ``t_end``, recording snapshots and the ledger.
 
-    The iteration matrix is built and (for implicit runs) factored once.
+    The operator is built in O(n) memory and (for implicit runs) expanded
+    and factored once.
     Snapshots are taken at the first completed step with
     ``t >= requested``; the actual times are recorded.  Absorbing boundary
     nodes are hard-pinned to zero, initially and after every step.  A state
@@ -352,7 +384,7 @@ def run_simulation(config: SolverConfig) -> TimeSeries:
     n, h, dt = spec.n, spec.h, config.dt
     pinned = [node for node, side in ((0, spec.left), (n, spec.right))
               if side is BoundaryCondition.ABSORBING]
-    stepper = _Stepper(build_matrix(spec), spec.c * h**-spec.alpha * dt,
+    stepper = _Stepper(_stencil(spec), spec.c * h**-spec.alpha * dt,
                        config.method, pinned)
 
     u = config.initial.sample(n).values.copy()

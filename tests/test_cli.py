@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fracdiff1d
 from fracdiff1d import (
     BoundaryCondition,
     DerivativeForm,
@@ -378,3 +383,16 @@ class TestMain:
         assert "PASS" in report
         minimum = float(report.split("min=")[1].split(" ")[0])
         assert minimum < 0.0
+
+
+def test_cli_import_loads_no_scipy_fft_or_signal():
+    # Every run pays for its imports; the stencil's FFT uses numpy.fft.
+    src = str(Path(fracdiff1d.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, fracdiff1d.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'fft'], ['scipy', 'signal'])))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,22 @@ class TestSpecValidation:
         for c in (0.0, float("nan"), float("inf")):
             with pytest.raises(InvalidSpec):
                 spec(RL, A, A, n=8, c=c)
+
+    def test_build_holds_one_dense_matrix(self):
+        n = 1000
+        tracemalloc.start()
+        try:
+            build_matrix(spec(RL, R, R, n=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * (n + 1) ** 2, peak
+
+    def test_passed_in_entries_are_copied(self):
+        entries = np.zeros((3, 3))
+        matrix = IterationMatrix(2, entries)
+        entries[0, 0] = 1.0
+        assert matrix.entries[0, 0] == 0.0
 
     def test_matrix_entries_are_immutable(self):
         B = build_matrix(spec(RL, R, R, n=8))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from fracdiff1d import (
     tent_profile,
     total_mass,
 )
+from fracdiff1d import timestepper
+from fracdiff1d.operators import _FFT_MIN_N, _stencil, row_sums
+from fracdiff1d.timestepper import _Stepper
 
 RL = DerivativeForm.RIEMANN_LIOUVILLE
 PS = DerivativeForm.PATIE_SIMON
@@ -149,6 +153,56 @@ class TestImplicitSolveOracle:
         u = GridFunction.sample(tent_profile, 8)
         with pytest.raises(SingularSystem):
             implicit_step(u, B, 1e308)
+
+
+STENCIL_SIZES = (2, 3, 8, 64, 257, 512, 1000, 2048)
+
+
+class TestStencilOracle:
+    """The run path's O(n) stencil against the dense ``build_matrix``, on
+    both sides of the FFT crossover."""
+
+    def test_sizes_straddle_the_fft_crossover(self):
+        assert min(STENCIL_SIZES) < _FFT_MIN_N <= max(STENCIL_SIZES)
+
+    @pytest.mark.parametrize("form,left,right", SUPPORTED)
+    @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
+    def test_implicit_system_is_bit_identical(self, form, left, right, alpha,
+                                              monkeypatch):
+        systems = []
+        factor = timestepper._hessenberg_lu
+        monkeypatch.setattr(timestepper, "_hessenberg_lu",
+                            lambda M: systems.append(M.copy()) or factor(M))
+        for n in STENCIL_SIZES:
+            spec = SchemeSpec(form, left, right, alpha, 1.0, n)
+            beta = n**alpha * 1e-3
+            _Stepper(_stencil(spec), beta, Method.IMPLICIT)
+            expected = -beta * build_matrix(spec).entries
+            expected.flat[:: n + 2] += 1.0
+            got = systems.pop()
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n
+            assert np.array_equal(got, np.eye(n + 1) - beta * build_matrix(spec).entries)
+
+    @pytest.mark.parametrize("form,left,right", SUPPORTED)
+    @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
+    def test_explicit_step_matches_dense_step(self, form, left, right, alpha):
+        # The step, not bare u B: cancellation in u B leaves ~1e-12 relative.
+        for n in STENCIL_SIZES:
+            spec = SchemeSpec(form, left, right, alpha, 1.0, n)
+            beta = 0.5 / alpha  # half the explicit budget alpha * beta = 1
+            u = np.random.default_rng(n).random(n + 1)
+            got, _ = _Stepper(_stencil(spec), beta, Method.EXPLICIT).step(u)
+            expected = explicit_step(GridFunction(n, u), build_matrix(spec), beta).values
+            error = np.abs(got - expected).max() / np.abs(expected).max()
+            assert error <= 1e-12, (n, error)
+
+    @pytest.mark.parametrize("form,left,right", SUPPORTED)
+    @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
+    def test_row_sums_match_dense(self, form, left, right, alpha):
+        for n in STENCIL_SIZES:
+            spec = SchemeSpec(form, left, right, alpha, 1.0, n)
+            gap = np.abs(_stencil(spec).row_sums() - row_sums(build_matrix(spec))).max()
+            assert gap <= 1e-14, (n, gap)
 
 
 class TestInitialConditions:
@@ -323,3 +377,30 @@ class TestRunSimulation:
             runs.append(run_simulation(config))
         for a, b in zip(runs[0].snapshots, runs[1].snapshots):
             assert np.array_equal(a.values, b.values)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRunMemory:
+    def test_explicit_run_allocates_no_dense_matrix(self):
+        n = 2000
+        config = make_config(form=RL, left=A, right=A, n=n, steps=5,
+                             method=Method.EXPLICIT, snap_every=5)
+        peak = traced_peak(lambda: run_simulation(config))
+        assert peak < 2**20, peak  # one dense matrix: 8 (n+1)^2 = 32 MiB
+
+    @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
+    def test_implicit_run_holds_one_dense_matrix(self, form, left, right):
+        n = 1000
+        config = make_config(form=form, left=left, right=right, n=n, steps=5,
+                             method=Method.IMPLICIT, snap_every=5)
+        peak = traced_peak(lambda: run_simulation(config))
+        assert peak <= 1.2 * 8 * (n + 1) ** 2, peak
