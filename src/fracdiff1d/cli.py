@@ -15,10 +15,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
-from .diagnostics import DiagnosticsReport
 from .errors import FracDiffError, UsageError
 from .grunwald import DerivativeForm, GrunwaldWeights, grunwald_weights
-from .operators import BoundaryCondition, IterationMatrix, SchemeSpec, build_matrix
+from .operators import (
+    BoundaryCondition,
+    IterationMatrix,
+    SchemeSpec,
+    _require_dense_fits,
+    build_matrix,
+)
 from .timestepper import (
     InitialCondition,
     Method,
@@ -41,8 +46,6 @@ __all__ = [
     "emit_weights_csv",
     "main",
     "parse_args",
-    "report_to_csv_rows",
-    "report_to_text",
     "run_command",
 ]
 
@@ -290,6 +293,7 @@ def parse_args(argv: Sequence[str]) -> CliCommand:
                 c=args.c,
                 n=args.n,
             )
+            _require_dense_fits(spec.n)
         except FracDiffError as exc:
             raise UsageError(str(exc)) from None
         return MatrixCommand(spec=spec, out=args.out)
@@ -373,35 +377,6 @@ def emit_weights_csv(weights: GrunwaldWeights, path: Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def report_to_text(report: DiagnosticsReport) -> str:
-    """Flat ``key = value`` block for one diagnostics report."""
-    lines = [
-        f"min_value = {_fmt(report.min_value)}",
-        f"min_time_index = {report.min_time_index}",
-        f"min_node_index = {report.min_node_index}",
-        f"steady_state_kind = {report.steady_state_kind.value}",
-        f"decay_rate = {'' if report.decay_rate is None else _fmt(report.decay_rate)}",
-        "boundary_flux_left = "
-        + ("" if report.boundary_flux is None else _fmt(report.boundary_flux[0])),
-        "boundary_flux_right = "
-        + ("" if report.boundary_flux is None else _fmt(report.boundary_flux[1])),
-        "convergence_order = "
-        + ("" if report.convergence_order is None else _fmt(report.convergence_order)),
-        "mass_trace = " + ",".join(_fmt(m) for m in report.mass_trace),
-        "steady_state_distance = "
-        + ",".join(_fmt(d) for d in report.steady_state_distance),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def report_to_csv_rows(report: DiagnosticsReport) -> list[str]:
-    """``index,mass,steady_distance`` rows, one per snapshot."""
-    rows = ["index,mass,steady_distance"]
-    for k, (m, d) in enumerate(zip(report.mass_trace, report.steady_state_distance)):
-        rows.append(f"{k},{_fmt(m)},{_fmt(d)}")
-    return rows
-
-
 def _figure_config(cmd: FigureCommand) -> SolverConfig:
     deriv, left, right, ic, snaps = FIGURE_PROTOCOLS[cmd.figure_id]
     spec = SchemeSpec(form=_FORMS[deriv], left=_BCS[left], right=_BCS[right],
@@ -463,6 +438,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # The run's arrays are bounded up front; the CSV text is not.
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

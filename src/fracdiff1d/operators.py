@@ -35,8 +35,11 @@ convolution (FFT from ``n = 512`` up) and take its row sums in O(n);
 implicit runs expand it once into the buffer that their O(n^2) Hessenberg
 factorization overwrites.  :func:`build_matrix` is its dense, immutable
 expansion, kept for the ``matrix`` command and as the oracle of the tests.
-No O(n log n) implicit solve is implemented.  A grid whose dense matrix
-alone would exceed physical memory is rejected.
+No O(n log n) implicit solve is implemented.  A grid whose state vector
+alone would exceed physical memory is rejected for every use; one whose
+dense matrix would is rejected by the paths that allocate it, dense
+expansion and implicit runs, and an explicit run is rejected when its
+stencil, FFT buffers and recorded states would.
 """
 
 from __future__ import annotations
@@ -73,8 +76,39 @@ def _physical_memory() -> int:
         return sys.maxsize
 
 
-# A grid whose dense (n+1)^2 float64 matrix alone exceeds this cannot run.
+# A grid whose (n+1) float64 state alone exceeds this cannot run; one whose
+# dense (n+1)^2 matrix does cannot be expanded or run implicitly; an
+# explicit run must fit its arrays (see _require_explicit_fits).
 _MEMORY_BYTES = _physical_memory()
+
+
+def _require_fits(n: int, entries: int, what: str) -> None:
+    if 8 * entries > _MEMORY_BYTES:
+        raise InvalidSpec(
+            f"n={n} is too large: {what} would exceed the "
+            f"{_MEMORY_BYTES / 2**30:.1f} GiB of physical memory"
+        )
+
+
+def _require_dense_fits(n: int) -> None:
+    """Reject a grid whose dense (n+1)^2 float64 matrix alone would exceed
+    physical memory."""
+    _require_fits(n, (n + 1) ** 2, "one dense (n+1)^2 matrix")
+
+
+def _require_explicit_fits(n: int, states: int) -> None:
+    """Reject an explicit run whose float64 arrays would exceed physical
+    memory: ``states`` recorded states, the stencil with its patches and
+    one step's work arrays (under 12 (n+1)), and the transform of ``g``
+    plus one step's transform and product (three FFT periods)."""
+    _require_fits(n, (12 + states) * (n + 1) + 3 * _fft_period(n),
+                  f"an explicit run recording {states} states")
+
+
+def _fft_period(n: int) -> int:
+    """The FFT length of the explicit apply: the power of two above 2n
+    (see :meth:`_Stencil.apply`)."""
+    return 1 << (2 * n).bit_length()
 
 
 class BoundaryCondition(enum.Enum):
@@ -105,11 +139,7 @@ class SchemeSpec:
             raise InvalidSpec(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise InvalidSpec(f"need n >= 2 so interior nodes exist, got {self.n}")
-        if 8 * (self.n + 1) ** 2 > _MEMORY_BYTES:
-            raise InvalidSpec(
-                f"n={self.n} is too large: one dense (n+1)^2 matrix would exceed "
-                f"the {_MEMORY_BYTES / 2**30:.1f} GiB of physical memory"
-            )
+        _require_fits(self.n, self.n + 1, "one (n+1) state vector")
         if self.form is DerivativeForm.CAPUTO and (
             self.left is BoundaryCondition.REFLECTING
             or self.right is BoundaryCondition.REFLECTING
@@ -173,7 +203,7 @@ class _Stencil:
         if n >= _FFT_MIN_N:
             # a * g (see apply) is nonzero up to entry 3n - 1; a period above
             # 2n holds all of a and aliases none of the entries n+1 .. 2n-1.
-            self.period = 1 << (2 * n).bit_length()
+            self.period = _fft_period(n)
             self.g_hat = np.fft.rfft(g, self.period)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -271,7 +301,10 @@ def build_matrix(spec: SchemeSpec) -> IterationMatrix:
     and last columns and, for the Patie-Simon and Caputo forms, the first
     rows implement the boundary conditions (see :func:`_stencil`).  Runs
     never build it; it serves the ``matrix`` command and as the oracle.
+    A grid whose dense matrix would exceed physical memory raises
+    :class:`InvalidSpec`.
     """
+    _require_dense_fits(spec.n)
     return IterationMatrix._adopt(_stencil(spec).dense())
 
 

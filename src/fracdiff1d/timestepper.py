@@ -52,7 +52,14 @@ from .errors import (
     StabilityViolation,
 )
 from .grunwald import GridFunction
-from .operators import BoundaryCondition, IterationMatrix, SchemeSpec, _stencil
+from .operators import (
+    BoundaryCondition,
+    IterationMatrix,
+    SchemeSpec,
+    _require_dense_fits,
+    _require_explicit_fits,
+    _stencil,
+)
 
 __all__ = [
     "InitialCondition",
@@ -192,7 +199,9 @@ class SolverConfig:
 
     Construction fails with :class:`StabilityViolation` when an explicit
     method is paired with ``dt`` above the stability limit, unless
-    ``allow_unstable`` is set.
+    ``allow_unstable`` is set, and with :class:`InvalidSpec` when the run's
+    arrays (an implicit run's dense matrix; an explicit run's stencil, FFT
+    buffers and recorded states) would exceed physical memory.
     """
 
     spec: SchemeSpec
@@ -214,6 +223,10 @@ class SolverConfig:
             raise InvalidSpec("snapshot times must lie within [0, t_end]")
         if any(a > b for a, b in zip(times, times[1:])):
             raise InvalidSpec("snapshot times must be sorted")
+        if self.method is Method.IMPLICIT:
+            _require_dense_fits(self.spec.n)
+        else:
+            _require_explicit_fits(self.spec.n, len(times))
         if self.method is Method.EXPLICIT and not self.allow_unstable:
             limit = stability_limit(self.spec.alpha, self.spec.c, self.spec.h)
             if self.dt > limit:

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fracdiff1d
+from fracdiff1d import cli, operators
 from fracdiff1d import (
     BoundaryCondition,
     DerivativeForm,
@@ -23,7 +24,6 @@ from fracdiff1d import (
     build_matrix,
     grunwald_weights,
     run_simulation,
-    summarize,
     total_mass,
 )
 from fracdiff1d.cli import (
@@ -38,8 +38,6 @@ from fracdiff1d.cli import (
     emit_weights_csv,
     main,
     parse_args,
-    report_to_csv_rows,
-    report_to_text,
 )
 
 FIGURE2_ARGV = [
@@ -48,6 +46,24 @@ FIGURE2_ARGV = [
     "--method", "implicit", "--dt", "0.01", "--t-end", "0.5",
     "--snapshots", "0,0.05,0.1,0.5", "--out", "run.csv",
 ]
+
+
+# The checks `fracdiff1d verify all` prints, in order.
+DESK_CHECKS = (
+    [f"identities/{check} alpha={alpha}" for alpha in (1.2, 1.5, 1.8)
+     for check in ("recursion", "cumulative-sum", "tail-asymptote")]
+    + ["matrices/lower-bandwidth-one", "matrices/reflecting-row-sums rl",
+       "matrices/reflecting-row-sums ps", "matrices/ps-reflecting-column-sums",
+       "matrices/left-absorbing-row-equality"]
+    + [f"conservation/mass-constant {form} {method}" for form in ("rl", "ps")
+       for method in ("explicit", "implicit")]
+    + ["conservation/ledger-closure rl absorbing"]
+    + [f"positivity/min {form} {bcs}" for form in ("rl", "ps")
+       for bcs in ("aa", "ar", "ra", "rr")]
+    + ["steady/steady-distance rl", "steady/steady-distance ps"]
+    + [f"decay/decay rl-{bcs}" for bcs in ("aa", "ar", "ra")]
+    + ["decay/no-decay rl-rr", "caputo-negativity/caputo-goes-negative"]
+)
 
 
 def read_rows(path):
@@ -257,20 +273,6 @@ class TestEmission:
         parsed = [float(line.split(",")[1]) for line in lines[1:]]
         assert parsed == [1.0, -1.5, 0.375]
 
-    def test_report_serializations(self):
-        spec = SchemeSpec(DerivativeForm.RIEMANN_LIOUVILLE,
-                          BoundaryCondition.ABSORBING, BoundaryCondition.ABSORBING,
-                          1.5, 1.0, 64)
-        config = SolverConfig(spec=spec, dt=1e-3, t_end=0.05, method=Method.IMPLICIT,
-                              snapshot_times=tuple(k * 1e-2 for k in range(6)),
-                              initial=InitialCondition.tent())
-        report = summarize(run_simulation(config))
-        text = report_to_text(report)
-        assert "min_value" in text and "mass_trace" in text
-        rows = report_to_csv_rows(report)
-        assert rows[0] == "index,mass,steady_distance"
-        assert len(rows) == 1 + len(report.mass_trace)
-
 
 class TestMain:
     def test_usage_errors_exit_two(self, capsys):
@@ -286,6 +288,38 @@ class TestMain:
         assert main(["figure", "2", "--dt", "nan", "--out", "x.csv"]) == 2
         assert main(["figure", "2", "--n", "1", "--out", "x.csv"]) == 2
         capsys.readouterr()
+
+    def test_only_dense_paths_are_bounded_by_memory(self, tmp_path, capsys, monkeypatch):
+        # On an 8 GiB host an explicit run at n = 40000 needs a few MiB, while
+        # its dense (n+1)^2 matrix would take 11.9 GiB.
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", 8 * 2**30)
+        out = tmp_path / "run.csv"
+        one_step = ["--alpha", "1.5", "--n", "40000", "--dt", "1e-9", "--t-end", "1e-9",
+                    "--snapshots", "0,1e-9", "--out", str(out)]
+        assert main(["solve", *one_step, "--method", "explicit"]) == 0
+        assert len(read_rows(out)) == 2 * 40001
+        out.unlink()
+        for argv in (["solve", *one_step, "--method", "implicit"],
+                     ["figure", "2", "--n", "40000", "--out", str(out)],
+                     ["matrix", "--alpha", "1.5", "--n", "40000", "--deriv", "rl",
+                      "--left", "absorbing", "--right", "absorbing", "--out", str(out)]):
+            assert main(argv) == 2
+            assert "physical memory" in capsys.readouterr().err
+            assert not out.exists()
+        # With 4 MiB, the 0.3 MiB state fits but the explicit run's ~8 MiB
+        # of stencil, FFT buffers and states does not.
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", 4 * 2**20)
+        assert main(["solve", *one_step, "--method", "explicit"]) == 2
+        assert "an explicit run recording 2 states" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(command):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_command", exhausted)
+        assert main(["weights", "--order", "1.5", "--m", "4", "--out", "w.csv"]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     @pytest.mark.parametrize("config", [
         {"allow_unstable": "false", "n": 20, "dt": 0.5, "t_end": 5.0,
@@ -372,10 +406,15 @@ class TestMain:
         assert rows[0] == (0.0, 0.0, 0.0)
         assert (0.0, 0.5, 5.0) in rows
 
-    def test_verify_identities_passes(self, capsys):
-        assert main(["verify", "identities"]) == 0
-        report = capsys.readouterr().out
-        assert "PASS" in report and "FAIL" not in report
+    @pytest.mark.parametrize("suite,names", [("all", DESK_CHECKS),
+                                             ("identities", DESK_CHECKS[:9])])
+    def test_verify_prints_the_desk_checks_in_order(self, capsys, suite, names):
+        assert main(["verify", suite]) == 0
+        *lines, summary = capsys.readouterr().out.splitlines()
+        # "STATUS  name<padding>  detail"; names hold no double space.
+        assert [line[6:].split("  ")[0] for line in lines] == names
+        assert all(line.startswith("PASS  ") for line in lines)
+        assert summary == f"{len(names)}/{len(names)} checks passed"
 
     def test_verify_caputo_negativity_passes_with_negative_minimum(self, capsys):
         assert main(["verify", "caputo-negativity"]) == 0

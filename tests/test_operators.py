@@ -8,9 +8,12 @@ from fracdiff1d import (
     DerivativeForm,
     DimensionMismatch,
     GridFunction,
+    InitialCondition,
     InvalidSpec,
     IterationMatrix,
+    Method,
     SchemeSpec,
+    SolverConfig,
     UnsupportedCombination,
     absorbed_rates,
     build_matrix,
@@ -245,10 +248,19 @@ class TestSpecValidation:
                 spec(RL, A, A, n=n)
 
     def test_grid_beyond_memory_is_rejected(self):
-        # 10**6 needs an 8 TB dense matrix; 10**400 is not even a float.
-        for n in (10**6, 10**400):
-            with pytest.raises(InvalidSpec, match="physical memory"):
-                spec(RL, A, A, n=n)
+        # 10**400 is not even a float.  10**6 needs only an 8 MB state but an
+        # 8 TB dense matrix: only the paths that expand one reject it.
+        with pytest.raises(InvalidSpec, match="physical memory"):
+            spec(RL, A, A, n=10**400)
+        big = spec(RL, A, A, n=10**6)
+        explicit = SolverConfig(spec=big, dt=1e-12, t_end=1e-12, method=Method.EXPLICIT,
+                                snapshot_times=(0.0,), initial=InitialCondition.tent())
+        assert explicit.spec.n == 10**6
+        with pytest.raises(InvalidSpec, match="physical memory"):
+            build_matrix(big)
+        with pytest.raises(InvalidSpec, match="physical memory"):
+            SolverConfig(spec=big, dt=1e-3, t_end=1e-3, method=Method.IMPLICIT,
+                         snapshot_times=(0.0,), initial=InitialCondition.tent())
 
     def test_nonpositive_diffusivity_is_rejected(self):
         for c in (0.0, float("nan"), float("inf")):

@@ -26,7 +26,7 @@ from fracdiff1d import (
     tent_profile,
     total_mass,
 )
-from fracdiff1d import timestepper
+from fracdiff1d import operators, timestepper
 from fracdiff1d.operators import _FFT_MIN_N, _stencil, row_sums
 from fracdiff1d.timestepper import _Stepper
 
@@ -396,6 +396,21 @@ class TestRunMemory:
                              method=Method.EXPLICIT, snap_every=5)
         peak = traced_peak(lambda: run_simulation(config))
         assert peak < 2**20, peak  # one dense matrix: 8 (n+1)^2 = 32 MiB
+
+    @pytest.mark.parametrize("n", [300, _FFT_MIN_N, 5000])
+    @pytest.mark.parametrize("form,left,right", [(PS, R, R), (CAP, A, A)])
+    def test_explicit_memory_bound_covers_the_run(self, monkeypatch, form, left, right, n):
+        config = make_config(form=form, left=left, right=right, n=n, steps=4,
+                             method=Method.EXPLICIT, snap_every=1)
+        peak = traced_peak(lambda: run_simulation(config))
+        # Physical memory just below the run's peak rejects it, before any
+        # allocation; twice the peak admits it.
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
+        SchemeSpec(form, left, right, 1.5, 1.0, n)
+        with pytest.raises(InvalidSpec, match="physical memory"):
+            dataclasses.replace(config)
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * peak)
+        dataclasses.replace(config)
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
     def test_implicit_run_holds_one_dense_matrix(self, form, left, right):
