@@ -201,6 +201,15 @@ _SOLVE_DEFAULTS = {
 }
 
 
+def _default_snapshots(t_end: float) -> tuple[float, ...]:
+    """The default snapshot times within ``[0, t_end]``: a horizon short
+    of the last default keeps the earlier ones and ends at ``t_end``."""
+    times = _SOLVE_DEFAULTS["snapshots"]
+    if t_end < times[-1]:
+        return tuple(t for t in times if t < t_end) + (t_end,)
+    return times
+
+
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -244,6 +253,8 @@ def _solve_command(args: argparse.Namespace) -> SolveCommand:
         flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
+    if "snapshots" not in merged and "t_end" in merged:
+        merged["snapshots"] = _default_snapshots(merged["t_end"])
     for key, default in _SOLVE_DEFAULTS.items():
         merged.setdefault(key, default)
     if "alpha" not in merged:
@@ -339,11 +350,13 @@ def emit_timeseries_csv(series: TimeSeries, path: Path) -> None:
     """
     n = series.spec.n
     x_strs = [_fmt(j / n) for j in range(n + 1)]
-    lines = ["t,x,u"]
-    for t, snap in zip(series.times, series.snapshots):
-        t_str = _fmt(t)
-        lines += [f"{t_str},{x},{_fmt(v)}" for x, v in zip(x_strs, snap.values.tolist())]
-    Path(path).write_text("\n".join(lines) + "\n")
+    # One snapshot's text at a time: memory does not grow with the count.
+    with Path(path).open("w") as out:
+        out.write("t,x,u\n")
+        for t, snap in zip(series.times, series.snapshots):
+            t_str = _fmt(t)
+            out.write("".join([f"{t_str},{x},{_fmt(v)}\n"
+                               for x, v in zip(x_strs, snap.values.tolist())]))
     config = series.config
     meta = {
         "alpha": series.spec.alpha,
@@ -440,7 +453,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        # The run's arrays are bounded up front; the CSV text is not.
+        # The run's arrays are bounded up front; the emit's text, one
+        # snapshot at a time, is not.
         print("error: out of memory", file=sys.stderr)
         return 1
 

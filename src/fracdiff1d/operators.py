@@ -30,16 +30,17 @@ sides; no scheme exists for Caputo with a reflecting boundary.
 
 The case table produces one private structured form, held in O(n) memory:
 the weights of the shared stencil plus the boundary columns and the
-replaced rows.  Runs use only that form: explicit steps apply it by
-convolution (FFT from ``n = 512`` up) and take its row sums in O(n);
-implicit runs expand it once into the buffer that their O(n^2) Hessenberg
-factorization overwrites.  :func:`build_matrix` is its dense, immutable
-expansion, kept for the ``matrix`` command and as the oracle of the tests.
-No O(n log n) implicit solve is implemented.  A grid whose state vector
-alone would exceed physical memory is rejected for every use; one whose
-dense matrix would is rejected by the paths that allocate it, dense
-expansion and implicit runs, and an explicit run is rejected when its
-stencil, FFT buffers and recorded states would.
+replaced rows.  Runs use only that form and take its row sums in O(n):
+explicit steps apply it by convolution (FFT from ``n = 512`` up), and
+implicit runs read it one row at a time into their O(n^2) Hessenberg
+factorization, whose packed triangle is half a dense matrix.
+:func:`build_matrix` is its dense, immutable expansion, kept for the
+``matrix`` command and as the oracle of the tests.  No O(n log n)
+implicit solve is implemented.  A grid whose state vector alone would
+exceed physical memory is rejected for every use; one whose dense matrix
+would is rejected by dense expansion; a run is rejected when its arrays
+would: an explicit run's stencil, FFT buffers and recorded states, an
+implicit run's packed factor and recorded states.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import DimensionMismatch, InvalidSpec, UnsupportedCombination
 from .grunwald import DerivativeForm, grunwald_weights
@@ -77,8 +77,8 @@ def _physical_memory() -> int:
 
 
 # A grid whose (n+1) float64 state alone exceeds this cannot run; one whose
-# dense (n+1)^2 matrix does cannot be expanded or run implicitly; an
-# explicit run must fit its arrays (see _require_explicit_fits).
+# dense (n+1)^2 matrix does cannot be expanded; a run must fit its arrays
+# (see _require_explicit_fits and _require_implicit_fits).
 _MEMORY_BYTES = _physical_memory()
 
 
@@ -103,6 +103,16 @@ def _require_explicit_fits(n: int, states: int) -> None:
     plus one step's transform and product (three FFT periods)."""
     _require_fits(n, (12 + states) * (n + 1) + 3 * _fft_period(n),
                   f"an explicit run recording {states} states")
+
+
+def _require_implicit_fits(n: int, states: int) -> None:
+    """Reject an implicit run whose float64 arrays would exceed physical
+    memory: the packed factor of ``I - beta B``, ``(n+1)(n+2)/2`` floats,
+    plus ``states`` recorded states and under 18 (n+1) more for the
+    stencil with its FFT transform, the band of ``L``, the outflow and one
+    row's work arrays."""
+    _require_fits(n, (n + 1) * (n + 2) // 2 + (18 + states) * (n + 1),
+                  f"an implicit run recording {states} states")
 
 
 def _fft_period(n: int) -> int:
@@ -244,10 +254,29 @@ class _Stencil:
             (self.edges[:rows, 0], self.head, self.edges[:rows, 1])).sum(axis=1)
         return sums
 
+    def row(self, k: int) -> np.ndarray:
+        """A fresh row ``k`` of ``B`` from column ``max(k - 1, 0)`` on, the
+        part of the row that is not structurally zero."""
+        n, g = self.n, self.g
+        if k < 2:
+            row = np.empty(n + 1)
+            row[0] = self.edges[k, 0]
+            row[1:n] = self.head[k] if k < len(self.head) else g[2 - k : n + 1 - k]
+        else:
+            row = np.empty(n + 2 - k)
+            row[:-1] = g[: n + 1 - k]
+        row[-1] = self.edges[k, 1]
+        return row
+
     def dense(self) -> np.ndarray:
         """A fresh, writable dense ``B``."""
-        n, g = self.n, self.g
-        B = toeplitz(np.r_[g[1], g[0], np.zeros(n - 1)], np.r_[g[1:], 0.0])
+        n = self.n
+        # b_ij = shifts[n + 1 + j - i]: zero below the subdiagonal, then g,
+        # then the zero that b_0n holds before its patch.  Window s of
+        # shifts is therefore row n + 1 - s.
+        shifts = np.concatenate((np.zeros(n), self.g, (0.0,)))
+        windows = np.lib.stride_tricks.sliding_window_view(shifts, n + 1)
+        B = windows[n + 1 : 0 : -1].copy()
         B[:, [0, n]] = self.edges
         B[: len(self.head), 1:n] = self.head
         return B

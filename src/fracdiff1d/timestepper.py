@@ -10,16 +10,19 @@ unconditionally stable.  Every ``B`` is upper Hessenberg
 in row form :math:`\mathbf{u}_{k+1} M = \mathbf{u}_k` with
 :math:`M = I - \beta B = L U` factored without pivoting: ``L`` is unit lower
 bidiagonal (one multiplier per row) and ``U`` upper triangular.  The factor
-costs O(n^2) and each step one triangular and one bidiagonal BLAS solve.
+is built one row of ``B`` at a time into packed storage, half a dense
+matrix; it costs O(n^2) and each step one packed triangular and one
+bidiagonal BLAS solve.
 For the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
 dominant Z-matrix, so the growth factor is at most 2; a pivot check still
 runs for every scheme.
 
 Both updates live in one private stepper, built once per run from the O(n)
-stencil form of ``B``: it holds ``beta``, the outflow vector and the pinned
-absorbing nodes, and either the stencil's apply (explicit) or the single
-factorization of ``M`` that every step reuses (implicit).  Each step
-returns the new state and the mass absorbed during it.
+stencil form of ``B``: it holds ``beta``, the outflow vector (from the
+stencil's row sums) and the pinned absorbing nodes, and either the
+stencil's apply (explicit) or the single factorization of ``M`` that every
+step reuses (implicit).  Each step returns the new state and the mass
+absorbed during it.
 
 A run keeps two independently computed accounts: the retained mass
 :math:`M_k = h \sum_j u_j` measured from the state, and the cumulative
@@ -43,7 +46,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dtbsv, dtrsv
+from scipy.linalg.blas import dtbsv, dtpsv
 
 from .errors import (
     DimensionMismatch,
@@ -56,8 +59,8 @@ from .operators import (
     BoundaryCondition,
     IterationMatrix,
     SchemeSpec,
-    _require_dense_fits,
     _require_explicit_fits,
+    _require_implicit_fits,
     _stencil,
 )
 
@@ -200,8 +203,9 @@ class SolverConfig:
     Construction fails with :class:`StabilityViolation` when an explicit
     method is paired with ``dt`` above the stability limit, unless
     ``allow_unstable`` is set, and with :class:`InvalidSpec` when the run's
-    arrays (an implicit run's dense matrix; an explicit run's stencil, FFT
-    buffers and recorded states) would exceed physical memory.
+    arrays (an implicit run's packed factor and recorded states; an
+    explicit run's stencil, FFT buffers and recorded states) would exceed
+    physical memory.
     """
 
     spec: SchemeSpec
@@ -224,7 +228,7 @@ class SolverConfig:
         if any(a > b for a, b in zip(times, times[1:])):
             raise InvalidSpec("snapshot times must be sorted")
         if self.method is Method.IMPLICIT:
-            _require_dense_fits(self.spec.n)
+            _require_implicit_fits(self.spec.n, len(times))
         else:
             _require_explicit_fits(self.spec.n, len(times))
         if self.method is Method.EXPLICIT and not self.allow_unstable:
@@ -263,11 +267,11 @@ class _Stepper:
     """One Euler step under ``beta * B``: the update, the ledger and the pins.
 
     The only place the update rule lives.  Built once per run from an
-    operator holding ``B`` (the stencil of :mod:`~fracdiff1d.operators`):
-    explicit steps apply it and book its O(n) row sums; implicit runs
-    expand it once into the buffer that is factored in place as
+    operator holding ``B`` (the stencil of :mod:`~fracdiff1d.operators`),
+    whose O(n) row sums both methods book: explicit steps apply it;
+    implicit runs read its rows into the packed factor of
     ``M = I - beta B = L U`` without pivoting, which every :meth:`step`
-    reuses, so no dense ``B`` outlives the factorization.  ``pinned`` lists
+    reuses, so no run holds an (n+1)^2 array.  ``pinned`` lists
     the absorbing boundary nodes, zeroed after every step (their matrix
     columns are already zero; pinning suppresses roundoff drift).
     """
@@ -282,18 +286,10 @@ class _Stepper:
         self.steps = 0
         self.apply = self.factors = None
         if method is Method.IMPLICIT:
-            # One buffer: B, then M = I - beta B in place, then its factors.
-            # Its row sums are those of the dense B bit for bit, so implicit
-            # ledgers do not depend on how B is stored.
-            M = operator.dense()
-            self.outflow = -M.sum(axis=1)
-            with np.errstate(over="ignore"):  # an overflow fails the pivot check
-                M *= -beta
-            M.flat[:: n + 2] += 1.0
-            self.factors = _hessenberg_lu(M)
+            self.factors = _hessenberg_lu(operator, beta)
         else:
             self.apply = operator.apply
-            self.outflow = -operator.row_sums()
+        self.outflow = -operator.row_sums()
 
     def step(self, u: np.ndarray) -> tuple[np.ndarray, float]:
         """Advance ``u`` by one step; return the new state and the mass
@@ -311,8 +307,8 @@ class _Stepper:
             u = u + self.beta * self.apply(u)
         else:
             # v L U = u: solve U^T w = u, then L^T v = w.
-            upper_t, band = self.factors
-            w = dtrsv(upper_t, u, lower=1)
+            packed, band = self.factors
+            w = dtpsv(self.n + 1, packed, u, lower=1)
             u = booked = dtbsv(1, band, w, diag=1, overwrite_x=1)
         increment = self.beta * self.h * float(booked @ self.outflow)
         self.steps += 1
@@ -323,28 +319,40 @@ class _Stepper:
         return u, increment
 
 
-def _hessenberg_lu(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor the upper-Hessenberg ``M`` as ``L U`` in place, without
-    pivoting, one row axpy per row.
+def _hessenberg_lu(operator, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factor ``M = I - beta B = L U`` without pivoting, one row of ``B``
+    at a time, one row axpy per row.
 
-    Returns ``U^T`` (F-contiguous, so BLAS reads it in place; only its lower
-    triangle is meaningful) and the multipliers of ``L`` as the band of the
-    unit upper bidiagonal ``L^T``.  A non-finite factor or a zero pivot
-    raises :class:`SingularSystem`.
+    ``B`` is upper Hessenberg, so row ``k`` of ``M`` needs only the
+    multiplier ``m_{k,k-1} / u_{k-1,k-1}`` and row ``k - 1`` of ``U``.
+    Returns ``U`` by rows from the diagonal, laid end to end, which is
+    ``U^T`` in BLAS lower packed storage, ``(n+1)(n+2)/2`` floats; and the
+    multipliers of ``L`` as the band of the unit upper bidiagonal ``L^T``.
+    A non-finite factor or a zero pivot raises :class:`SingularSystem`.
     """
-    n = M.shape[0] - 1
-    band = np.zeros((2, n + 1), order="F")
-    U = M
-    with np.errstate(all="ignore"):
-        for k in range(n):
-            band[0, k + 1] = multiplier = U[k + 1, k] / U[k, k]
-            U[k + 1, k + 1:] -= multiplier * U[k, k + 1:]
+    size = operator.n + 1
+    packed = np.empty(size * (size + 1) // 2)
+    band = np.zeros((2, size), order="F")
+    with np.errstate(all="ignore"):  # an overflow fails the health check
+        tail = packed[:size]
+        np.multiply(operator.row(0), -beta, out=tail)
+        tail[0] += 1.0
+        offset = size
+        for k in range(1, size):
+            row = operator.row(k) * -beta  # columns k - 1 .. n
+            row[1] += 1.0
+            band[0, k] = multiplier = row[0] / tail[0]
+            above, tail = tail[1:], packed[offset : offset + size - k]
+            np.subtract(row[1:], multiplier * above, out=tail)
+            offset += size - k
         # min and max propagate NaN and, unlike isfinite, need no n^2 mask.
-        healthy = (math.isfinite(U.min()) and math.isfinite(U.max())
+        healthy = (math.isfinite(packed.min()) and math.isfinite(packed.max())
                    and np.isfinite(band).all())
-    if not healthy or not np.diagonal(U).all():
+    rows = np.arange(size)
+    pivots = packed[rows * size - rows * (rows - 1) // 2]
+    if not healthy or not pivots.all():
         raise SingularSystem("implicit system matrix is numerically singular")
-    return U.T, band
+    return packed, band
 
 
 def _non_finite(step: int) -> StabilityViolation:
@@ -364,8 +372,8 @@ class _Dense:
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
 
-    def dense(self) -> np.ndarray:
-        return self.entries.copy()
+    def row(self, k: int) -> np.ndarray:
+        return self.entries[k, max(k - 1, 0):]
 
 
 def explicit_step(u: GridFunction, matrix: IterationMatrix, beta: float) -> GridFunction:
@@ -385,8 +393,8 @@ def implicit_step(u: GridFunction, matrix: IterationMatrix, beta: float) -> Grid
 def run_simulation(config: SolverConfig) -> TimeSeries:
     """Advance the scheme to ``t_end``, recording snapshots and the ledger.
 
-    The operator is built in O(n) memory and (for implicit runs) expanded
-    and factored once.
+    The operator is built in O(n) memory and (for implicit runs) factored
+    once, one row at a time.
     Snapshots are taken at the first completed step with
     ``t >= requested``; the actual times are recorded.  Absorbing boundary
     nodes are hard-pinned to zero, initially and after every step.  A state

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,26 @@ class TestEmission:
                 assert rt == t and rx == j / 64 and ru == snap.values[j]
                 k += 1
 
+    def test_emit_memory_does_not_grow_with_snapshots(self, tmp_path):
+        n = 2000
+        spec = SchemeSpec(DerivativeForm.RIEMANN_LIOUVILLE, BoundaryCondition.REFLECTING,
+                          BoundaryCondition.REFLECTING, 1.5, 1.0, n)
+        snap = GridFunction(n, np.random.default_rng(0).random(n + 1))
+
+        def emit_peak(count):
+            times = tuple(k * 1e-3 for k in range(count))
+            series = TimeSeries(spec=spec, requested_times=times, times=times,
+                                snapshots=(snap,) * count, mass_trace=(1.0,) * count,
+                                absorbed_cumulative=(0.0,) * count)
+            tracemalloc.start()
+            try:
+                emit_timeseries_csv(series, tmp_path / "run.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert emit_peak(50) <= 2 * emit_peak(2)
+
     def test_matrix_csv_roundtrip(self, tmp_path):
         spec = SchemeSpec(DerivativeForm.PATIE_SIMON, BoundaryCondition.REFLECTING,
                           BoundaryCondition.REFLECTING, 1.5, 1.0, 8)
@@ -290,8 +311,9 @@ class TestMain:
         capsys.readouterr()
 
     def test_only_dense_paths_are_bounded_by_memory(self, tmp_path, capsys, monkeypatch):
-        # On an 8 GiB host an explicit run at n = 40000 needs a few MiB, while
-        # its dense (n+1)^2 matrix would take 11.9 GiB.
+        # On an 8 GiB host an explicit run at n = 40000 needs a few MiB and an
+        # implicit one its 5.96 GiB packed factor, while the dense (n+1)^2
+        # matrix would take 11.9 GiB.
         monkeypatch.setattr(operators, "_MEMORY_BYTES", 8 * 2**30)
         out = tmp_path / "run.csv"
         one_step = ["--alpha", "1.5", "--n", "40000", "--dt", "1e-9", "--t-end", "1e-9",
@@ -299,10 +321,16 @@ class TestMain:
         assert main(["solve", *one_step, "--method", "explicit"]) == 0
         assert len(read_rows(out)) == 2 * 40001
         out.unlink()
-        for argv in (["solve", *one_step, "--method", "implicit"],
-                     ["figure", "2", "--n", "40000", "--out", str(out)],
-                     ["matrix", "--alpha", "1.5", "--n", "40000", "--deriv", "rl",
-                      "--left", "absorbing", "--right", "absorbing", "--out", str(out)]):
+        # Parsed only: running it would allocate the 5.96 GiB factor.
+        assert isinstance(parse_args(["solve", *one_step, "--method", "implicit"]),
+                          SolveCommand)
+        matrix = ["matrix", "--alpha", "1.5", "--n", "40000", "--deriv", "rl",
+                  "--left", "absorbing", "--right", "absorbing", "--out", str(out)]
+        # With 4 GiB the packed factor does not fit either.
+        for memory, argv in ((8 * 2**30, matrix),
+                             (4 * 2**30, ["solve", *one_step, "--method", "implicit"]),
+                             (4 * 2**30, ["figure", "2", "--n", "40000", "--out", str(out)])):
+            monkeypatch.setattr(operators, "_MEMORY_BYTES", memory)
             assert main(argv) == 2
             assert "physical memory" in capsys.readouterr().err
             assert not out.exists()
@@ -312,6 +340,24 @@ class TestMain:
         assert main(["solve", *one_step, "--method", "explicit"]) == 2
         assert "an explicit run recording 2 states" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_default_snapshots_end_at_a_shorter_t_end(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert main(["solve", "--alpha", "1.5", "--n", "64", "--t-end", "0.2",
+                     "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+        assert meta["requested_snapshot_times"] == [0.0, 0.05, 0.1, 0.2]
+        assert meta["actual_snapshot_times"] == pytest.approx([0.0, 0.05, 0.1, 0.2])
+        assert len(read_rows(out)) == 4 * 65
+        for t_end, times in ((0.1, (0.0, 0.05, 0.1)), (0.5, (0.0, 0.05, 0.1, 0.5)),
+                             (2.0, (0.0, 0.05, 0.1, 0.5))):
+            cmd = parse_args(["solve", "--alpha", "1.5", "--t-end", str(t_end),
+                              "--out", str(out)])
+            assert cmd.config.snapshot_times == times
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"alpha": 1.5, "t_end": 0.01}))
+        cmd = parse_args(["solve", "--config", str(config), "--out", str(out)])
+        assert cmd.config.snapshot_times == (0.0, 0.01)
 
     def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
         def exhausted(command):

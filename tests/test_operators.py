@@ -249,7 +249,8 @@ class TestSpecValidation:
 
     def test_grid_beyond_memory_is_rejected(self):
         # 10**400 is not even a float.  10**6 needs only an 8 MB state but an
-        # 8 TB dense matrix: only the paths that expand one reject it.
+        # 8 TB dense matrix (4 TB packed factor): build_matrix and implicit
+        # runs reject it.
         with pytest.raises(InvalidSpec, match="physical memory"):
             spec(RL, A, A, n=10**400)
         big = spec(RL, A, A, n=10**6)
