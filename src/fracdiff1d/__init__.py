@@ -7,7 +7,6 @@ diagnostics for conservation, positivity, steady states, flux, and decay.
 """
 
 from .diagnostics import (
-    DiagnosticsReport,
     NegativityResult,
     SteadyStateKind,
     SteadyStateReference,
@@ -17,7 +16,6 @@ from .diagnostics import (
     l1_distance_interior,
     negativity_scan,
     steady_state_reference,
-    summarize,
     total_mass,
 )
 from .errors import (
@@ -50,7 +48,6 @@ from .operators import (
     BoundaryCondition,
     IterationMatrix,
     SchemeSpec,
-    absorbed_rates,
     build_matrix,
     row_sums,
 )
@@ -73,7 +70,6 @@ __all__ = [
     "BoundaryCondition",
     "DegenerateInput",
     "DerivativeForm",
-    "DiagnosticsReport",
     "DimensionMismatch",
     "EmptySeries",
     "FracDiffError",
@@ -95,7 +91,6 @@ __all__ = [
     "UnsupportedCombination",
     "UnsupportedForm",
     "UsageError",
-    "absorbed_rates",
     "boundary_flux_check",
     "build_matrix",
     "caputo_derivative_grid",
@@ -114,7 +109,6 @@ __all__ = [
     "sine_bump_profile",
     "stability_limit",
     "steady_state_reference",
-    "summarize",
     "tent_profile",
     "total_mass",
     "weight_recursion_gap",

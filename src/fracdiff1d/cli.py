@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import sys
 from dataclasses import dataclass
@@ -49,16 +50,11 @@ __all__ = [
     "run_command",
 ]
 
-_FORMS = {
-    "rl": DerivativeForm.RIEMANN_LIOUVILLE,
-    "ps": DerivativeForm.PATIE_SIMON,
-    "caputo": DerivativeForm.CAPUTO,
-}
-_BCS = {
-    "absorbing": BoundaryCondition.ABSORBING,
-    "reflecting": BoundaryCondition.REFLECTING,
-}
-_METHODS = {"explicit": Method.EXPLICIT, "implicit": Method.IMPLICIT}
+
+def _spellings(kind: type[enum.Enum]) -> list[str]:
+    """A flag's choices: the enum's values, which the meta sidecar writes."""
+    return sorted(member.value for member in kind)
+
 
 # Catalogue of reproducible demonstration runs: derivative form, boundary
 # pair, initial profile, and snapshot times, all at alpha = 1.5, C = 1.
@@ -136,12 +132,12 @@ def _build_parser() -> _Parser:
     solve.add_argument("--n", type=int, default=None)
     solve.add_argument("--dt", type=float, default=None)
     solve.add_argument("--t-end", dest="t_end", type=float, default=None)
-    solve.add_argument("--deriv", choices=sorted(_FORMS), default=None)
-    solve.add_argument("--left", choices=sorted(_BCS), default=None)
-    solve.add_argument("--right", choices=sorted(_BCS), default=None)
+    solve.add_argument("--deriv", choices=_spellings(DerivativeForm), default=None)
+    solve.add_argument("--left", choices=_spellings(BoundaryCondition), default=None)
+    solve.add_argument("--right", choices=_spellings(BoundaryCondition), default=None)
     solve.add_argument("--ic", type=str, default=None,
                        help="tent | bump | uniform | file:PATH")
-    solve.add_argument("--method", choices=sorted(_METHODS), default=None)
+    solve.add_argument("--method", choices=_spellings(Method), default=None)
     solve.add_argument("--snapshots", type=str, default=None,
                        help="comma-separated times, e.g. 0,0.05,0.1,0.5")
     solve.add_argument("--allow-unstable", action="store_true", default=None)
@@ -151,9 +147,9 @@ def _build_parser() -> _Parser:
     matrix.add_argument("--alpha", type=float, required=True)
     matrix.add_argument("--c", type=float, default=1.0)
     matrix.add_argument("--n", type=int, required=True)
-    matrix.add_argument("--deriv", choices=sorted(_FORMS), required=True)
-    matrix.add_argument("--left", choices=sorted(_BCS), required=True)
-    matrix.add_argument("--right", choices=sorted(_BCS), required=True)
+    matrix.add_argument("--deriv", choices=_spellings(DerivativeForm), required=True)
+    matrix.add_argument("--left", choices=_spellings(BoundaryCondition), required=True)
+    matrix.add_argument("--right", choices=_spellings(BoundaryCondition), required=True)
     matrix.add_argument("--out", type=Path, required=True)
 
     weights = sub.add_parser("weights", help="emit Grünwald weights as CSV")
@@ -170,7 +166,7 @@ def _build_parser() -> _Parser:
                         help="print the id <-> protocol mapping")
     figure.add_argument("--n", type=int, default=1000)
     figure.add_argument("--dt", type=float, default=1e-3)
-    figure.add_argument("--method", choices=sorted(_METHODS), default="implicit")
+    figure.add_argument("--method", choices=_spellings(Method), default="implicit")
     figure.add_argument("--out", type=Path, default=None)
 
     return parser
@@ -263,9 +259,9 @@ def _solve_command(args: argparse.Namespace) -> SolveCommand:
         raise UsageError("solve needs --out")
     try:
         spec = SchemeSpec(
-            form=_FORMS[merged["deriv"]],
-            left=_BCS[merged["left"]],
-            right=_BCS[merged["right"]],
+            form=DerivativeForm(merged["deriv"]),
+            left=BoundaryCondition(merged["left"]),
+            right=BoundaryCondition(merged["right"]),
             alpha=float(merged["alpha"]),
             c=float(merged["c"]),
             n=merged["n"],
@@ -274,15 +270,15 @@ def _solve_command(args: argparse.Namespace) -> SolveCommand:
             spec=spec,
             dt=float(merged["dt"]),
             t_end=float(merged["t_end"]),
-            method=_METHODS[merged["method"]],
+            method=Method(merged["method"]),
             snapshot_times=_parse_snapshots(merged["snapshots"]),
             initial=InitialCondition.parse(merged["ic"]),
             allow_unstable=merged["allow_unstable"],
         )
-    except (KeyError, OverflowError) as exc:
-        raise UsageError(f"bad value: {exc}") from None
     except FracDiffError as exc:
         raise UsageError(str(exc)) from None
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"bad value: {exc}") from None
     return SolveCommand(config=config, out=Path(merged["out"]))
 
 
@@ -297,9 +293,9 @@ def parse_args(argv: Sequence[str]) -> CliCommand:
     if args.command == "matrix":
         try:
             spec = SchemeSpec(
-                form=_FORMS[args.deriv],
-                left=_BCS[args.left],
-                right=_BCS[args.right],
+                form=DerivativeForm(args.deriv),
+                left=BoundaryCondition(args.left),
+                right=BoundaryCondition(args.right),
                 alpha=args.alpha,
                 c=args.c,
                 n=args.n,
@@ -321,7 +317,7 @@ def parse_args(argv: Sequence[str]) -> CliCommand:
     if args.command == "figure":
         if args.list_only:
             return FigureCommand(figure_id=None, out=None, n=args.n,
-                                 dt=args.dt, method=_METHODS[args.method],
+                                 dt=args.dt, method=Method(args.method),
                                  list_only=True)
         if args.figure_id is None:
             raise UsageError("figure needs an id (or --list)")
@@ -333,7 +329,7 @@ def parse_args(argv: Sequence[str]) -> CliCommand:
         if args.out is None:
             raise UsageError("figure needs --out")
         cmd = FigureCommand(figure_id=args.figure_id, out=args.out, n=args.n,
-                            dt=args.dt, method=_METHODS[args.method])
+                            dt=args.dt, method=Method(args.method))
         try:
             _figure_config(cmd)
         except FracDiffError as exc:
@@ -392,8 +388,8 @@ def emit_weights_csv(weights: GrunwaldWeights, path: Path) -> None:
 
 def _figure_config(cmd: FigureCommand) -> SolverConfig:
     deriv, left, right, ic, snaps = FIGURE_PROTOCOLS[cmd.figure_id]
-    spec = SchemeSpec(form=_FORMS[deriv], left=_BCS[left], right=_BCS[right],
-                      alpha=1.5, c=1.0, n=cmd.n)
+    spec = SchemeSpec(form=DerivativeForm(deriv), left=BoundaryCondition(left),
+                      right=BoundaryCondition(right), alpha=1.5, c=1.0, n=cmd.n)
     return SolverConfig(
         spec=spec,
         dt=cmd.dt,

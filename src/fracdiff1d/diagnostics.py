@@ -27,7 +27,6 @@ from .operators import BoundaryCondition, SchemeSpec
 from .timestepper import TimeSeries
 
 __all__ = [
-    "DiagnosticsReport",
     "NegativityResult",
     "SteadyStateKind",
     "SteadyStateReference",
@@ -37,7 +36,6 @@ __all__ = [
     "l1_distance_interior",
     "negativity_scan",
     "steady_state_reference",
-    "summarize",
     "total_mass",
 ]
 
@@ -172,47 +170,3 @@ def convergence_order(errors: Sequence[tuple[float, float]]) -> float:
         raise DegenerateInput("spacings and errors must be positive")
     return float(np.polyfit(np.log(h), np.log(err), 1)[0])
 
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Bundle of the measured solution properties of one run."""
-
-    mass_trace: tuple[float, ...]
-    min_value: float
-    min_time_index: int
-    min_node_index: int
-    steady_state_kind: SteadyStateKind
-    steady_state_distance: tuple[float, ...]
-    decay_rate: float | None
-    boundary_flux: tuple[float, float] | None
-    convergence_order: float | None
-
-
-def summarize(
-    series: TimeSeries,
-    convergence: Sequence[tuple[float, float]] | None = None,
-) -> DiagnosticsReport:
-    """Collect the standard diagnostics for one finished run."""
-    scan = negativity_scan(series)
-    ref = steady_state_reference(series.spec)
-    distances = tuple(l1_distance_interior(s, ref) for s in series.snapshots)
-    try:
-        rate = decay_rate(series)
-    except DegenerateInput:
-        rate = None
-    try:
-        flux = boundary_flux_check(series)
-    except (UnsupportedForm, InvalidSpec):
-        flux = None
-    order = convergence_order(convergence) if convergence is not None else None
-    return DiagnosticsReport(
-        mass_trace=tuple(series.mass_trace),
-        min_value=scan.value,
-        min_time_index=scan.time_index,
-        min_node_index=scan.node_index,
-        steady_state_kind=ref.kind,
-        steady_state_distance=distances,
-        decay_rate=rate,
-        boundary_flux=flux,
-        convergence_order=order,
-    )

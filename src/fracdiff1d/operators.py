@@ -46,6 +46,7 @@ implicit run's packed factor and recorded states.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import os
@@ -61,7 +62,6 @@ __all__ = [
     "BoundaryCondition",
     "IterationMatrix",
     "SchemeSpec",
-    "absorbed_rates",
     "build_matrix",
     "row_sums",
 ]
@@ -108,10 +108,10 @@ def _require_explicit_fits(n: int, states: int) -> None:
 def _require_implicit_fits(n: int, states: int) -> None:
     """Reject an implicit run whose float64 arrays would exceed physical
     memory: the packed factor of ``I - beta B``, ``(n+1)(n+2)/2`` floats,
-    plus ``states`` recorded states and under 18 (n+1) more for the
-    stencil with its FFT transform, the band of ``L``, the outflow and one
-    row's work arrays."""
-    _require_fits(n, (n + 1) * (n + 2) // 2 + (18 + states) * (n + 1),
+    plus ``states`` recorded states and under 16 (n+1) more for the
+    stencil, the band of ``L``, the outflow and one row's work arrays.  The
+    stencil brings no FFT transform: only explicit steps compute one."""
+    _require_fits(n, (n + 1) * (n + 2) // 2 + (16 + states) * (n + 1),
                   f"an implicit run recording {states} states")
 
 
@@ -209,12 +209,12 @@ class _Stencil:
         self.n = n = len(g) - 1
         self.g, self.head, self.edges = g, head, edges
         self.pad = np.zeros(n - 1 + len(head))
-        self.g_hat = None
-        if n >= _FFT_MIN_N:
-            # a * g (see apply) is nonzero up to entry 3n - 1; a period above
-            # 2n holds all of a and aliases none of the entries n+1 .. 2n-1.
-            self.period = _fft_period(n)
-            self.g_hat = np.fft.rfft(g, self.period)
+
+    @functools.cached_property
+    def g_hat(self) -> np.ndarray:
+        """The transform of ``g``, computed by the first FFT :meth:`apply`
+        (implicit runs never take one)."""
+        return np.fft.rfft(self.g, _fft_period(self.n))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """``u B``: the stencil rows convolve ``u`` with ``g``, in O(n log n)
@@ -227,10 +227,12 @@ class _Stencil:
         # schemes that differ only in rows without mass step bit for bit
         # alike.
         a = np.concatenate((self.pad, u[rows:], (0.0,)))
-        if self.g_hat is None:
+        if n < _FFT_MIN_N:
             out = np.convolve(a, self.g, "valid")
         else:
-            period = self.period
+            # a * g is nonzero up to entry 3n - 1; a period above 2n holds
+            # all of a and aliases none of the entries n+1 .. 2n-1.
+            period = _fft_period(n)
             out = np.fft.irfft(np.fft.rfft(a, period) * self.g_hat, period)[n : 2 * n + 1]
         if rows:
             out[1:n] += u[:rows] @ self.head
@@ -269,16 +271,10 @@ class _Stencil:
         return row
 
     def dense(self) -> np.ndarray:
-        """A fresh, writable dense ``B``."""
-        n = self.n
-        # b_ij = shifts[n + 1 + j - i]: zero below the subdiagonal, then g,
-        # then the zero that b_0n holds before its patch.  Window s of
-        # shifts is therefore row n + 1 - s.
-        shifts = np.concatenate((np.zeros(n), self.g, (0.0,)))
-        windows = np.lib.stride_tricks.sliding_window_view(shifts, n + 1)
-        B = windows[n + 1 : 0 : -1].copy()
-        B[:, [0, n]] = self.edges
-        B[: len(self.head), 1:n] = self.head
+        """A fresh, writable dense ``B``, filled row by row from :meth:`row`."""
+        B = np.zeros((self.n + 1, self.n + 1))
+        for k in range(self.n + 1):
+            B[k, max(k - 1, 0):] = self.row(k)
         return B
 
 
@@ -341,17 +337,3 @@ def row_sums(matrix: IterationMatrix) -> np.ndarray:
     """Per-row totals of the rate matrix; zero rows conserve mass."""
     return matrix.entries.sum(axis=1)
 
-
-def absorbed_rates(spec: SchemeSpec, matrix: IterationMatrix) -> np.ndarray:
-    """Per-node absorption rates ``a_i = -sum_j b_ij``.
-
-    Positive entries are the rate (per unit ``beta``) at which mass leaves
-    the system from node ``i``.  Rows belonging to absorbing boundary nodes
-    never carry mass, so their entries are inert ledger values and may have
-    either sign.
-    """
-    if spec.n != matrix.n:
-        raise DimensionMismatch(
-            f"spec has n={spec.n} but matrix has n={matrix.n}"
-        )
-    return -row_sums(matrix)

@@ -18,11 +18,11 @@ dominant Z-matrix, so the growth factor is at most 2; a pivot check still
 runs for every scheme.
 
 Both updates live in one private stepper, built once per run from the O(n)
-stencil form of ``B``: it holds ``beta``, the outflow vector (from the
-stencil's row sums) and the pinned absorbing nodes, and either the
-stencil's apply (explicit) or the single factorization of ``M`` that every
-step reuses (implicit).  Each step returns the new state and the mass
-absorbed during it.
+stencil form of ``B``, ``beta`` and the method: it holds ``beta``, the
+outflow vector (from the stencil's row sums), and either the stencil's
+apply (explicit) or the single factorization of ``M`` that every step
+reuses (implicit).  Each step returns the new state and the mass absorbed
+during it.
 
 A run keeps two independently computed accounts: the retained mass
 :math:`M_k = h \sum_j u_j` measured from the state, and the cumulative
@@ -43,7 +43,6 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg.blas import dtbsv, dtpsv
@@ -264,25 +263,24 @@ class TimeSeries:
 
 
 class _Stepper:
-    """One Euler step under ``beta * B``: the update, the ledger and the pins.
+    """One Euler step under ``beta * B``: the update and the ledger.
 
     The only place the update rule lives.  Built once per run from an
     operator holding ``B`` (the stencil of :mod:`~fracdiff1d.operators`),
     whose O(n) row sums both methods book: explicit steps apply it;
     implicit runs read its rows into the packed factor of
     ``M = I - beta B = L U`` without pivoting, which every :meth:`step`
-    reuses, so no run holds an (n+1)^2 array.  ``pinned`` lists
-    the absorbing boundary nodes, zeroed after every step (their matrix
-    columns are already zero; pinning suppresses roundoff drift).
+    reuses, so no run holds an (n+1)^2 array.  An absorbing node j needs
+    no pin: its zero column of ``B`` makes the explicit update add
+    ``+0.0`` there, and column j of ``M`` the unit vector, so the solve
+    returns ``+0.0`` there, for every finite state that is zero at j.
     """
 
-    def __init__(self, operator, beta: float, method: Method,
-                 pinned: Sequence[int] = ()) -> None:
+    def __init__(self, operator, beta: float, method: Method) -> None:
         if not 0.0 <= beta < math.inf:
             raise InvalidSpec(f"beta must be finite and nonnegative, got {beta}")
         n = operator.n
         self.n, self.h, self.beta = n, 1.0 / n, beta
-        self.pinned = list(pinned)
         self.steps = 0
         self.apply = self.factors = None
         if method is Method.IMPLICIT:
@@ -314,8 +312,6 @@ class _Stepper:
         self.steps += 1
         if not math.isfinite(increment):
             raise _non_finite(self.steps)
-        if self.pinned:  # indexing with an empty list still costs ~2 us
-            u[self.pinned] = 0.0
         return u, increment
 
 
@@ -397,19 +393,19 @@ def run_simulation(config: SolverConfig) -> TimeSeries:
     once, one row at a time.
     Snapshots are taken at the first completed step with
     ``t >= requested``; the actual times are recorded.  Absorbing boundary
-    nodes are hard-pinned to zero, initially and after every step.  A state
+    nodes are zeroed in the initial data, the only place mass can reach
+    them; their zero columns of ``B`` keep them at zero.  A state
     that turns non-finite raises :class:`StabilityViolation` before any
     later snapshot is recorded.
     """
     spec = config.spec
     n, h, dt = spec.n, spec.h, config.dt
-    pinned = [node for node, side in ((0, spec.left), (n, spec.right))
-              if side is BoundaryCondition.ABSORBING]
-    stepper = _Stepper(_stencil(spec), spec.c * h**-spec.alpha * dt,
-                       config.method, pinned)
+    absorbing = [node for node, side in ((0, spec.left), (n, spec.right))
+                 if side is BoundaryCondition.ABSORBING]
+    stepper = _Stepper(_stencil(spec), spec.c * h**-spec.alpha * dt, config.method)
 
     u = config.initial.sample(n).values.copy()
-    u[pinned] = 0.0
+    u[absorbing] = 0.0
 
     # Integer step indices guard against float-floor surprises near t/dt.
     def step_of(t: float) -> int:

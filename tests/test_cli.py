@@ -437,6 +437,25 @@ class TestMain:
         rows = read_rows(out)
         assert len(rows) == 2 * 65
 
+    @pytest.mark.parametrize("fid,method,dt", [(3, "implicit", "1e-3"),
+                                               (6, "explicit", "2e-4"),
+                                               (7, "implicit", "1e-3")])
+    def test_meta_spellings_parse_back_to_the_same_run(self, tmp_path, fid, method, dt):
+        # One run per form: the meta sidecar's spellings, fed back as solve
+        # flags, repeat the run byte for byte.
+        first, second = tmp_path / "figure.csv", tmp_path / "solve.csv"
+        assert main(["figure", str(fid), "--n", "64", "--dt", dt,
+                     "--method", method, "--out", str(first)]) == 0
+        meta = json.loads((tmp_path / "figure.csv.meta.json").read_text())
+        snapshots = ",".join(repr(t) for t in meta["requested_snapshot_times"])
+        assert main(["solve", "--alpha", repr(meta["alpha"]), "--c", repr(meta["c"]),
+                     "--n", str(meta["n"]), "--dt", repr(meta["dt"]),
+                     "--t-end", repr(meta["t_end"]), "--snapshots", snapshots,
+                     *(arg for key in ("deriv", "left", "right", "method", "ic")
+                       for arg in (f"--{key}", meta[key])),
+                     "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+
     def test_figure_list_covers_catalogue(self, capsys):
         assert main(["figure", "--list"]) == 0
         listing = capsys.readouterr().out

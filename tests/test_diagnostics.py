@@ -26,7 +26,6 @@ from fracdiff1d import (
     negativity_scan,
     run_simulation,
     steady_state_reference,
-    summarize,
     tent_profile,
     total_mass,
 )
@@ -91,6 +90,15 @@ class TestSteadyStateReference:
     def test_caputo_absorbing_drains(self):
         ref = steady_state_reference(SchemeSpec(CAP, A, A, 1.5, 1.0, 8))
         assert ref.kind is SteadyStateKind.ZERO
+
+    def test_reference_values_are_immutable(self):
+        ref = steady_state_reference(SchemeSpec(RL, R, R, 1.5, 1.0, 8))
+        with pytest.raises(ValueError):
+            ref.values[0] = 3.0
+
+    def test_reference_shape_is_checked(self):
+        with pytest.raises(DimensionMismatch):
+            SteadyStateReference(SteadyStateKind.ZERO, 8, np.zeros(9))
 
 
 class TestL1Distance:
@@ -265,35 +273,3 @@ class TestSteadyApproach:
         assert d[2] <= d[1] + slack
         assert d[2] < d[0]
 
-
-class TestSummarize:
-    def test_absorbing_report(self):
-        series = run_scheme(RL, A, A, steps=1000, every=50)
-        report = summarize(series)
-        assert report.min_value >= -1e-12
-        assert report.decay_rate is not None and report.decay_rate < 0.0
-        assert report.boundary_flux is None
-        assert report.steady_state_kind is SteadyStateKind.ZERO
-        assert report.steady_state_distance[-1] < report.steady_state_distance[0]
-        assert report.convergence_order is None
-
-    def test_reflecting_report_carries_flux(self):
-        series = run_scheme(PS, R, R, steps=500, every=100)
-        report = summarize(series)
-        assert report.boundary_flux is not None
-        assert report.steady_state_kind is SteadyStateKind.CONSTANT
-
-    def test_convergence_pairs_are_fitted(self):
-        series = run_scheme(RL, A, A, n=64, steps=20, every=10)
-        pairs = [(h, h) for h in (0.1, 0.05, 0.025)]
-        report = summarize(series, convergence=pairs)
-        assert report.convergence_order == pytest.approx(1.0, abs=1e-12)
-
-    def test_reference_values_are_immutable(self):
-        ref = steady_state_reference(SchemeSpec(RL, R, R, 1.5, 1.0, 8))
-        with pytest.raises(ValueError):
-            ref.values[0] = 3.0
-
-    def test_reference_shape_is_checked(self):
-        with pytest.raises(DimensionMismatch):
-            SteadyStateReference(SteadyStateKind.ZERO, 8, np.zeros(9))

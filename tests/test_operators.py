@@ -6,7 +6,6 @@ import pytest
 from fracdiff1d import (
     BoundaryCondition,
     DerivativeForm,
-    DimensionMismatch,
     GridFunction,
     InitialCondition,
     InvalidSpec,
@@ -15,7 +14,6 @@ from fracdiff1d import (
     SchemeSpec,
     SolverConfig,
     UnsupportedCombination,
-    absorbed_rates,
     build_matrix,
     convergence_order,
     grunwald_weights,
@@ -23,6 +21,7 @@ from fracdiff1d import (
     row_sums,
     steady_state_reference,
 )
+from fracdiff1d.operators import _stencil
 
 RL = DerivativeForm.RIEMANN_LIOUVILLE
 PS = DerivativeForm.PATIE_SIMON
@@ -217,18 +216,11 @@ class TestRowAccounting:
         m = IterationMatrix(4, np.zeros((5, 5)))
         assert np.all(row_sums(m) == 0.0)
 
-    def test_reflecting_absorption_rates_vanish(self):
-        B = build_matrix(spec(RL, R, R, n=64))
-        assert np.max(np.abs(absorbed_rates(spec(RL, R, R, n=64), B))) <= 1e-12 * 64
-
     def test_hand_absorption_rates(self):
+        # The ledger's rates -row_sums(B), dense and from the stencil.
         s = spec(RL, A, A)
-        rates = absorbed_rates(s, build_matrix(s))
-        assert rates == pytest.approx([-0.375, 1.5, -1.0], abs=1e-15)
-
-    def test_rates_reject_mismatched_grid(self):
-        with pytest.raises(DimensionMismatch):
-            absorbed_rates(spec(RL, A, A, n=4), build_matrix(spec(RL, A, A, n=2)))
+        for rates in (-row_sums(build_matrix(s)), -_stencil(s).row_sums()):
+            assert rates == pytest.approx([-0.375, 1.5, -1.0], abs=1e-15)
 
 
 class TestSpecValidation:

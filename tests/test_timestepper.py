@@ -368,13 +368,23 @@ class TestRunSimulation:
         assert series.requested_times == (0.0, 0.034, 0.1)
         assert series.times == pytest.approx((0.0, 0.04, 0.1), abs=1e-12)
 
-    def test_absorbing_nodes_pinned_to_zero(self):
-        config = make_config(form=RL, left=A, right=A, n=64, dt=1e-3, steps=50,
-                             method=Method.IMPLICIT, snap_every=10)
-        series = run_simulation(config)
-        for snap in series.snapshots:
-            assert snap.values[0] == 0.0
-            assert snap.values[64] == 0.0
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("form,left,right",
+                             [case for case in SUPPORTED if A in case[1:]])
+    def test_absorbing_nodes_pinned_to_zero(self, form, left, right, method):
+        # Zeroed once, as in the initial data of a run, an absorbing node
+        # stays +0.0 through every step: its zero column of B pins it.
+        for n in (64, _FFT_MIN_N):
+            spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+            beta = 0.5 / 1.5 if method is Method.EXPLICIT else n**1.5 * 1e-3
+            stepper = _Stepper(_stencil(spec), beta, method)
+            absorbing = [node for node, side in ((0, left), (n, right)) if side is A]
+            u = np.random.default_rng(n).random(n + 1)
+            u[absorbing] = 0.0
+            for k in range(20):
+                u, _ = stepper.step(u)
+                nodes = u[absorbing]
+                assert np.all(nodes == 0.0) and not np.signbit(nodes).any(), (n, k)
 
     def test_state_overflowing_on_the_last_step_is_not_recorded(self, tmp_path):
         # The last step's increment is booked from the finite state before
@@ -463,4 +473,15 @@ class TestRunMemory:
         monkeypatch.setattr(operators._Stencil, "dense", refuse)
         config = make_config(form=form, left=left, right=right, n=64, steps=10,
                              method=method)
+        assert len(run_simulation(config)) == len(config.snapshot_times)
+
+    @pytest.mark.parametrize("form,left,right", SUPPORTED)
+    def test_implicit_runs_take_no_fft(self, monkeypatch, form, left, right):
+        # The stencil's FFT transform serves only the explicit apply.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an implicit run took an FFT")
+
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        config = make_config(form=form, left=left, right=right, n=_FFT_MIN_N,
+                             steps=10, method=Method.IMPLICIT)
         assert len(run_simulation(config)) == len(config.snapshot_times)
