@@ -1,5 +1,9 @@
 """Command-line front end: solve, matrix, weights, verify, figure.
 
+``figure N`` is ``solve`` on catalogue entry N's recipe: both parse to a
+:class:`SolveCommand` whose :class:`SolverConfig` describes the whole run,
+and the meta sidecar is written from that config alone.
+
 Outputs are bit-stable: floating-point values are written in scientific
 notation with 17 significant digits, which round-trips ``float64`` exactly,
 and repeated invocations of the same command produce byte-identical files.
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import enum
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +28,7 @@ from .operators import (
     IterationMatrix,
     SchemeSpec,
     _require_dense_fits,
+    _require_fits,
     build_matrix,
 )
 from .timestepper import (
@@ -37,7 +43,7 @@ from .verify import SUITE_NAMES, run_suite
 __all__ = [
     "FIGURE_PROTOCOLS",
     "CliCommand",
-    "FigureCommand",
+    "FigureListCommand",
     "MatrixCommand",
     "SolveCommand",
     "VerifyCommand",
@@ -96,17 +102,12 @@ class VerifyCommand:
 
 
 @dataclass(frozen=True)
-class FigureCommand:
-    figure_id: int | None
-    out: Path | None
-    n: int
-    dt: float
-    method: Method
-    list_only: bool = False
+class FigureListCommand:
+    """``figure --list``: print the catalogue."""
 
 
 CliCommand = Union[SolveCommand, MatrixCommand, WeightsCommand, VerifyCommand,
-                   FigureCommand]
+                   FigureListCommand]
 
 
 def _fmt(value: float) -> str:
@@ -164,9 +165,9 @@ def _build_parser() -> _Parser:
     figure.add_argument("figure_id", type=int, nargs="?", default=None)
     figure.add_argument("--list", action="store_true", dest="list_only",
                         help="print the id <-> protocol mapping")
-    figure.add_argument("--n", type=int, default=1000)
-    figure.add_argument("--dt", type=float, default=1e-3)
-    figure.add_argument("--method", choices=_spellings(Method), default="implicit")
+    figure.add_argument("--n", type=int, default=None)
+    figure.add_argument("--dt", type=float, default=None)
+    figure.add_argument("--method", choices=_spellings(Method), default=None)
     figure.add_argument("--out", type=Path, default=None)
 
     return parser
@@ -181,7 +182,7 @@ def _parse_snapshots(raw: str | Sequence[float]) -> tuple[float, ...]:
     return tuple(float(t) for t in raw)
 
 # Flag defaults applied after merging a --config file; --alpha has no
-# default and must come from one of the two sources.
+# default and must come from a figure's recipe, the file or the flag.
 _SOLVE_DEFAULTS = {
     "c": 1.0,
     "n": 1000,
@@ -195,6 +196,8 @@ _SOLVE_DEFAULTS = {
     "snapshots": (0.0, 0.05, 0.1, 0.5),
     "allow_unstable": False,
 }
+# Every key a solve flag or a --config file may set.
+_SOLVE_KEYS = (*_SOLVE_DEFAULTS, "alpha", "out")
 
 
 def _default_snapshots(t_end: float) -> tuple[float, ...]:
@@ -229,24 +232,39 @@ def _check_config_value(key: str, value) -> None:
         raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
 
 
-def _solve_command(args: argparse.Namespace) -> SolveCommand:
-    merged: dict = {}
-    if args.config is not None:
+def _scheme_spec(values) -> SchemeSpec:
+    """The scheme named by the ``deriv``/``left``/``right``/``alpha``/``c``/``n``
+    entries of ``values`` (parsed flags or a merged recipe)."""
+    return SchemeSpec(
+        form=DerivativeForm(values["deriv"]),
+        left=BoundaryCondition(values["left"]),
+        right=BoundaryCondition(values["right"]),
+        alpha=float(values["alpha"]),
+        c=float(values["c"]),
+        n=values["n"],
+    )
+
+
+def _solve_command(args: argparse.Namespace, base: dict) -> SolveCommand:
+    """Merge one run's recipe, later layers winning: ``_SOLVE_DEFAULTS``,
+    ``base`` (a figure's catalogue entry), the ``--config`` file, the
+    flags."""
+    merged = dict(base)
+    if getattr(args, "config", None) is not None:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(loaded) - set(_SOLVE_DEFAULTS) - {"alpha", "out"}
+        unknown = set(loaded) - set(_SOLVE_KEYS)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for key, value in loaded.items():
             _check_config_value(key, value)
         merged.update(loaded)
-    for key in ("alpha", "c", "n", "dt", "t_end", "deriv", "left", "right",
-                "ic", "method", "snapshots", "allow_unstable", "out"):
-        flag = getattr(args, key)
+    for key in _SOLVE_KEYS:
+        flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
     if "snapshots" not in merged and "t_end" in merged:
@@ -256,18 +274,10 @@ def _solve_command(args: argparse.Namespace) -> SolveCommand:
     if "alpha" not in merged:
         raise UsageError("solve needs --alpha (flag or config file)")
     if "out" not in merged:
-        raise UsageError("solve needs --out")
+        raise UsageError(f"{args.command} needs --out")
     try:
-        spec = SchemeSpec(
-            form=DerivativeForm(merged["deriv"]),
-            left=BoundaryCondition(merged["left"]),
-            right=BoundaryCondition(merged["right"]),
-            alpha=float(merged["alpha"]),
-            c=float(merged["c"]),
-            n=merged["n"],
-        )
         config = SolverConfig(
-            spec=spec,
+            spec=_scheme_spec(merged),
             dt=float(merged["dt"]),
             t_end=float(merged["t_end"]),
             method=Method(merged["method"]),
@@ -289,17 +299,10 @@ def parse_args(argv: Sequence[str]) -> CliCommand:
     """
     args = _build_parser().parse_args(list(argv))
     if args.command == "solve":
-        return _solve_command(args)
+        return _solve_command(args, {})
     if args.command == "matrix":
         try:
-            spec = SchemeSpec(
-                form=DerivativeForm(args.deriv),
-                left=BoundaryCondition(args.left),
-                right=BoundaryCondition(args.right),
-                alpha=args.alpha,
-                c=args.c,
-                n=args.n,
-            )
+            spec = _scheme_spec(vars(args))
             _require_dense_fits(spec.n)
         except FracDiffError as exc:
             raise UsageError(str(exc)) from None
@@ -307,6 +310,12 @@ def parse_args(argv: Sequence[str]) -> CliCommand:
     if args.command == "weights":
         if args.m < 0:
             raise UsageError(f"weight count must be nonnegative, got {args.m}")
+        if not math.isfinite(args.order):
+            raise UsageError(f"order must be finite, got {args.order}")
+        try:
+            _require_fits(f"m={args.m}", args.m + 1, "the m + 1 weights")
+        except FracDiffError as exc:
+            raise UsageError(str(exc)) from None
         return WeightsCommand(order=args.order, m=args.m, out=args.out)
     if args.command == "verify":
         if args.suite not in SUITE_NAMES:
@@ -316,9 +325,7 @@ def parse_args(argv: Sequence[str]) -> CliCommand:
         return VerifyCommand(suite=args.suite)
     if args.command == "figure":
         if args.list_only:
-            return FigureCommand(figure_id=None, out=None, n=args.n,
-                                 dt=args.dt, method=Method(args.method),
-                                 list_only=True)
+            return FigureListCommand()
         if args.figure_id is None:
             raise UsageError("figure needs an id (or --list)")
         if args.figure_id not in FIGURE_PROTOCOLS:
@@ -326,25 +333,23 @@ def parse_args(argv: Sequence[str]) -> CliCommand:
                 f"unknown figure id {args.figure_id}; known ids are "
                 f"{sorted(FIGURE_PROTOCOLS)}"
             )
-        if args.out is None:
-            raise UsageError("figure needs --out")
-        cmd = FigureCommand(figure_id=args.figure_id, out=args.out, n=args.n,
-                            dt=args.dt, method=Method(args.method))
-        try:
-            _figure_config(cmd)
-        except FracDiffError as exc:
-            raise UsageError(str(exc)) from None
-        return cmd
+        deriv, left, right, ic, snapshots = FIGURE_PROTOCOLS[args.figure_id]
+        return _solve_command(args, {
+            "alpha": 1.5, "deriv": deriv, "left": left, "right": right,
+            "ic": ic, "snapshots": snapshots, "t_end": snapshots[-1],
+        })
     raise UsageError(f"unknown command {args.command!r}")
 
 
 def emit_timeseries_csv(series: TimeSeries, path: Path) -> None:
     """Write long-format ``t,x,u`` rows (snapshot-major) plus a meta sidecar.
 
-    The sidecar ``<path>.meta.json`` carries the full run identity, the mass
-    trace, the absorption ledger, and the actual snapshot times.
+    The sidecar ``<path>.meta.json`` carries the run's recipe (its
+    :class:`SolverConfig`), the mass trace, the absorption ledger, and the
+    actual snapshot times.
     """
-    n = series.spec.n
+    config, spec = series.config, series.spec
+    n = spec.n
     x_strs = [_fmt(j / n) for j in range(n + 1)]
     # One snapshot's text at a time: memory does not grow with the count.
     with Path(path).open("w") as out:
@@ -353,21 +358,20 @@ def emit_timeseries_csv(series: TimeSeries, path: Path) -> None:
             t_str = _fmt(t)
             out.write("".join([f"{t_str},{x},{_fmt(v)}\n"
                                for x, v in zip(x_strs, snap.values.tolist())]))
-    config = series.config
     meta = {
-        "alpha": series.spec.alpha,
-        "c": series.spec.c,
-        "n": series.spec.n,
-        "deriv": series.spec.form.value,
-        "left": series.spec.left.value,
-        "right": series.spec.right.value,
-        "dt": None if config is None else config.dt,
-        "t_end": None if config is None else config.t_end,
-        "ic": None if config is None else config.initial.label(),
-        "method": None if config is None else config.method.value,
+        "alpha": spec.alpha,
+        "c": spec.c,
+        "n": n,
+        "deriv": spec.form.value,
+        "left": spec.left.value,
+        "right": spec.right.value,
+        "dt": config.dt,
+        "t_end": config.t_end,
+        "ic": config.initial.label(),
+        "method": config.method.value,
         "mass_trace": list(series.mass_trace),
         "absorbed_cumulative": list(series.absorbed_cumulative),
-        "requested_snapshot_times": list(series.requested_times),
+        "requested_snapshot_times": list(config.snapshot_times),
         "actual_snapshot_times": list(series.times),
     }
     Path(f"{path}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -384,20 +388,6 @@ def emit_weights_csv(weights: GrunwaldWeights, path: Path) -> None:
     lines = ["i,g"]
     lines += [f"{i},{_fmt(v)}" for i, v in enumerate(weights.values)]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _figure_config(cmd: FigureCommand) -> SolverConfig:
-    deriv, left, right, ic, snaps = FIGURE_PROTOCOLS[cmd.figure_id]
-    spec = SchemeSpec(form=DerivativeForm(deriv), left=BoundaryCondition(left),
-                      right=BoundaryCondition(right), alpha=1.5, c=1.0, n=cmd.n)
-    return SolverConfig(
-        spec=spec,
-        dt=cmd.dt,
-        t_end=snaps[-1],
-        method=cmd.method,
-        snapshot_times=snaps,
-        initial=InitialCondition.parse(ic),
-    )
 
 
 def run_command(cmd: CliCommand, stdout=None) -> int:
@@ -421,14 +411,11 @@ def run_command(cmd: CliCommand, stdout=None) -> int:
         failed = sum(not r.passed for r in results)
         print(f"{len(results) - failed}/{len(results)} checks passed", file=out)
         return 0 if failed == 0 else 1
-    if isinstance(cmd, FigureCommand):
-        if cmd.list_only:
-            for fid, (deriv, left, right, ic, snaps) in FIGURE_PROTOCOLS.items():
-                times = ",".join(str(t) for t in snaps)
-                print(f"{fid}: {deriv} {left}/{right} ic={ic} alpha=1.5 c=1 "
-                      f"snapshots={times}", file=out)
-            return 0
-        emit_timeseries_csv(run_simulation(_figure_config(cmd)), cmd.out)
+    if isinstance(cmd, FigureListCommand):
+        for fid, (deriv, left, right, ic, snaps) in FIGURE_PROTOCOLS.items():
+            times = ",".join(str(t) for t in snaps)
+            print(f"{fid}: {deriv} {left}/{right} ic={ic} alpha=1.5 c=1 "
+                  f"snapshots={times}", file=out)
         return 0
     raise UsageError(f"unhandled command {cmd!r}")
 

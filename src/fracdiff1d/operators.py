@@ -82,10 +82,12 @@ def _physical_memory() -> int:
 _MEMORY_BYTES = _physical_memory()
 
 
-def _require_fits(n: int, entries: int, what: str) -> None:
+def _require_fits(size: str, entries: int, what: str) -> None:
+    """Reject ``entries`` float64 values that would exceed physical memory;
+    ``size`` names the input that asked for them, e.g. ``n=40000``."""
     if 8 * entries > _MEMORY_BYTES:
         raise InvalidSpec(
-            f"n={n} is too large: {what} would exceed the "
+            f"{size} is too large: {what} would exceed the "
             f"{_MEMORY_BYTES / 2**30:.1f} GiB of physical memory"
         )
 
@@ -93,7 +95,7 @@ def _require_fits(n: int, entries: int, what: str) -> None:
 def _require_dense_fits(n: int) -> None:
     """Reject a grid whose dense (n+1)^2 float64 matrix alone would exceed
     physical memory."""
-    _require_fits(n, (n + 1) ** 2, "one dense (n+1)^2 matrix")
+    _require_fits(f"n={n}", (n + 1) ** 2, "one dense (n+1)^2 matrix")
 
 
 def _require_explicit_fits(n: int, states: int) -> None:
@@ -101,7 +103,7 @@ def _require_explicit_fits(n: int, states: int) -> None:
     memory: ``states`` recorded states, the stencil with its patches and
     one step's work arrays (under 12 (n+1)), and the transform of ``g``
     plus one step's transform and product (three FFT periods)."""
-    _require_fits(n, (12 + states) * (n + 1) + 3 * _fft_period(n),
+    _require_fits(f"n={n}", (12 + states) * (n + 1) + 3 * _fft_period(n),
                   f"an explicit run recording {states} states")
 
 
@@ -111,7 +113,7 @@ def _require_implicit_fits(n: int, states: int) -> None:
     plus ``states`` recorded states and under 16 (n+1) more for the
     stencil, the band of ``L``, the outflow and one row's work arrays.  The
     stencil brings no FFT transform: only explicit steps compute one."""
-    _require_fits(n, (n + 1) * (n + 2) // 2 + (16 + states) * (n + 1),
+    _require_fits(f"n={n}", (n + 1) * (n + 2) // 2 + (16 + states) * (n + 1),
                   f"an implicit run recording {states} states")
 
 
@@ -149,7 +151,7 @@ class SchemeSpec:
             raise InvalidSpec(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise InvalidSpec(f"need n >= 2 so interior nodes exist, got {self.n}")
-        _require_fits(self.n, self.n + 1, "one (n+1) state vector")
+        _require_fits(f"n={self.n}", self.n + 1, "one (n+1) state vector")
         if self.form is DerivativeForm.CAPUTO and (
             self.left is BoundaryCondition.REFLECTING
             or self.right is BoundaryCondition.REFLECTING

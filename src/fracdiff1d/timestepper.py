@@ -243,20 +243,23 @@ class SolverConfig:
 class TimeSeries:
     """Snapshots of one run plus its mass ledger.
 
-    ``times`` holds the actual snapshot times (the first completed step at or
-    after each requested time; no interpolation), ``mass_trace`` the retained
-    mass ``h * sum(u)`` at each snapshot, and ``absorbed_cumulative`` the
-    rate-accounted mass removed through absorbing boundaries up to then.
-    ``config`` preserves the full run recipe for serialization.
+    ``config`` is the run's recipe, requested snapshot times included;
+    ``spec`` is its scheme.  ``times`` holds the actual snapshot times (the
+    first completed step at or after each requested time; no
+    interpolation), ``mass_trace`` the retained mass ``h * sum(u)`` at each
+    snapshot, and ``absorbed_cumulative`` the rate-accounted mass removed
+    through absorbing boundaries up to then.
     """
 
-    spec: SchemeSpec
-    requested_times: tuple[float, ...]
+    config: SolverConfig
     times: tuple[float, ...]
     snapshots: tuple[GridFunction, ...]
     mass_trace: tuple[float, ...]
     absorbed_cumulative: tuple[float, ...]
-    config: "SolverConfig | None" = None
+
+    @property
+    def spec(self) -> SchemeSpec:
+        return self.config.spec
 
     def __len__(self) -> int:
         return len(self.snapshots)
@@ -439,11 +442,9 @@ def run_simulation(config: SolverConfig) -> TimeSeries:
             absorbed += increment
 
     return TimeSeries(
-        spec=spec,
-        requested_times=tuple(config.snapshot_times),
+        config=config,
         times=tuple(times),
         snapshots=tuple(snapshots),
         mass_trace=tuple(mass_trace),
         absorbed_cumulative=tuple(absorbed_trace),
-        config=config,
     )

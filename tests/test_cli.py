@@ -29,7 +29,7 @@ from fracdiff1d import (
 )
 from fracdiff1d.cli import (
     FIGURE_PROTOCOLS,
-    FigureCommand,
+    FigureListCommand,
     MatrixCommand,
     SolveCommand,
     VerifyCommand,
@@ -125,12 +125,27 @@ class TestParse:
         assert isinstance(cmd, MatrixCommand)
         assert cmd.spec.n == 2
 
-    def test_figure_command_and_list(self):
-        cmd = parse_args(["figure", "2", "--out", "fig2.csv"])
-        assert isinstance(cmd, FigureCommand)
-        assert cmd.figure_id == 2 and not cmd.list_only
-        listing = parse_args(["figure", "--list"])
-        assert listing.list_only
+    @pytest.mark.parametrize("fid", sorted(FIGURE_PROTOCOLS))
+    @pytest.mark.parametrize("flags,n,dt,method", [
+        ([], 1000, 1e-3, "implicit"),
+        (["--method", "explicit", "--dt", "1e-5", "--n", "200"], 200, 1e-5, "explicit"),
+    ])
+    def test_figure_is_the_solve_command_of_its_recipe(self, fid, flags, n, dt,
+                                                      method):
+        # The solve flags spell the run as the figure's meta sidecar does.
+        deriv, left, right, ic, snapshots = FIGURE_PROTOCOLS[fid]
+        figure = parse_args(["figure", str(fid), *flags, "--out", "fig.csv"])
+        solve = parse_args([
+            "solve", "--alpha", "1.5", "--c", "1.0", "--n", str(n), "--dt", repr(dt),
+            "--t-end", repr(snapshots[-1]),
+            "--snapshots", ",".join(repr(t) for t in snapshots),
+            "--deriv", deriv, "--left", left, "--right", right,
+            "--method", method, "--ic", ic, "--out", "fig.csv"])
+        assert isinstance(figure, SolveCommand)
+        assert figure == solve
+
+    def test_figure_list_command(self):
+        assert parse_args(["figure", "--list"]) == FigureListCommand()
 
     def test_figure_unknown_id(self):
         with pytest.raises(UsageError):
@@ -211,13 +226,19 @@ class TestConfigProperty:
         assert isinstance(cmd, SolveCommand)
 
 
+def recipe(spec, times):
+    return SolverConfig(spec=spec, dt=1e-3, t_end=max(times[-1], 1e-3),
+                        method=Method.IMPLICIT, snapshot_times=times,
+                        initial=InitialCondition.tent())
+
+
 class TestEmission:
     def zero_series(self):
         spec = SchemeSpec(DerivativeForm.RIEMANN_LIOUVILLE,
                           BoundaryCondition.ABSORBING, BoundaryCondition.ABSORBING,
                           1.5, 1.0, 2)
         snap = GridFunction(2, np.zeros(3))
-        return TimeSeries(spec=spec, requested_times=(0.0,), times=(0.0,),
+        return TimeSeries(config=recipe(spec, (0.0,)), times=(0.0,),
                           snapshots=(snap,), mass_trace=(0.0,),
                           absorbed_cumulative=(0.0,))
 
@@ -234,10 +255,11 @@ class TestEmission:
         meta = json.loads((tmp_path / "zero.csv.meta.json").read_text())
         for key in ("alpha", "c", "n", "dt", "t_end", "deriv", "left", "right",
                     "ic", "method", "mass_trace", "absorbed_cumulative",
-                    "actual_snapshot_times"):
+                    "requested_snapshot_times", "actual_snapshot_times"):
             assert key in meta
         assert meta["deriv"] == "rl"
         assert meta["n"] == 2
+        assert (meta["dt"], meta["ic"], meta["method"]) == (1e-3, "tent", "implicit")
 
     def test_roundtrip_is_bit_exact(self, tmp_path):
         spec = SchemeSpec(DerivativeForm.RIEMANN_LIOUVILLE,
@@ -265,7 +287,7 @@ class TestEmission:
 
         def emit_peak(count):
             times = tuple(k * 1e-3 for k in range(count))
-            series = TimeSeries(spec=spec, requested_times=times, times=times,
+            series = TimeSeries(config=recipe(spec, times), times=times,
                                 snapshots=(snap,) * count, mass_trace=(1.0,) * count,
                                 absorbed_cumulative=(0.0,) * count)
             tracemalloc.start()
@@ -296,10 +318,14 @@ class TestEmission:
 
 
 class TestMain:
-    def test_usage_errors_exit_two(self, capsys):
+    def test_usage_errors_exit_two(self, capsys, monkeypatch):
+        # 10**12 weights need 7.3 TiB: rejected before allocating.
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", 8 * 2**30)
         assert main(["verify", "bogus"]) == 2
         assert main(["solve", "--alpha", "2.5", "--out", "x.csv"]) == 2
-        assert main(["weights", "--order", "1.5", "--m", "-3", "--out", "w.csv"]) == 2
+        for order, m in (("1.5", "-3"), ("nan", "5"), ("1.5", "1" + "0" * 20),
+                         ("1.5", "1" + "0" * 12)):
+            assert main(["weights", "--order", order, "--m", m, "--out", "w.csv"]) == 2
         for flags in (["--dt", "nan"], ["--t-end", "inf"], ["--snapshots", "0,nan"],
                       ["--c", "nan"], ["--ic", "bogus"]):
             assert main(["solve", "--alpha", "1.5", "--n", "20", *flags,

@@ -41,9 +41,11 @@ def series_from_values(spec, times, value_arrays):
     n = spec.n
     snaps = tuple(GridFunction(n, v) for v in value_arrays)
     masses = tuple(total_mass(s) for s in snaps)
-    return TimeSeries(spec=spec, requested_times=tuple(times), times=tuple(times),
-                      snapshots=snaps, mass_trace=masses,
-                      absorbed_cumulative=tuple(0.0 for _ in times))
+    config = SolverConfig(spec=spec, dt=1e-3, t_end=max(times, default=1.0),
+                          method=Method.IMPLICIT, snapshot_times=tuple(times),
+                          initial=InitialCondition.tent())
+    return TimeSeries(config=config, times=tuple(times), snapshots=snaps,
+                      mass_trace=masses, absorbed_cumulative=tuple(0.0 for _ in times))
 
 
 def run_scheme(form, left, right, *, n=128, dt=1e-3, steps=500, every=25,

@@ -365,7 +365,7 @@ class TestRunSimulation:
                              method=Method.IMPLICIT,
                              snapshot_times=(0.0, 0.034, 0.1))
         series = run_simulation(config)
-        assert series.requested_times == (0.0, 0.034, 0.1)
+        assert series.config.snapshot_times == (0.0, 0.034, 0.1)
         assert series.times == pytest.approx((0.0, 0.04, 0.1), abs=1e-12)
 
     @pytest.mark.parametrize("method", list(Method))
@@ -444,8 +444,9 @@ class TestRunMemory:
     @pytest.mark.parametrize("n", [300, _FFT_MIN_N, 1025])
     @pytest.mark.parametrize("form,left,right", [(PS, R, R), (CAP, A, A)])
     def test_implicit_memory_bound_covers_the_run(self, monkeypatch, form, left, right, n):
-        # 512 and 1025 lie just past powers of two, where the stencil's FFT
-        # transform is largest for its n.
+        # 512 and 1025 lie just past powers of two, where an FFT transform
+        # would be largest for its n: the bound leaves it out, as implicit
+        # runs take no FFT (test_implicit_runs_take_no_fft).
         config = make_config(form=form, left=left, right=right, n=n, steps=4,
                              method=Method.IMPLICIT, snap_every=1)
         peak = traced_peak(lambda: run_simulation(config))
