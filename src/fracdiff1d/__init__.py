@@ -49,7 +49,6 @@ from .operators import (
     IterationMatrix,
     SchemeSpec,
     build_matrix,
-    row_sums,
 )
 from .timestepper import (
     InitialCondition,
@@ -104,7 +103,6 @@ __all__ = [
     "negativity_scan",
     "ps_derivative_grid",
     "rl_derivative_grid",
-    "row_sums",
     "run_simulation",
     "sine_bump_profile",
     "stability_limit",

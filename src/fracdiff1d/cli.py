@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import enum
+import itertools
 import json
 import math
 import sys
@@ -27,6 +28,7 @@ from .operators import (
     BoundaryCondition,
     IterationMatrix,
     SchemeSpec,
+    _COMMAND_FLOATS,
     _require_dense_fits,
     _require_fits,
     build_matrix,
@@ -295,27 +297,31 @@ def _solve_command(args: argparse.Namespace, base: dict) -> SolveCommand:
 def parse_args(argv: Sequence[str]) -> CliCommand:
     """Parse a full command line into a validated command object.
 
-    Raises :class:`UsageError` (exit code 2) on any malformed input.
+    Raises :class:`UsageError` (exit code 2) on any malformed input,
+    including a spec the package rejects or one beyond physical memory.
     """
     args = _build_parser().parse_args(list(argv))
+    try:
+        return _command(args)
+    except FracDiffError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _command(args: argparse.Namespace) -> CliCommand:
+    """The validated command object of parsed flags."""
     if args.command == "solve":
         return _solve_command(args, {})
     if args.command == "matrix":
-        try:
-            spec = _scheme_spec(vars(args))
-            _require_dense_fits(spec.n)
-        except FracDiffError as exc:
-            raise UsageError(str(exc)) from None
+        spec = _scheme_spec(vars(args))
+        _require_dense_fits(spec.n)
         return MatrixCommand(spec=spec, out=args.out)
     if args.command == "weights":
         if args.m < 0:
             raise UsageError(f"weight count must be nonnegative, got {args.m}")
         if not math.isfinite(args.order):
             raise UsageError(f"order must be finite, got {args.order}")
-        try:
-            _require_fits(f"m={args.m}", args.m + 1, "the m + 1 weights")
-        except FracDiffError as exc:
-            raise UsageError(str(exc)) from None
+        # The recursion holds four arrays of m + 1 floats, the emit one.
+        _require_fits(f"m={args.m}", 4 * (args.m + 1) + _COMMAND_FLOATS, "the m + 1 weights")
         return WeightsCommand(order=args.order, m=args.m, out=args.out)
     if args.command == "verify":
         if args.suite not in SUITE_NAMES:
@@ -349,19 +355,22 @@ def emit_timeseries_csv(series: TimeSeries, path: Path) -> None:
     actual snapshot times.
     """
     config, spec = series.config, series.spec
-    n = spec.n
-    x_strs = [_fmt(j / n) for j in range(n + 1)]
-    # One snapshot's text at a time: memory does not grow with the count.
+    x_strs = [_fmt(j / spec.n) for j in range(spec.n + 1)]
+    # v is a Python float: {v:.16e} is _fmt(v) without a call per row.
+    rows = (f"{t_str},{x},{v:.16e}\n"
+            for t_str, snap in zip(map(_fmt, series.times), series.snapshots)
+            for x, v in zip(x_strs, snap.values.tolist()))
     with Path(path).open("w") as out:
         out.write("t,x,u\n")
-        for t, snap in zip(series.times, series.snapshots):
-            t_str = _fmt(t)
-            out.write("".join([f"{t_str},{x},{_fmt(v)}\n"
-                               for x, v in zip(x_strs, snap.values.tolist())]))
+        # 1024 rows per write, a snapshot's worth at n = 1000: as fast as
+        # whole snapshots, while the text in memory stays a constant
+        # (operators._TEXT_FLOATS).
+        while chunk := "".join(itertools.islice(rows, 1024)):
+            out.write(chunk)
     meta = {
         "alpha": spec.alpha,
         "c": spec.c,
-        "n": n,
+        "n": spec.n,
         "deriv": spec.form.value,
         "left": spec.left.value,
         "right": spec.right.value,
@@ -378,16 +387,17 @@ def emit_timeseries_csv(series: TimeSeries, path: Path) -> None:
 
 
 def emit_matrix_csv(matrix: IterationMatrix, path: Path) -> None:
-    """One matrix row per line, full-precision scientific notation."""
-    lines = [",".join(_fmt(v) for v in row) for row in matrix.entries]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One matrix row per line, full-precision scientific notation, written
+    one row at a time."""
+    with Path(path).open("w") as out:
+        out.writelines(",".join(map(_fmt, row.tolist())) + "\n" for row in matrix.entries)
 
 
 def emit_weights_csv(weights: GrunwaldWeights, path: Path) -> None:
-    """``i,g`` rows for the weight prefix."""
-    lines = ["i,g"]
-    lines += [f"{i},{_fmt(v)}" for i, v in enumerate(weights.values)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """``i,g`` rows for the weight prefix, written one row at a time."""
+    with Path(path).open("w") as out:
+        out.write("i,g\n")
+        out.writelines(f"{i},{_fmt(v)}\n" for i, v in enumerate(weights.values))
 
 
 def run_command(cmd: CliCommand, stdout=None) -> int:
@@ -436,8 +446,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
-        # The run's arrays are bounded up front; the emit's text, one
-        # snapshot at a time, is not.
+        # Each command's arrays and CSV text are bounded up front, but an
+        # --ic file: profile is read whole (np.loadtxt) before its size is
+        # checked, and a --config file is read whole too.
         print("error: out of memory", file=sys.stderr)
         return 1
 

@@ -30,12 +30,13 @@ sides; no scheme exists for Caputo with a reflecting boundary.
 
 The case table produces one private structured form, held in O(n) memory:
 the weights of the shared stencil plus the boundary columns and the
-replaced rows.  Runs use only that form and take its row sums in O(n):
+replaced rows.  Runs and the ``verify`` checks of ``B`` use only that
+form.  Runs take its row sums in O(n):
 explicit steps apply it by convolution (FFT from ``n = 512`` up), and
 implicit runs read it one row at a time into their O(n^2) Hessenberg
 factorization, whose packed triangle is half a dense matrix.
-:func:`build_matrix` is its dense, immutable expansion, kept for the
-``matrix`` command and as the oracle of the tests.  No O(n log n)
+:func:`build_matrix` is its dense, immutable expansion, which serves the
+``matrix`` command and the tests, as their oracle.  No O(n log n)
 implicit solve is implemented.  A grid whose state vector alone would
 exceed physical memory is rejected for every use; one whose dense matrix
 would is rejected by dense expansion; a run is rejected when its arrays
@@ -63,7 +64,6 @@ __all__ = [
     "IterationMatrix",
     "SchemeSpec",
     "build_matrix",
-    "row_sums",
 ]
 
 
@@ -92,18 +92,33 @@ def _require_fits(size: str, entries: int, what: str) -> None:
         )
 
 
+# Floats of CSV text in flight whatever the output's size: a chunk of 1024
+# rows (see cli.emit_timeseries_csv), under 32 floats a row for the row
+# strings, the joined chunk and its encoded bytes, and the file's buffers.
+_TEXT_FLOATS = 32 * 1024 + 2**12
+# Floats the matrix and weights commands hold beside their arrays and text:
+# the argument parser's objects, which live until the garbage collector
+# runs, and numpy's ufunc buffer (8192 floats).
+_COMMAND_FLOATS = 2**15
+
+
 def _require_dense_fits(n: int) -> None:
-    """Reject a grid whose dense (n+1)^2 float64 matrix alone would exceed
-    physical memory."""
-    _require_fits(f"n={n}", (n + 1) ** 2, "one dense (n+1)^2 matrix")
+    """Reject a grid whose dense (n+1)^2 float64 matrix would exceed
+    physical memory, counting beside it under 16 (n+1) floats for the
+    stencil it is filled from or for one row of its CSV text, and
+    ``_COMMAND_FLOATS``."""
+    _require_fits(f"n={n}", (n + 1) * (n + 17) + _COMMAND_FLOATS, "one dense (n+1)^2 matrix")
 
 
 def _require_explicit_fits(n: int, states: int) -> None:
-    """Reject an explicit run whose float64 arrays would exceed physical
-    memory: ``states`` recorded states, the stencil with its patches and
-    one step's work arrays (under 12 (n+1)), and the transform of ``g``
-    plus one step's transform and product (three FFT periods)."""
-    _require_fits(f"n={n}", (12 + states) * (n + 1) + 3 * _fft_period(n),
+    """Reject an explicit run and its CSV emit whose memory would exceed
+    physical memory: ``states`` recorded states, the stencil with its
+    patches and one step's work arrays (under 12 (n+1)), and the transform
+    of ``g`` plus one step's transform and product (three FFT periods).
+    The emit reuses the last two: the ``x`` column's text and one state's
+    values as Python objects take under 14 (n+1).  The text in flight,
+    ``_TEXT_FLOATS``, comes on top."""
+    _require_fits(f"n={n}", (12 + states) * (n + 1) + 3 * _fft_period(n) + _TEXT_FLOATS,
                   f"an explicit run recording {states} states")
 
 
@@ -333,9 +348,3 @@ def build_matrix(spec: SchemeSpec) -> IterationMatrix:
     """
     _require_dense_fits(spec.n)
     return IterationMatrix._adopt(_stencil(spec).dense())
-
-
-def row_sums(matrix: IterationMatrix) -> np.ndarray:
-    """Per-row totals of the rate matrix; zero rows conserve mass."""
-    return matrix.entries.sum(axis=1)
-

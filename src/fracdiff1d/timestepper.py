@@ -26,8 +26,8 @@ during it.
 
 A run keeps two independently computed accounts: the retained mass
 :math:`M_k = h \sum_j u_j` measured from the state, and the cumulative
-absorbed mass accumulated from the per-node absorption rates
-``-row_sums(B)``.  For the Riemann-Liouville and Patie-Simon schemes the two
+absorbed mass accumulated from the per-node absorption rates, the
+negated row sums of ``B``.  For the Riemann-Liouville and Patie-Simon schemes the two
 must reconcile: ``mass + absorbed == initial mass`` up to roundoff.
 
 A NaN or inf anywhere in the state makes both accounts non-finite, so

@@ -4,6 +4,9 @@ Seven suites check the claims the solver rests on: the Grünwald weight
 identities, the structure of the iteration matrices, mass conservation and
 the ledger, positivity under the CFL bound, the steady states, absorbing
 decay and Caputo negativity.  Each reports one pass/fail line per check.
+The matrices suite reads ``B`` from the O(n) stencil, as runs do;
+:func:`~fracdiff1d.operators.build_matrix`, its dense expansion, serves
+the ``matrix`` command and the tests.
 
 A suite is a function of a scale, the protocol of its grids and runs; its
 bounds are the same at every scale.  There are two scales:
@@ -38,7 +41,7 @@ from .grunwald import (
     weight_sum_gap,
     weight_tail_gap,
 )
-from .operators import BoundaryCondition, SchemeSpec, build_matrix, row_sums
+from .operators import BoundaryCondition, SchemeSpec, _stencil
 from .timestepper import (
     InitialCondition,
     Method,
@@ -73,7 +76,7 @@ class _Scale:
 
     n: int                       # conservation, positivity and decay runs
     steps: int                   # conservation and positivity runs
-    matrix_ns: tuple[int, ...]   # grids whose dense matrices are inspected
+    matrix_ns: tuple[int, ...]   # grids whose stencils are inspected
     decay_steps: int
     caputo_n: int
     caputo_every: int            # snapshot spacing of the 200-step Caputo run
@@ -139,30 +142,36 @@ def _suite_identities(scale: _Scale) -> list[CheckResult]:
 
 
 def _suite_matrices(scale: _Scale) -> list[CheckResult]:
+    """The structure of ``B`` as runs step it: the stencil of each case."""
     out = []
 
-    def build(form, left, right, alpha, n):
-        return build_matrix(SchemeSpec(form, left, right, alpha, 1.0, n))
+    def stencil(form, left, right, alpha, n):
+        return _stencil(SchemeSpec(form, left, right, alpha, 1.0, n))
 
     grids = [(alpha, n) for alpha in _ALPHAS for n in scale.matrix_ns]
     structure_ok, detail = True, ""
     for form, left, right in _FORMS_BCS:
         for alpha, n in grids:
-            if np.any(np.tril(build(form, left, right, alpha, n).entries, k=-2) != 0.0):
+            # Only two patches can break the upper-Hessenberg form that
+            # row() assumes and apply() does not: column 0 of rows 2 .. n,
+            # and replaced rows past row 1.
+            s = stencil(form, left, right, alpha, n)
+            if np.any(s.edges[2:, 0] != 0.0) or len(s.head) > 2:
                 structure_ok, detail = False, f"{form.value} {left.value}/{right.value} n={n}"
     out.append(_check("lower-bandwidth-one", structure_ok, detail or "b_ij=0 for i>j+1"))
     for form in (_RL, _PS):
-        worst = max(float(np.abs(row_sums(build(form, _R, _R, alpha, n))).max() / n)
+        worst = max(float(np.abs(stencil(form, _R, _R, alpha, n).row_sums()).max() / n)
                     for alpha, n in grids)
         out.append(_check(f"reflecting-row-sums {form.value}", worst <= 1e-12,
                           f"max|sum|/n={worst:.2e}"))
     # The constant lies in the left kernel of the Patie-Simon matrix.
-    worst = max(float(np.abs(np.ones(n + 1) @ build(_PS, _R, _R, alpha, n).entries).max())
+    worst = max(float(np.abs(stencil(_PS, _R, _R, alpha, n).apply(np.ones(n + 1))).max())
                 for alpha, n in grids)
     out.append(_check("ps-reflecting-column-sums", worst <= 1e-12, f"max|1.B|={worst:.2e}"))
-    equal = all(np.array_equal(build(_RL, _A, right, alpha, n).entries[1:],
-                               build(_PS, _A, right, alpha, n).entries[1:])
-                for right in BoundaryCondition for alpha, n in grids)
+    pairs = [[stencil(form, _A, right, alpha, n) for form in (_RL, _PS)]
+             for right in BoundaryCondition for alpha, n in grids]
+    equal = all(np.array_equal(rl.row(k), ps.row(k))
+                for rl, ps in pairs for k in range(1, rl.n + 1))
     out.append(_check("left-absorbing-row-equality", equal, "rows 1..n match across forms"))
     if scale.twin_steps is not None:
         gap = 0.0

@@ -290,12 +290,7 @@ class TestEmission:
             series = TimeSeries(config=recipe(spec, times), times=times,
                                 snapshots=(snap,) * count, mass_trace=(1.0,) * count,
                                 absorbed_cumulative=(0.0,) * count)
-            tracemalloc.start()
-            try:
-                emit_timeseries_csv(series, tmp_path / "run.csv")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: emit_timeseries_csv(series, tmp_path / "run.csv"))
 
         assert emit_peak(50) <= 2 * emit_peak(2)
 
@@ -315,6 +310,16 @@ class TestEmission:
         assert lines[0] == "i,g"
         parsed = [float(line.split(",")[1]) for line in lines[1:]]
         assert parsed == [1.0, -1.5, 0.375]
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMain:
@@ -366,6 +371,26 @@ class TestMain:
         assert main(["solve", *one_step, "--method", "explicit"]) == 2
         assert "an explicit run recording 2 states" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "--alpha", "1.5", "--n", "1500", "--deriv", "caputo",
+         "--left", "absorbing", "--right", "absorbing"],
+        ["weights", "--order", "1.5", "--m", "200000"],
+    ])
+    def test_memory_bound_covers_the_command(self, tmp_path, capsys, monkeypatch, argv):
+        # The check before allocating counts all the command holds: the
+        # dense matrix or the weights' work arrays, and the CSV text.  Twice
+        # the peak passes it (parsed only: the run above already wrote).
+        out = tmp_path / "out.csv"
+        argv = [*argv, "--out", str(out)]
+        peak = traced_peak(lambda: main(argv))
+        out.unlink()
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
+        assert main(argv) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * peak)
+        assert isinstance(parse_args(argv), (MatrixCommand, WeightsCommand))
 
     def test_default_snapshots_end_at_a_shorter_t_end(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -18,9 +18,9 @@ from fracdiff1d import (
     convergence_order,
     grunwald_weights,
     l1_distance_interior,
-    row_sums,
     steady_state_reference,
 )
+from fracdiff1d import operators, verify
 from fracdiff1d.operators import _stencil
 
 RL = DerivativeForm.RIEMANN_LIOUVILLE
@@ -66,12 +66,12 @@ class TestHandMatrices:
     def test_rl_reflecting_reflecting(self):
         B = build_matrix(spec(RL, R, R))
         assert np.max(np.abs(B.entries - HAND_RL_RR)) <= 1e-15
-        assert np.max(np.abs(row_sums(B))) <= 1e-15
+        assert np.max(np.abs(B.entries.sum(axis=1))) <= 1e-15
 
     def test_ps_reflecting_reflecting(self):
         B = build_matrix(spec(PS, R, R))
         assert np.max(np.abs(B.entries - HAND_PS_RR)) <= 1e-15
-        assert np.max(np.abs(row_sums(B))) <= 1e-15
+        assert np.max(np.abs(B.entries.sum(axis=1))) <= 1e-15
 
 
 def loop_reference(s):
@@ -116,20 +116,44 @@ class TestLoopReference:
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+def stepped_matrix(s):
+    """``B`` as explicit runs step it: row i is ``e_i B`` from the stencil's
+    apply, which reads every patch entry, unlike the rows that
+    :func:`build_matrix` expands."""
+    stencil = _stencil(s)
+    return np.array([stencil.apply(e) for e in np.eye(s.n + 1)])
+
+
 class TestStructure:
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("n", SIZES)
     def test_mass_moves_at_most_one_step_left(self, form, left, right, alpha, n):
-        B = build_matrix(spec(form, left, right, alpha=alpha, n=n)).entries
+        B = stepped_matrix(spec(form, left, right, alpha=alpha, n=n))
         assert np.all(np.tril(B, k=-2) == 0.0)
+
+    def test_structure_checks_see_mass_moved_two_nodes_left(self, monkeypatch):
+        # Every stencil moves mass from node 2 to node 0.  The dense
+        # expansion drops b_20, so only checks that read the stencil fail.
+        init = operators._Stencil.__init__
+
+        def leaky(self, g, head, edges):
+            edges[2, 0] = 0.5
+            init(self, g, head, edges)
+
+        monkeypatch.setattr(operators._Stencil, "__init__", leaky)
+        s = spec(RL, A, A, n=8)
+        assert stepped_matrix(s)[2, 0] == 0.5
+        assert build_matrix(s).entries[2, 0] == 0.0
+        results = {r.name: r.passed for r in verify.run_suite("matrices")}
+        assert results["matrices/lower-bandwidth-one"] is False
 
     @pytest.mark.parametrize("form", (RL, PS))
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("n", SIZES)
     def test_reflecting_rows_conserve(self, form, alpha, n):
         B = build_matrix(spec(form, R, R, alpha=alpha, n=n))
-        assert np.max(np.abs(row_sums(B))) <= 1e-12 * n
+        assert np.max(np.abs(B.entries.sum(axis=1))) <= 1e-12 * n
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("n", SIZES)
@@ -141,7 +165,7 @@ class TestStructure:
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     @pytest.mark.parametrize("n", SIZES)
     def test_absorbing_columns_are_zero(self, form, left, right, n):
-        B = build_matrix(spec(form, left, right, n=n)).entries
+        B = stepped_matrix(spec(form, left, right, n=n))
         if left is A:
             assert np.all(B[:, 0] == 0.0)
         if right is A:
@@ -212,14 +236,11 @@ class TestSteadyStateConvergence:
 
 
 class TestRowAccounting:
-    def test_row_sums_of_zero_matrix(self):
-        m = IterationMatrix(4, np.zeros((5, 5)))
-        assert np.all(row_sums(m) == 0.0)
-
     def test_hand_absorption_rates(self):
-        # The ledger's rates -row_sums(B), dense and from the stencil.
+        # The ledger's rates, the negated row sums of B, dense and from the
+        # stencil.
         s = spec(RL, A, A)
-        for rates in (-row_sums(build_matrix(s)), -_stencil(s).row_sums()):
+        for rates in (-build_matrix(s).entries.sum(axis=1), -_stencil(s).row_sums()):
             assert rates == pytest.approx([-0.375, 1.5, -1.0], abs=1e-15)
 
 

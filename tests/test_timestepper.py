@@ -27,8 +27,10 @@ from fracdiff1d import (
     total_mass,
 )
 from fracdiff1d import operators, timestepper
-from fracdiff1d.operators import _FFT_MIN_N, _stencil, row_sums
+from fracdiff1d.cli import emit_timeseries_csv
+from fracdiff1d.operators import _FFT_MIN_N, _stencil
 from fracdiff1d.timestepper import _Stepper
+from fracdiff1d.verify import run_suite
 
 RL = DerivativeForm.RIEMANN_LIOUVILLE
 PS = DerivativeForm.PATIE_SIMON
@@ -220,7 +222,8 @@ class TestStencilOracle:
     def test_row_sums_match_dense(self, form, left, right, alpha):
         for n in STENCIL_SIZES:
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
-            gap = np.abs(_stencil(spec).row_sums() - row_sums(build_matrix(spec))).max()
+            dense = build_matrix(spec).entries.sum(axis=1)
+            gap = np.abs(_stencil(spec).row_sums() - dense).max()
             assert gap <= 1e-14, (n, gap)
 
 
@@ -428,12 +431,14 @@ class TestRunMemory:
 
     @pytest.mark.parametrize("n", [300, _FFT_MIN_N, 5000])
     @pytest.mark.parametrize("form,left,right", [(PS, R, R), (CAP, A, A)])
-    def test_explicit_memory_bound_covers_the_run(self, monkeypatch, form, left, right, n):
+    def test_explicit_memory_bound_covers_the_run(self, monkeypatch, tmp_path,
+                                                  form, left, right, n):
         config = make_config(form=form, left=left, right=right, n=n, steps=4,
                              method=Method.EXPLICIT, snap_every=1)
-        peak = traced_peak(lambda: run_simulation(config))
-        # Physical memory just below the run's peak rejects it, before any
-        # allocation; twice the peak admits it.
+        out = tmp_path / "run.csv"
+        peak = traced_peak(lambda: emit_timeseries_csv(run_simulation(config), out))
+        # Physical memory just below the peak of the run and its CSV emit
+        # rejects it, before any allocation; twice the peak admits it.
         monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
         SchemeSpec(form, left, right, 1.5, 1.0, n)
         with pytest.raises(InvalidSpec, match="physical memory"):
@@ -475,6 +480,16 @@ class TestRunMemory:
         config = make_config(form=form, left=left, right=right, n=64, steps=10,
                              method=method)
         assert len(run_simulation(config)) == len(config.snapshot_times)
+
+    def test_verify_never_expands_the_stencil(self, monkeypatch):
+        # The desk checks read B from the stencil the runs step.
+        def refuse(stencil):
+            raise AssertionError("verify expanded the dense B")
+
+        monkeypatch.setattr(operators._Stencil, "dense", refuse)
+        results = run_suite("all")
+        assert len(results) == 34 and all(r.passed for r in results), \
+            [r.name for r in results if not r.passed]
 
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     def test_implicit_runs_take_no_fft(self, monkeypatch, form, left, right):
