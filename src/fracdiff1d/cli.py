@@ -253,9 +253,14 @@ def _solve_command(args: argparse.Namespace, base: dict) -> SolveCommand:
     flags."""
     merged = dict(base)
     if getattr(args, "config", None) is not None:
+        path = Path(args.config)
         try:
-            loaded = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
+            # json.loads peaks under 48 bytes per byte of the file, text
+            # included: nested one-item lists, its densest objects, take 45.
+            size = path.stat().st_size
+            _require_fits(f"{size} bytes", 6 * size + _COMMAND_FLOATS, "reading it whole")
+            loaded = json.loads(path.read_text())
+        except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
@@ -444,12 +449,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        # Each command's arrays and CSV text are bounded up front, but an
-        # --ic file: profile is read whole (np.loadtxt) before its size is
-        # checked, and a --config file is read whole too.
-        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -12,7 +12,8 @@ in row form :math:`\mathbf{u}_{k+1} M = \mathbf{u}_k` with
 bidiagonal (one multiplier per row) and ``U`` upper triangular.  The factor
 is built one row of ``B`` at a time into packed storage, half a dense
 matrix; it costs O(n^2) and each step one packed triangular and one
-bidiagonal BLAS solve.
+bidiagonal BLAS solve.  scipy, which provides that BLAS, is loaded when the
+first implicit system is factored, so explicit runs never import it.
 For the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
 dominant Z-matrix, so the growth factor is at most 2; a pivot check still
 runs for every scheme.
@@ -45,7 +46,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg.blas import dtbsv, dtpsv
 
 from .errors import (
     DimensionMismatch,
@@ -59,6 +59,7 @@ from .operators import (
     IterationMatrix,
     SchemeSpec,
     _require_explicit_fits,
+    _require_fits,
     _require_implicit_fits,
     _stencil,
 )
@@ -167,7 +168,8 @@ class InitialCondition:
         """Sample onto the nodes of an ``n``-interval grid.
 
         A file must hold exactly ``n + 1`` whitespace-separated finite
-        values (one concentration per node).
+        values (one concentration per node), and is read whole only if
+        reading it fits in physical memory.
         """
         if self.profile is Profile.TENT:
             return GridFunction.sample(tent_profile, n)
@@ -175,6 +177,12 @@ class InitialCondition:
             return GridFunction.sample(sine_bump_profile, n)
         if self.profile is Profile.UNIFORM:
             return GridFunction(n, np.ones(n + 1))
+        # np.loadtxt peaks under 20 bytes per byte of the file, at values of
+        # 2 bytes (one digit and a separator, the fewest a value can take)
+        # on one line, plus 128 KiB; the 23-byte values of a CSV take 0.43.
+        size = self.path.stat().st_size
+        _require_fits(f"{self.path} ({size} bytes)", 5 * size // 2 + 2**14,
+                      "reading it whole")
         try:
             values = np.atleast_1d(np.loadtxt(self.path, dtype=float))
         except ValueError as exc:
@@ -287,7 +295,11 @@ class _Stepper:
         self.steps = 0
         self.apply = self.factors = None
         if method is Method.IMPLICIT:
+            # Only a factored system needs scipy: explicit runs never load it.
+            from scipy.linalg.blas import dtbsv, dtpsv
+
             self.factors = _hessenberg_lu(operator, beta)
+            self.dtpsv, self.dtbsv = dtpsv, dtbsv
         else:
             self.apply = operator.apply
         self.outflow = -operator.row_sums()
@@ -309,8 +321,8 @@ class _Stepper:
         else:
             # v L U = u: solve U^T w = u, then L^T v = w.
             packed, band = self.factors
-            w = dtpsv(self.n + 1, packed, u, lower=1)
-            u = booked = dtbsv(1, band, w, diag=1, overwrite_x=1)
+            w = self.dtpsv(self.n + 1, packed, u, lower=1)
+            u = booked = self.dtbsv(1, band, w, diag=1, overwrite_x=1)
         increment = self.beta * self.h * float(booked @ self.outflow)
         self.steps += 1
         if not math.isfinite(increment):
@@ -405,10 +417,10 @@ def run_simulation(config: SolverConfig) -> TimeSeries:
     n, h, dt = spec.n, spec.h, config.dt
     absorbing = [node for node, side in ((0, spec.left), (n, spec.right))
                  if side is BoundaryCondition.ABSORBING]
-    stepper = _Stepper(_stencil(spec), spec.c * h**-spec.alpha * dt, config.method)
-
+    # Sampled before the factor exists: a profile's read is bounded alone.
     u = config.initial.sample(n).values.copy()
     u[absorbing] = 0.0
+    stepper = _Stepper(_stencil(spec), spec.c * h**-spec.alpha * dt, config.method)
 
     # Integer step indices guard against float-floor surprises near t/dt.
     def step_of(t: float) -> int:

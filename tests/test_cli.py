@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fracdiff1d
-from fracdiff1d import cli, operators
+from fracdiff1d import operators
 from fracdiff1d import (
     BoundaryCondition,
     DerivativeForm,
@@ -410,13 +410,68 @@ class TestMain:
         cmd = parse_args(["solve", "--config", str(config), "--out", str(out)])
         assert cmd.config.snapshot_times == (0.0, 0.01)
 
-    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
-        def exhausted(command):
-            raise MemoryError
+    def test_profile_is_read_only_if_it_fits(self, tmp_path, capsys, monkeypatch):
+        # The profile's size at np.loadtxt's per-byte peak, as
+        # InitialCondition.sample bounds it, is checked before the read: one
+        # byte less memory stops the run with exit code 1 and no file.
+        n = 1000
+        profile = tmp_path / "profile.txt"
+        values = np.random.default_rng(n).random(n + 1)
+        profile.write_text("".join(f"{v:.16e}\n" for v in values))
+        needs = 8 * (5 * profile.stat().st_size // 2 + 2**14)
+        out = tmp_path / "run.csv"
+        argv = ["solve", "--alpha", "1.5", "--n", str(n), "--method", "explicit",
+                "--left", "reflecting", "--right", "reflecting", "--dt", "1e-7",
+                "--t-end", "1e-7", "--snapshots", "0,1e-7", "--ic", f"file:{profile}",
+                "--out", str(out)]
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", needs - 1)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {profile} (") and "physical memory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.txt"]
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", needs)
+        assert main(argv) == 0
+        assert [u for _, _, u in read_rows(out)[: n + 1]] == values.tolist()
 
-        monkeypatch.setattr(cli, "run_command", exhausted)
-        assert main(["weights", "--order", "1.5", "--m", "4", "--out", "w.csv"]) == 1
-        assert capsys.readouterr().err == "error: out of memory\n"
+    def test_config_is_read_only_if_it_fits(self, tmp_path, capsys, monkeypatch):
+        # Padding makes reading the file, not the run, the largest need.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"alpha": 1.5, "n": 20, "method": "explicit",
+                                      "dt": 1e-4, "t_end": 1e-3}) + " " * 2**16)
+        needs = 8 * (6 * config.stat().st_size + operators._COMMAND_FLOATS)
+        out = tmp_path / "run.csv"
+        argv = ["solve", "--config", str(config), "--out", str(out)]
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", needs - 1)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {config}: ")
+        assert "physical memory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", needs)
+        assert main(argv) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("item", ["{}", "[{}]", "[]", "[" * 50 + "0" + "]" * 50])
+    def test_config_bound_covers_its_read(self, tmp_path, item):
+        # The densest JSON objects per byte: json.loads and the text peak
+        # under the 48 bytes per byte the bound counts, beside the parser.
+        config = tmp_path / "run.json"
+        config.write_text("[" + ",".join([item] * (2**17 // len(item))) + "]")
+        needs = 8 * (6 * config.stat().st_size + operators._COMMAND_FLOATS)
+
+        def parse():
+            with pytest.raises(UsageError, match="must hold a JSON object"):
+                parse_args(["solve", "--config", str(config), "--out", "x.csv"])
+
+        assert traced_peak(parse) <= needs
+
+    def test_deeply_nested_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["solve", "--config", str(config), "--out", "x.csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {config}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("config", [
         {"allow_unstable": "false", "n": 20, "dt": 0.5, "t_end": 5.0,
@@ -540,14 +595,39 @@ class TestMain:
         assert minimum < 0.0
 
 
-def test_cli_import_loads_no_scipy_fft_or_signal():
-    # Every run pays for its imports; the stencil's FFT uses numpy.fft.
+def test_only_implicit_runs_load_scipy(tmp_path):
+    # scipy provides only the implicit solve's BLAS: every command that
+    # factors no system runs without it, and the first implicit run loads it.
     src = str(Path(fracdiff1d.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = ("import sys, fracdiff1d.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'fft'], ['scipy', 'signal'])))")
+    profile = tmp_path / "profile.txt"
+    profile.write_text("".join(f"{v:.16e}\n" for v in np.linspace(0.0, 1.0, 65)))
+    out = str(tmp_path / "out.csv")
+    scipy_free = [
+        ["solve", "--alpha", "1.5", "--n", "64", "--method", "explicit", "--dt", "1e-4",
+         "--t-end", "1e-3", "--left", "absorbing", "--right", "absorbing",
+         "--ic", f"file:{profile}", "--out", out],
+        ["figure", "2", "--method", "explicit", "--n", "64", "--out", out],
+        ["matrix", "--alpha", "1.5", "--n", "8", "--deriv", "rl", "--left", "absorbing",
+         "--right", "reflecting", "--out", out],
+        ["weights", "--order", "1.5", "--m", "10", "--out", out],
+        ["verify", "identities"], ["verify", "matrices"], ["verify", "positivity"],
+        ["figure", "--list"],
+    ]
+    implicit = ["solve", "--alpha", "1.5", "--n", "64", "--t-end", "1e-2", "--out", out]
+    code = (
+        "import json, sys\n"
+        "from fracdiff1d.cli import main\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"codes = [main(argv) for argv in {scipy_free!r}]\n"
+        "before = loaded()\n"
+        f"codes.append(main({implicit!r}))\n"
+        "print(json.dumps([codes, before, 'scipy.linalg.blas' in loaded()]))\n"
+    )
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    codes, before, blas_after = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0] * (len(scipy_free) + 1)
+    assert before == []
+    assert blas_after

@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import tracemalloc
 
@@ -162,6 +163,36 @@ class TestImplicitSolveOracle:
         with pytest.raises(SingularSystem):
             _Stepper(_stencil(spec), 1e308, Method.IMPLICIT)
 
+    @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
+    def test_steps_import_nothing(self, monkeypatch, form, left, right):
+        # The BLAS pair is imported once, when the system is factored: `verify
+        # all` takes ~12,100 steps at n = 128, where a lookup per step shows.
+        n = 128
+        spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+        beta = n**1.5 * 1e-3
+        start = np.random.default_rng(n).random(n + 1)
+
+        def ten_steps(stepper):
+            u, trail = start.copy(), []
+            for _ in range(10):
+                u, increment = stepper.step(u)
+                trail.append((u, increment))
+            return trail
+
+        def no_import(name, *args, **kwargs):
+            raise AssertionError(f"a step imported {name}")
+
+        expected = ten_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT))
+        stepper = _Stepper(_stencil(spec), beta, Method.IMPLICIT)
+        monkeypatch.setattr(builtins, "__import__", no_import)
+        try:
+            got = ten_steps(stepper)
+        finally:
+            monkeypatch.undo()
+        for (u, increment), (v, expected_increment) in zip(got, expected, strict=True):
+            assert bit_equal(u, v)
+            assert bit_equal(np.float64(increment), np.float64(expected_increment))
+
 
 STENCIL_SIZES = (2, 3, 8, 64, 257, 512, 1000, 2048)
 
@@ -267,6 +298,18 @@ class TestInitialConditions:
             path.write_text("\n".join(["0.0"] * 4 + [bad] + ["0.0"] * 4))
             with pytest.raises(InvalidSpec):
                 InitialCondition.from_file(path).sample(8)
+
+    @pytest.mark.parametrize("layout", ["{:.16e}\n", "{:.0f}\n", "{:.0f} "])
+    def test_from_file_bound_covers_the_read(self, tmp_path, layout):
+        # The read's bound, 20 bytes per byte of the file plus 128 KiB, covers
+        # the peak of reading it, whatever the layout: one-digit values on one
+        # line peak near 18 bytes per byte.
+        n = 2**17
+        path = tmp_path / "profile.txt"
+        path.write_text("".join(layout.format(v) for v in np.zeros(n + 1)))
+        needs = 8 * (5 * path.stat().st_size // 2 + 2**14)
+        profile = InitialCondition.from_file(path)
+        assert traced_peak(lambda: profile.sample(n)) <= needs
 
     def test_label_parse_roundtrip(self):
         for label in ("tent", "bump", "uniform", "file:some/profile.txt"):
