@@ -28,7 +28,6 @@ from .operators import (
     BoundaryCondition,
     IterationMatrix,
     SchemeSpec,
-    _COMMAND_FLOATS,
     _require_dense_fits,
     _require_fits,
     build_matrix,
@@ -112,10 +111,6 @@ CliCommand = Union[SolveCommand, MatrixCommand, WeightsCommand, VerifyCommand,
                    FigureListCommand]
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".16e")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that raises :class:`UsageError` instead of exiting."""
 
@@ -173,6 +168,11 @@ def _build_parser() -> _Parser:
     figure.add_argument("--out", type=Path, default=None)
 
     return parser
+
+
+# Built once: a parser built per call leaves reference cycles that hold
+# tens of KB until the garbage collector runs.
+_PARSER = _build_parser()
 
 
 def _parse_snapshots(raw: str | Sequence[float]) -> tuple[float, ...]:
@@ -258,7 +258,7 @@ def _solve_command(args: argparse.Namespace, base: dict) -> SolveCommand:
             # json.loads peaks under 48 bytes per byte of the file, text
             # included: nested one-item lists, its densest objects, take 45.
             size = path.stat().st_size
-            _require_fits(f"{size} bytes", 6 * size + _COMMAND_FLOATS, "reading it whole")
+            _require_fits(f"{size} bytes", 6 * size, "reading it whole")
             loaded = json.loads(path.read_text())
         except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from None
@@ -305,7 +305,7 @@ def parse_args(argv: Sequence[str]) -> CliCommand:
     Raises :class:`UsageError` (exit code 2) on any malformed input,
     including a spec the package rejects or one beyond physical memory.
     """
-    args = _build_parser().parse_args(list(argv))
+    args = _PARSER.parse_args(list(argv))
     try:
         return _command(args)
     except FracDiffError as exc:
@@ -326,7 +326,7 @@ def _command(args: argparse.Namespace) -> CliCommand:
         if not math.isfinite(args.order):
             raise UsageError(f"order must be finite, got {args.order}")
         # The recursion holds four arrays of m + 1 floats, the emit one.
-        _require_fits(f"m={args.m}", 4 * (args.m + 1) + _COMMAND_FLOATS, "the m + 1 weights")
+        _require_fits(f"m={args.m}", 4 * (args.m + 1), "the m + 1 weights")
         return WeightsCommand(order=args.order, m=args.m, out=args.out)
     if args.command == "verify":
         if args.suite not in SUITE_NAMES:
@@ -360,16 +360,15 @@ def emit_timeseries_csv(series: TimeSeries, path: Path) -> None:
     actual snapshot times.
     """
     config, spec = series.config, series.spec
-    x_strs = [_fmt(j / spec.n) for j in range(spec.n + 1)]
-    # v is a Python float: {v:.16e} is _fmt(v) without a call per row.
+    x_strs = [f"{j / spec.n:.16e}" for j in range(spec.n + 1)]
     rows = (f"{t_str},{x},{v:.16e}\n"
-            for t_str, snap in zip(map(_fmt, series.times), series.snapshots)
+            for t_str, snap in zip(map("{:.16e}".format, series.times), series.snapshots)
             for x, v in zip(x_strs, snap.values.tolist()))
     with Path(path).open("w") as out:
         out.write("t,x,u\n")
         # 1024 rows per write, a snapshot's worth at n = 1000: as fast as
         # whole snapshots, while the text in memory stays a constant
-        # (operators._TEXT_FLOATS).
+        # (the fixed allowance of the memory checks in operators).
         while chunk := "".join(itertools.islice(rows, 1024)):
             out.write(chunk)
     meta = {
@@ -395,14 +394,15 @@ def emit_matrix_csv(matrix: IterationMatrix, path: Path) -> None:
     """One matrix row per line, full-precision scientific notation, written
     one row at a time."""
     with Path(path).open("w") as out:
-        out.writelines(",".join(map(_fmt, row.tolist())) + "\n" for row in matrix.entries)
+        out.writelines(",".join(f"{v:.16e}" for v in row.tolist()) + "\n"
+                       for row in matrix.entries)
 
 
 def emit_weights_csv(weights: GrunwaldWeights, path: Path) -> None:
     """``i,g`` rows for the weight prefix, written one row at a time."""
     with Path(path).open("w") as out:
         out.write("i,g\n")
-        out.writelines(f"{i},{_fmt(v)}\n" for i, v in enumerate(weights.values))
+        out.writelines(f"{i},{v:.16e}\n" for i, v in enumerate(map(float, weights.values)))
 
 
 def run_command(cmd: CliCommand, stdout=None) -> int:

@@ -82,32 +82,31 @@ def _physical_memory() -> int:
 _MEMORY_BYTES = _physical_memory()
 
 
-def _require_fits(size: str, entries: int, what: str) -> None:
-    """Reject ``entries`` float64 values that would exceed physical memory;
-    ``size`` names the input that asked for them, e.g. ``n=40000``."""
-    if 8 * entries > _MEMORY_BYTES:
+# Floats that every run and command holds beside the arrays its check
+# counts: the CSV chunk in flight (1024 rows, under 32 floats a row for the
+# row strings, the joined chunk, its encoded bytes and the file's buffers;
+# see cli.emit_timeseries_csv), numpy's ufunc buffer (8192 floats) and what
+# the argument parse leaves.  Sized from traced peaks of the commands.
+_OVERHEAD_FLOATS = 2**15 + 2**13
+
+
+def _require_fits(size: str, entries: int, what: str,
+                  overhead: int = _OVERHEAD_FLOATS) -> None:
+    """Reject ``entries`` float64 values beside ``overhead`` more that would
+    exceed physical memory; ``size`` names the input that asked for them,
+    e.g. ``n=40000``."""
+    if 8 * (entries + overhead) > _MEMORY_BYTES:
         raise InvalidSpec(
             f"{size} is too large: {what} would exceed the "
             f"{_MEMORY_BYTES / 2**30:.1f} GiB of physical memory"
         )
 
 
-# Floats of CSV text in flight whatever the output's size: a chunk of 1024
-# rows (see cli.emit_timeseries_csv), under 32 floats a row for the row
-# strings, the joined chunk and its encoded bytes, and the file's buffers.
-_TEXT_FLOATS = 32 * 1024 + 2**12
-# Floats the matrix and weights commands hold beside their arrays and text:
-# the argument parser's objects, which live until the garbage collector
-# runs, and numpy's ufunc buffer (8192 floats).
-_COMMAND_FLOATS = 2**15
-
-
 def _require_dense_fits(n: int) -> None:
     """Reject a grid whose dense (n+1)^2 float64 matrix would exceed
     physical memory, counting beside it under 16 (n+1) floats for the
-    stencil it is filled from or for one row of its CSV text, and
-    ``_COMMAND_FLOATS``."""
-    _require_fits(f"n={n}", (n + 1) * (n + 17) + _COMMAND_FLOATS, "one dense (n+1)^2 matrix")
+    stencil it is filled from or for one row of its CSV text."""
+    _require_fits(f"n={n}", (n + 1) * (n + 17), "one dense (n+1)^2 matrix")
 
 
 def _require_explicit_fits(n: int, states: int) -> None:
@@ -116,18 +115,19 @@ def _require_explicit_fits(n: int, states: int) -> None:
     patches and one step's work arrays (under 12 (n+1)), and the transform
     of ``g`` plus one step's transform and product (three FFT periods).
     The emit reuses the last two: the ``x`` column's text and one state's
-    values as Python objects take under 14 (n+1).  The text in flight,
-    ``_TEXT_FLOATS``, comes on top."""
-    _require_fits(f"n={n}", (12 + states) * (n + 1) + 3 * _fft_period(n) + _TEXT_FLOATS,
+    values as Python objects take under 14 (n+1)."""
+    _require_fits(f"n={n}", (12 + states) * (n + 1) + 3 * _fft_period(n),
                   f"an explicit run recording {states} states")
 
 
 def _require_implicit_fits(n: int, states: int) -> None:
-    """Reject an implicit run whose float64 arrays would exceed physical
-    memory: the packed factor of ``I - beta B``, ``(n+1)(n+2)/2`` floats,
-    plus ``states`` recorded states and under 16 (n+1) more for the
+    """Reject an implicit run and its CSV emit whose memory would exceed
+    physical memory: the packed factor of ``I - beta B``, ``(n+1)(n+2)/2``
+    floats, plus ``states`` recorded states and under 16 (n+1) more for the
     stencil, the band of ``L``, the outflow and one row's work arrays.  The
-    stencil brings no FFT transform: only explicit steps compute one."""
+    emit comes after the factor and these are freed: the ``x`` column's
+    text and one state's values as Python objects take under 14 (n+1).
+    The stencil brings no FFT transform: only explicit steps compute one."""
     _require_fits(f"n={n}", (n + 1) * (n + 2) // 2 + (16 + states) * (n + 1),
                   f"an implicit run recording {states} states")
 
@@ -166,7 +166,7 @@ class SchemeSpec:
             raise InvalidSpec(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise InvalidSpec(f"need n >= 2 so interior nodes exist, got {self.n}")
-        _require_fits(f"n={self.n}", self.n + 1, "one (n+1) state vector")
+        _require_fits(f"n={self.n}", self.n + 1, "one (n+1) state vector", overhead=0)
         if self.form is DerivativeForm.CAPUTO and (
             self.left is BoundaryCondition.REFLECTING
             or self.right is BoundaryCondition.REFLECTING

@@ -179,10 +179,9 @@ class InitialCondition:
             return GridFunction(n, np.ones(n + 1))
         # np.loadtxt peaks under 20 bytes per byte of the file, at values of
         # 2 bytes (one digit and a separator, the fewest a value can take)
-        # on one line, plus 128 KiB; the 23-byte values of a CSV take 0.43.
+        # on one line; the 23-byte values of a CSV take 0.43.
         size = self.path.stat().st_size
-        _require_fits(f"{self.path} ({size} bytes)", 5 * size // 2 + 2**14,
-                      "reading it whole")
+        _require_fits(f"{self.path} ({size} bytes)", 5 * size // 2, "reading it whole")
         try:
             values = np.atleast_1d(np.loadtxt(self.path, dtype=float))
         except ValueError as exc:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -373,7 +374,7 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["matrix", "--alpha", "1.5", "--n", "1500", "--deriv", "caputo",
+        ["matrix", "--alpha", "1.5", "--n", "200", "--deriv", "caputo",
          "--left", "absorbing", "--right", "absorbing"],
         ["weights", "--order", "1.5", "--m", "200000"],
     ])
@@ -391,6 +392,49 @@ class TestMain:
         assert not out.exists()
         monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * peak)
         assert isinstance(parse_args(argv), (MatrixCommand, WeightsCommand))
+
+    @pytest.mark.parametrize("states", [4, 10, 40])
+    @pytest.mark.parametrize("n", [16, 64, 200, 600])
+    @pytest.mark.parametrize("method", ["explicit", "implicit"])
+    def test_memory_bound_covers_the_solve(self, tmp_path, capsys, monkeypatch,
+                                           method, n, states):
+        # The run check counts all a solve holds, its parse and CSV text
+        # included: at small n those outweigh the run's arrays.  A first
+        # run fills the import and FFT caches, which a second does not.
+        dt, steps = 1e-5, 40
+        times = ",".join(repr(k * steps // (states - 1) * dt) for k in range(states))
+        out = tmp_path / "run.csv"
+        argv = ["solve", "--alpha", "1.5", "--n", str(n), "--method", method,
+                "--dt", str(dt), "--t-end", repr(steps * dt), "--snapshots", times,
+                "--out", str(out)]
+        assert main(argv) == 0
+        peak = traced_peak(lambda: main(argv))
+        out.unlink()
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
+        assert main(argv) == 2
+        assert f"recording {states} states" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--order", "1.5", "--m", "100", "--out", "w.csv"],
+        ["matrix", "--alpha", "1.5", "--n", "8", "--deriv", "caputo",
+         "--left", "absorbing", "--right", "absorbing", "--out", "b.csv"],
+    ])
+    def test_parse_leaves_no_garbage(self, argv):
+        # What a parse leaves traced, before the garbage collector runs, is
+        # carried by the command's peak: a parser built per call left its
+        # reference cycles, 39-60 KB.
+        parse_args(argv)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            command = parse_args(argv)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert isinstance(command, (MatrixCommand, WeightsCommand))
+        assert held < 16_000, held
 
     def test_default_snapshots_end_at_a_shorter_t_end(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -418,7 +462,7 @@ class TestMain:
         profile = tmp_path / "profile.txt"
         values = np.random.default_rng(n).random(n + 1)
         profile.write_text("".join(f"{v:.16e}\n" for v in values))
-        needs = 8 * (5 * profile.stat().st_size // 2 + 2**14)
+        needs = 8 * (5 * profile.stat().st_size // 2 + operators._OVERHEAD_FLOATS)
         out = tmp_path / "run.csv"
         argv = ["solve", "--alpha", "1.5", "--n", str(n), "--method", "explicit",
                 "--left", "reflecting", "--right", "reflecting", "--dt", "1e-7",
@@ -438,7 +482,7 @@ class TestMain:
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"alpha": 1.5, "n": 20, "method": "explicit",
                                       "dt": 1e-4, "t_end": 1e-3}) + " " * 2**16)
-        needs = 8 * (6 * config.stat().st_size + operators._COMMAND_FLOATS)
+        needs = 8 * (6 * config.stat().st_size + operators._OVERHEAD_FLOATS)
         out = tmp_path / "run.csv"
         argv = ["solve", "--config", str(config), "--out", str(out)]
         monkeypatch.setattr(operators, "_MEMORY_BYTES", needs - 1)
@@ -454,10 +498,11 @@ class TestMain:
     @pytest.mark.parametrize("item", ["{}", "[{}]", "[]", "[" * 50 + "0" + "]" * 50])
     def test_config_bound_covers_its_read(self, tmp_path, item):
         # The densest JSON objects per byte: json.loads and the text peak
-        # under the 48 bytes per byte the bound counts, beside the parser.
+        # under the 48 bytes per byte the bound counts, beside the fixed
+        # overhead.
         config = tmp_path / "run.json"
         config.write_text("[" + ",".join([item] * (2**17 // len(item))) + "]")
-        needs = 8 * (6 * config.stat().st_size + operators._COMMAND_FLOATS)
+        needs = 8 * (6 * config.stat().st_size + operators._OVERHEAD_FLOATS)
 
         def parse():
             with pytest.raises(UsageError, match="must hold a JSON object"):

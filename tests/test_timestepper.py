@@ -301,13 +301,13 @@ class TestInitialConditions:
 
     @pytest.mark.parametrize("layout", ["{:.16e}\n", "{:.0f}\n", "{:.0f} "])
     def test_from_file_bound_covers_the_read(self, tmp_path, layout):
-        # The read's bound, 20 bytes per byte of the file plus 128 KiB, covers
-        # the peak of reading it, whatever the layout: one-digit values on one
-        # line peak near 18 bytes per byte.
+        # The read's bound, 20 bytes per byte of the file plus the fixed
+        # overhead, covers the peak of reading it, whatever the layout:
+        # one-digit values on one line peak near 18 bytes per byte.
         n = 2**17
         path = tmp_path / "profile.txt"
         path.write_text("".join(layout.format(v) for v in np.zeros(n + 1)))
-        needs = 8 * (5 * path.stat().st_size // 2 + 2**14)
+        needs = 8 * (5 * path.stat().st_size // 2 + operators._OVERHEAD_FLOATS)
         profile = InitialCondition.from_file(path)
         assert traced_peak(lambda: profile.sample(n)) <= needs
 
