@@ -89,6 +89,13 @@ _MEMORY_BYTES = _physical_memory()
 # the argument parse leaves.  Sized from traced peaks of the commands.
 _OVERHEAD_FLOATS = 2**15 + 2**13
 
+# Floats each recorded state costs beside its n + 1 values: its time, mass
+# and ledger entries as Python floats in tuples, its GridFunction and array
+# headers (about 42 floats together), and at the peak, while the meta JSON
+# is encoded, its four numbers as the encoder's chunks and text (about 59).
+# Traced: 97-101 a state, from 2000 to 16000 states of 17-digit times.
+_SNAPSHOT_FLOATS = 2**7
+
 
 def _require_fits(size: str, entries: int, what: str,
                   overhead: int = _OVERHEAD_FLOATS) -> None:
@@ -111,24 +118,29 @@ def _require_dense_fits(n: int) -> None:
 
 def _require_explicit_fits(n: int, states: int) -> None:
     """Reject an explicit run and its CSV emit whose memory would exceed
-    physical memory: ``states`` recorded states, the stencil with its
-    patches and one step's work arrays (under 12 (n+1)), and the transform
-    of ``g`` plus one step's transform and product (three FFT periods).
-    The emit reuses the last two: the ``x`` column's text and one state's
-    values as Python objects take under 14 (n+1)."""
-    _require_fits(f"n={n}", (12 + states) * (n + 1) + 3 * _fft_period(n),
-                  f"an explicit run recording {states} states")
+    physical memory: ``states`` recorded states with their bookkeeping
+    (``_SNAPSHOT_FLOATS`` each), the stencil with its patches and one
+    step's work arrays (under 12 (n+1)), and the transform of ``g`` plus
+    one step's transform and product (three FFT periods).  The emit reuses
+    the last two: the ``x`` column's text and one state's values as Python
+    objects take under 14 (n+1)."""
+    _require_fits(f"n={n}", 12 * (n + 1) + states * (n + 1 + _SNAPSHOT_FLOATS)
+                  + 3 * _fft_period(n), f"an explicit run recording {states} states")
 
 
 def _require_implicit_fits(n: int, states: int) -> None:
     """Reject an implicit run and its CSV emit whose memory would exceed
     physical memory: the packed factor of ``I - beta B``, ``(n+1)(n+2)/2``
-    floats, plus ``states`` recorded states and under 16 (n+1) more for the
-    stencil, the band of ``L``, the outflow and one row's work arrays.  The
-    emit comes after the factor and these are freed: the ``x`` column's
+    floats, plus ``states`` recorded states with their bookkeeping
+    (``_SNAPSHOT_FLOATS`` each) and under 16 (n+1) more for the stencil,
+    the band of ``L``, the outflow, one row's work arrays while factoring,
+    and the stepper's solve buffer with the state it returns while stepping
+    (traced at 9.2-12.8 (n+1) from n = 1000 to 4000, that buffer included).
+    The emit comes after the factor and these are freed: the ``x`` column's
     text and one state's values as Python objects take under 14 (n+1).
     The stencil brings no FFT transform: only explicit steps compute one."""
-    _require_fits(f"n={n}", (n + 1) * (n + 2) // 2 + (16 + states) * (n + 1),
+    _require_fits(f"n={n}", (n + 1) * (n + 2) // 2 + 16 * (n + 1)
+                  + states * (n + 1 + _SNAPSHOT_FLOATS),
                   f"an implicit run recording {states} states")
 
 

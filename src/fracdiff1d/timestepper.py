@@ -12,8 +12,9 @@ in row form :math:`\mathbf{u}_{k+1} M = \mathbf{u}_k` with
 bidiagonal (one multiplier per row) and ``U`` upper triangular.  The factor
 is built one row of ``B`` at a time into packed storage, half a dense
 matrix; it costs O(n^2) and each step one packed triangular and one
-bidiagonal BLAS solve.  scipy, which provides that BLAS, is loaded when the
-first implicit system is factored, so explicit runs never import it.
+bidiagonal BLAS solve, called through ctypes from the OpenBLAS that numpy's
+wheels bundle, so no run imports scipy.  Where numpy was built against
+another BLAS, scipy's wrappers of the same two routines solve instead.
 For the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
 dominant Z-matrix, so the growth factor is at most 2; a pivot check still
 runs for every scheme.
@@ -40,7 +41,9 @@ and writes no file).
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +52,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    FracDiffError,
     InvalidSpec,
     SingularSystem,
     StabilityViolation,
@@ -280,7 +284,10 @@ class _Stepper:
     whose O(n) row sums both methods book: explicit steps apply it;
     implicit runs read its rows into the packed factor of
     ``M = I - beta B = L U`` without pivoting, which every :meth:`step`
-    reuses, so no run holds an (n+1)^2 array.  An absorbing node j needs
+    reuses, so no run holds an (n+1)^2 array.  An implicit step copies the
+    state into the stepper's own (n+1) buffer, solves there in place and
+    returns a copy: only the factor and that buffer, which the stepper
+    holds for its lifetime, reach BLAS.  An absorbing node j needs
     no pin: its zero column of ``B`` makes the explicit update add
     ``+0.0`` there, and column j of ``M`` the unit vector, so the solve
     returns ``+0.0`` there, for every finite state that is zero at j.
@@ -292,13 +299,13 @@ class _Stepper:
         n = operator.n
         self.n, self.h, self.beta = n, 1.0 / n, beta
         self.steps = 0
-        self.apply = self.factors = None
+        self.apply = self.solve = None
         if method is Method.IMPLICIT:
-            # Only a factored system needs scipy: explicit runs never load it.
-            from scipy.linalg.blas import dtbsv, dtpsv
-
+            bind = _in_place_solve()  # a missing BLAS fails before the factor
+            # BLAS keeps the addresses of these three: the stepper holds them.
             self.factors = _hessenberg_lu(operator, beta)
-            self.dtpsv, self.dtbsv = dtpsv, dtbsv
+            self.state = np.empty(n + 1)
+            self.solve = bind(*self.factors, self.state)
         else:
             self.apply = operator.apply
         self.outflow = -operator.row_sums()
@@ -314,19 +321,104 @@ class _Stepper:
         """
         if u.shape != (self.n + 1,):
             raise DimensionMismatch(f"grid has n={u.size - 1} but matrix has n={self.n}")
-        if self.factors is None:
+        if self.solve is None:
             booked = u
             u = u + self.beta * self.apply(u)
         else:
-            # v L U = u: solve U^T w = u, then L^T v = w.
-            packed, band = self.factors
-            w = self.dtpsv(self.n + 1, packed, u, lower=1)
-            u = booked = self.dtbsv(1, band, w, diag=1, overwrite_x=1)
+            np.copyto(self.state, u)
+            self.solve()
+            u = booked = self.state.copy()
         increment = self.beta * self.h * float(booked @ self.outflow)
         self.steps += 1
         if not math.isfinite(increment):
             raise _non_finite(self.steps)
         return u, increment
+
+
+# The CBLAS enumerators of cblas.h.
+_COL_MAJOR, _NO_TRANS, _UPPER, _LOWER, _NON_UNIT, _UNIT = 102, 111, 121, 122, 131, 132
+
+
+def _openblas_path() -> Path | None:
+    """numpy's bundled OpenBLAS, with 64-bit integers, which its wheels ship
+    beside the package (``numpy.libs``, or ``numpy/.dylibs`` on macOS);
+    None for a numpy built against another BLAS."""
+    package = Path(np.__file__).parent
+    found = [*package.parent.glob("numpy.libs/libscipy_openblas64_*"),
+             *package.glob(".dylibs/libscipy_openblas64_*")]
+    return found[0] if found else None
+
+
+@functools.cache
+def _in_place_solve():
+    """Bind the implicit step's two BLAS solves, once per process.
+
+    Returns ``bind(packed, band, x)``, which returns a call that overwrites
+    ``x`` (``u`` in, ``v`` out) with the solution of ``v L U = u``: the
+    packed solve ``U^T w = u`` (``dtpsv``, lower, non-unit), then the band
+    solve ``L^T v = w`` (``dtbsv``, upper, unit, one superdiagonal), for the
+    factors of :func:`_hessenberg_lu`.  The routines come from numpy's
+    bundled OpenBLAS through ctypes or, where it is not found, from scipy;
+    with neither, :class:`FracDiffError`.  Only :class:`_Stepper` binds: it
+    passes column-major float64 arrays that it holds for as long as it
+    calls the solve.
+    """
+    path = _openblas_path()
+    if path is None:
+        return _scipy_in_place_solve()
+    try:
+        library = ctypes.CDLL(str(path))
+        tpsv, tbsv = library.scipy_cblas_dtpsv64_, library.scipy_cblas_dtbsv64_
+    except (OSError, AttributeError):  # not loadable, or without these symbols
+        return _scipy_in_place_solve()
+    enum, index, pointer = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
+    tpsv.argtypes = [enum] * 4 + [index, pointer, pointer, index]
+    tbsv.argtypes = [enum] * 4 + [index, index, pointer, index, pointer, index]
+    tpsv.restype = tbsv.restype = None
+
+    def bind(packed, band, x):
+        # BLAS reads and writes through raw addresses: a wrong array would
+        # corrupt memory, not raise.
+        size = x.size
+        for array, shape in ((packed, (size * (size + 1) // 2,)), (band, (2, size)),
+                             (x, (size,))):
+            if (array.shape != shape or array.dtype != np.float64
+                    or not array.flags.f_contiguous):
+                raise ValueError("the solve takes column-major float64 arrays "
+                                 "sized for one grid")
+        # Converted once: ctypes passes its own objects without conversion.
+        size, one, into = index(size), index(1), pointer(x.ctypes.data)
+        triangular = (*map(enum, (_COL_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT)),
+                      size, pointer(packed.ctypes.data), into, one)
+        bidiagonal = (*map(enum, (_COL_MAJOR, _UPPER, _NO_TRANS, _UNIT)),
+                      size, one, pointer(band.ctypes.data), index(2), into, one)
+
+        def solve() -> None:
+            tpsv(*triangular)
+            tbsv(*bidiagonal)
+
+        return solve
+
+    return bind
+
+
+def _scipy_in_place_solve():
+    """:func:`_in_place_solve` through scipy's wrappers, which overwrite a
+    contiguous float64 ``x`` in place."""
+    try:
+        from scipy.linalg.blas import dtbsv, dtpsv
+    except ImportError:
+        raise FracDiffError("implicit steps need numpy's bundled OpenBLAS or "
+                            "scipy, and neither was found") from None
+
+    def bind(packed, band, x):
+        def solve() -> None:
+            dtpsv(x.size, packed, x, lower=1, overwrite_x=1)
+            dtbsv(1, band, x, diag=1, overwrite_x=1)
+
+        return solve
+
+    return bind
 
 
 def _hessenberg_lu(operator, beta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -393,15 +393,18 @@ class TestMain:
         monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * peak)
         assert isinstance(parse_args(argv), (MatrixCommand, WeightsCommand))
 
-    @pytest.mark.parametrize("states", [4, 10, 40])
-    @pytest.mark.parametrize("n", [16, 64, 200, 600])
+    @pytest.mark.parametrize("n,states", [(n, states) for n in (16, 64, 200, 600)
+                                          for states in (4, 10, 40)]
+                             + [(2, 2000), (64, 2000)])
     @pytest.mark.parametrize("method", ["explicit", "implicit"])
     def test_memory_bound_covers_the_solve(self, tmp_path, capsys, monkeypatch,
                                            method, n, states):
         # The run check counts all a solve holds, its parse and CSV text
-        # included: at small n those outweigh the run's arrays.  A first
-        # run fills the import and FFT caches, which a second does not.
-        dt, steps = 1e-5, 40
+        # included: at small n those outweigh the run's arrays, and with
+        # many snapshots each one's bookkeeping and meta JSON outweigh its
+        # n + 1 values.  A first run fills the import and FFT caches, which
+        # a second does not.
+        dt, steps = (1e-5, 40) if states <= 40 else (1e-6, states)
         times = ",".join(repr(k * steps // (states - 1) * dt) for k in range(states))
         out = tmp_path / "run.csv"
         argv = ["solve", "--alpha", "1.5", "--n", str(n), "--method", method,
@@ -640,16 +643,16 @@ class TestMain:
         assert minimum < 0.0
 
 
-def test_only_implicit_runs_load_scipy(tmp_path):
-    # scipy provides only the implicit solve's BLAS: every command that
-    # factors no system runs without it, and the first implicit run loads it.
+def test_no_command_loads_scipy(tmp_path):
+    # Implicit steps call numpy's bundled OpenBLAS, so scipy serves only the
+    # tests: no command, implicit runs and `verify all` included, imports it.
     src = str(Path(fracdiff1d.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     profile = tmp_path / "profile.txt"
     profile.write_text("".join(f"{v:.16e}\n" for v in np.linspace(0.0, 1.0, 65)))
     out = str(tmp_path / "out.csv")
-    scipy_free = [
+    commands = [
         ["solve", "--alpha", "1.5", "--n", "64", "--method", "explicit", "--dt", "1e-4",
          "--t-end", "1e-3", "--left", "absorbing", "--right", "absorbing",
          "--ic", f"file:{profile}", "--out", out],
@@ -659,20 +662,19 @@ def test_only_implicit_runs_load_scipy(tmp_path):
         ["weights", "--order", "1.5", "--m", "10", "--out", out],
         ["verify", "identities"], ["verify", "matrices"], ["verify", "positivity"],
         ["figure", "--list"],
+        ["solve", "--alpha", "1.5", "--n", "64", "--t-end", "1e-2", "--out", out],
+        ["figure", "2", "--n", "64", "--out", out],
+        ["verify", "all"],
     ]
-    implicit = ["solve", "--alpha", "1.5", "--n", "64", "--t-end", "1e-2", "--out", out]
     code = (
         "import json, sys\n"
         "from fracdiff1d.cli import main\n"
-        "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        f"codes = [main(argv) for argv in {scipy_free!r}]\n"
-        "before = loaded()\n"
-        f"codes.append(main({implicit!r}))\n"
-        "print(json.dumps([codes, before, 'scipy.linalg.blas' in loaded()]))\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, loaded]))\n"
     )
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    codes, before, blas_after = json.loads(result.stdout.splitlines()[-1])
-    assert codes == [0] * (len(scipy_free) + 1)
-    assert before == []
-    assert blas_after
+    codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert loaded == []

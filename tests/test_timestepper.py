@@ -1,5 +1,6 @@
 import builtins
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from fracdiff1d import (
     total_mass,
 )
 from fracdiff1d import operators, timestepper
-from fracdiff1d.cli import emit_timeseries_csv
+from fracdiff1d.cli import emit_timeseries_csv, main
 from fracdiff1d.operators import _FFT_MIN_N, _stencil
 from fracdiff1d.timestepper import _Stepper
 from fracdiff1d.verify import run_suite
@@ -192,6 +193,103 @@ class TestImplicitSolveOracle:
         for (u, increment), (v, expected_increment) in zip(got, expected, strict=True):
             assert bit_equal(u, v)
             assert bit_equal(np.float64(increment), np.float64(expected_increment))
+
+
+@pytest.fixture
+def without_openblas(monkeypatch):
+    """Steppers built under it find no bundled OpenBLAS beside numpy, as
+    with a numpy built against another BLAS."""
+    timestepper._in_place_solve.cache_clear()
+    monkeypatch.setattr(timestepper, "_openblas_path", lambda: None)
+    yield
+    timestepper._in_place_solve.cache_clear()
+
+
+def chained_steps(stepper, start, steps=50):
+    u, trail = start, []
+    for _ in range(steps):
+        u, increment = stepper.step(u)
+        trail.append((u, increment))
+    return trail
+
+
+class TestBlasFallback:
+    @pytest.mark.parametrize("n", (128, 1000))
+    @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
+    def test_scipy_solve_is_bit_identical(self, request, form, left, right, n):
+        spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+        beta = n**1.5 * 1e-3
+        start = np.random.default_rng(n).random(n + 1)
+        bundled = chained_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT), start)
+        request.getfixturevalue("without_openblas")
+        assert "_scipy_in_place_solve" in timestepper._in_place_solve().__qualname__
+        fallback = chained_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT), start)
+        for (u, increment), (v, other) in zip(bundled, fallback, strict=True):
+            assert bit_equal(u, v)
+            assert bit_equal(np.float64(increment), np.float64(other))
+
+    def test_without_any_blas_an_implicit_solve_exits_one(
+            self, without_openblas, monkeypatch, tmp_path, capsys):
+        monkeypatch.setitem(sys.modules, "scipy.linalg.blas", None)
+        out = tmp_path / "run.csv"
+        assert main(["solve", "--alpha", "1.5", "--n", "64", "--t-end", "1e-2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "neither was found" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestStepperInput:
+    """An implicit step hands BLAS only the stepper's own buffer: it reads a
+    caller's state of any layout or numeric type through a copy and returns
+    a fresh array."""
+
+    n = 128
+
+    def stepper(self):
+        spec = SchemeSpec(RL, R, R, 1.5, 1.0, self.n)
+        return _Stepper(_stencil(spec), self.n**1.5 * 1e-3, Method.IMPLICIT)
+
+    def test_strided_and_integer_states_match_their_float_copy(self):
+        rng = np.random.default_rng(self.n)
+        big = rng.random(2 * self.n + 2)
+        counts = rng.integers(0, 10, self.n + 1)
+        for u in (big[::2], counts):
+            expected = self.stepper().step(np.ascontiguousarray(u, dtype=float))
+            before = u.copy()
+            v, increment = self.stepper().step(u)
+            assert bit_equal(v, expected[0])
+            assert bit_equal(np.float64(increment), np.float64(expected[1]))
+            assert np.array_equal(u, before)
+
+    def test_wrong_length_is_rejected(self):
+        stepper = self.stepper()
+        for size in (self.n, self.n + 2):
+            with pytest.raises(DimensionMismatch):
+                stepper.step(np.ones(size))
+
+    def test_blas_takes_only_arrays_of_the_factor_layout(self):
+        packed, band = self.stepper().factors
+        bind = timestepper._in_place_solve()
+        if timestepper._openblas_path() is None:
+            pytest.skip("scipy's wrappers check their own arguments")
+        for x in (np.empty(self.n), np.empty(self.n + 1, dtype=np.float32),
+                  np.empty(2 * self.n + 2)[::2]):
+            with pytest.raises(ValueError):
+                bind(packed, band, x)
+        with pytest.raises(ValueError):
+            bind(packed, np.zeros((2, self.n + 1)), np.empty(self.n + 1))
+
+    def test_a_returned_state_is_not_changed_by_later_steps(self):
+        stepper = self.stepper()
+        u, _ = stepper.step(np.random.default_rng(self.n).random(self.n + 1))
+        kept = u.copy()
+        v, _ = stepper.step(u)
+        stepper.step(v)
+        assert bit_equal(u, kept)
+        assert not np.shares_memory(u, v)
 
 
 STENCIL_SIZES = (2, 3, 8, 64, 257, 512, 1000, 2048)
