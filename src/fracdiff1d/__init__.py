@@ -11,12 +11,10 @@ from .diagnostics import (
     SteadyStateKind,
     SteadyStateReference,
     boundary_flux_check,
-    convergence_order,
     decay_rate,
     l1_distance_interior,
     negativity_scan,
     steady_state_reference,
-    total_mass,
 )
 from .errors import (
     DegenerateInput,
@@ -93,7 +91,6 @@ __all__ = [
     "boundary_flux_check",
     "build_matrix",
     "caputo_derivative_grid",
-    "convergence_order",
     "decay_rate",
     "explicit_step",
     "flux_profile",
@@ -108,7 +105,6 @@ __all__ = [
     "stability_limit",
     "steady_state_reference",
     "tent_profile",
-    "total_mass",
     "weight_recursion_gap",
     "weight_sum_gap",
     "weight_tail_gap",

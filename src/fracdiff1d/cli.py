@@ -28,6 +28,7 @@ from .operators import (
     BoundaryCondition,
     IterationMatrix,
     SchemeSpec,
+    _read_whole,
     _require_dense_fits,
     _require_fits,
     build_matrix,
@@ -253,13 +254,10 @@ def _solve_command(args: argparse.Namespace, base: dict) -> SolveCommand:
     flags."""
     merged = dict(base)
     if getattr(args, "config", None) is not None:
-        path = Path(args.config)
         try:
             # json.loads peaks under 48 bytes per byte of the file, text
             # included: nested one-item lists, its densest objects, take 45.
-            size = path.stat().st_size
-            _require_fits(f"{size} bytes", 6 * size, "reading it whole")
-            loaded = json.loads(path.read_text())
+            loaded = json.loads(_read_whole(args.config, 48))
         except (OSError, ValueError, RecursionError) as exc:
             raise UsageError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):

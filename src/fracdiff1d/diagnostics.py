@@ -1,7 +1,8 @@
 """Quantitative checks of the solution properties the schemes promise.
 
-Mass accounting, positivity scans, steady-state distances, boundary-flux
-evaluation, exponential decay rates, and discretization-order estimates.
+Positivity scans, steady-state distances, boundary-flux evaluation and
+exponential decay rates; the mass is the run's own ledger
+(:class:`~fracdiff1d.timestepper.TimeSeries`).
 Steady-state comparisons exclude node 0 uniformly: the reflecting
 Riemann-Liouville steady state ``(alpha-1) x**(alpha-2)`` diverges there,
 and one convention keeps the forms comparable.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
     InvalidSpec,
     UnsupportedForm,
 )
-from .grunwald import DerivativeForm, GridFunction, flux_profile
+from .grunwald import DerivativeForm, GridFunction, _frozen, flux_profile
 from .operators import BoundaryCondition, SchemeSpec
 from .timestepper import TimeSeries
 
@@ -31,18 +32,11 @@ __all__ = [
     "SteadyStateKind",
     "SteadyStateReference",
     "boundary_flux_check",
-    "convergence_order",
     "decay_rate",
     "l1_distance_interior",
     "negativity_scan",
     "steady_state_reference",
-    "total_mass",
 ]
-
-
-def total_mass(u: GridFunction) -> float:
-    """Rectangle-rule mass ``h * sum(u_j)`` over all nodes."""
-    return u.h * float(u.values.sum())
 
 
 class SteadyStateKind(enum.Enum):
@@ -60,14 +54,9 @@ class SteadyStateReference:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n,):
-            raise DimensionMismatch(
-                f"reference needs {self.n} interior values, got shape {vals.shape}"
-            )
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(
+            self.values, (self.n,),
+            "reference needs {expected[0]} interior values, got shape {got}"))
 
 
 def steady_state_reference(spec: SchemeSpec) -> SteadyStateReference:
@@ -152,21 +141,3 @@ def boundary_flux_check(series: TimeSeries) -> tuple[float, float]:
         raise EmptySeries("time series holds no snapshots")
     q = flux_profile(series.snapshots[-1], spec.alpha, spec.c, spec.form)
     return float(q.values[1]), float(q.values[spec.n])
-
-
-def convergence_order(errors: Sequence[tuple[float, float]]) -> float:
-    """Least-squares slope of ``log error`` versus ``log h``.
-
-    Expects at least three ``(h, error)`` pairs with strictly decreasing
-    ``h`` and positive errors.
-    """
-    if len(errors) < 3:
-        raise DegenerateInput("need at least 3 (h, error) pairs")
-    h = np.array([p[0] for p in errors], dtype=float)
-    err = np.array([p[1] for p in errors], dtype=float)
-    if np.any(np.diff(h) >= 0.0):
-        raise DegenerateInput("grid spacings must be strictly decreasing")
-    if np.any(err <= 0.0) or np.any(h <= 0.0):
-        raise DegenerateInput("spacings and errors must be positive")
-    return float(np.polyfit(np.log(h), np.log(err), 1)[0])
-

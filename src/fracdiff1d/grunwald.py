@@ -59,6 +59,20 @@ class DerivativeForm(enum.Enum):
     CAPUTO = "caputo"
 
 
+def _frozen(values, shape: tuple[int, ...] | None = None,
+            mismatch: str = "") -> np.ndarray:
+    """A read-only float64 copy of ``values``, the arrays every value type
+    holds.  Values of another ``shape`` raise :class:`DimensionMismatch`
+    with ``mismatch`` formatted by the ``expected`` and the found (``got``)
+    shape."""
+    array = np.asarray(values, dtype=float)
+    if shape is not None and array.shape != shape:
+        raise DimensionMismatch(mismatch.format(expected=shape, got=array.shape))
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class GrunwaldWeights:
     r"""Prefix :math:`g^\alpha_0, \dots, g^\alpha_m` of the weight sequence.
@@ -78,9 +92,7 @@ class GrunwaldWeights:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float).copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(self.values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -96,24 +108,14 @@ class GridFunction:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InvalidSpec(f"grid needs at least one interval, got n={self.n}")
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n + 1,):
-            raise DimensionMismatch(
-                f"expected {self.n + 1} nodal values, got shape {vals.shape}"
-            )
-        vals = vals.copy()
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(
+            self.values, (self.n + 1,),
+            "expected {expected[0]} nodal values, got shape {got}"))
 
     @property
     def h(self) -> float:
         """Grid spacing ``1 / n``."""
         return 1.0 / self.n
-
-    @property
-    def x(self) -> np.ndarray:
-        """Node coordinates ``j / n`` (computed on demand)."""
-        return np.arange(self.n + 1) / self.n
 
     @classmethod
     def sample(cls, profile, n: int) -> "GridFunction":

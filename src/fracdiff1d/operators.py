@@ -53,11 +53,12 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, UnsupportedCombination
-from .grunwald import DerivativeForm, grunwald_weights
+from .errors import InvalidSpec, UnsupportedCombination
+from .grunwald import DerivativeForm, _frozen, grunwald_weights
 
 __all__ = [
     "BoundaryCondition",
@@ -107,6 +108,31 @@ def _require_fits(size: str, entries: int, what: str,
             f"{size} is too large: {what} would exceed the "
             f"{_MEMORY_BYTES / 2**30:.1f} GiB of physical memory"
         )
+
+
+def _read_whole(path: Path, bytes_per_byte: int) -> str:
+    """The UTF-8 text of the file, pipe or device at ``path``, if holding
+    and parsing it, at ``bytes_per_byte`` bytes of memory per byte, fits in
+    physical memory beside the fixed allowance; :class:`InvalidSpec`
+    otherwise, and for bytes that are no such text.  The bound is on the
+    bytes read, one more than fit at most, so a pipe or a device, which
+    reports no size, is bounded too."""
+    fits = (8 * (_MEMORY_BYTES // 8 - _OVERHEAD_FLOATS) + 7) // bytes_per_byte
+    chunks, read = [], 0
+    with open(path, "rb") as file:
+        # 64 KiB a read: a read reserves all the bytes it asks for.
+        while read <= fits and (chunk := file.read(min(fits + 1 - read, 2**16))):
+            chunks.append(chunk)
+            read += len(chunk)
+    # Raises exactly when more than ``fits`` bytes were read.
+    _require_fits(f"{path} (over {fits} bytes)", bytes_per_byte * read // 8,
+                  "reading it whole")
+    try:
+        text = b"".join(chunks).decode()
+    except UnicodeDecodeError as exc:
+        raise InvalidSpec(f"{path} is not UTF-8 text: {exc}") from None
+    # Universal newlines, as a file opened as text reads them.
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _require_dense_fits(n: int) -> None:
@@ -200,14 +226,9 @@ class IterationMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        ent = np.asarray(self.entries, dtype=float)
-        if ent.shape != (self.n + 1, self.n + 1):
-            raise DimensionMismatch(
-                f"expected shape {(self.n + 1, self.n + 1)}, got {ent.shape}"
-            )
-        ent = ent.copy()
-        ent.flags.writeable = False
-        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "entries", _frozen(
+            self.entries, (self.n + 1, self.n + 1),
+            "expected shape {expected}, got {got}"))
 
     @classmethod
     def _adopt(cls, entries: np.ndarray) -> "IterationMatrix":

@@ -13,8 +13,8 @@ bidiagonal (one multiplier per row) and ``U`` upper triangular.  The factor
 is built one row of ``B`` at a time into packed storage, half a dense
 matrix; it costs O(n^2) and each step one packed triangular and one
 bidiagonal BLAS solve, called through ctypes from the OpenBLAS that numpy's
-wheels bundle, so no run imports scipy.  Where numpy was built against
-another BLAS, scipy's wrappers of the same two routines solve instead.
+wheels bundle, so no run imports scipy.  Where numpy's BLAS lacks them,
+scipy's wrappers of the same two routines solve instead.
 For the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
 dominant Z-matrix, so the growth factor is at most 2; a pivot check still
 runs for every scheme.
@@ -45,6 +45,7 @@ import ctypes
 import enum
 import functools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,8 +63,8 @@ from .operators import (
     BoundaryCondition,
     IterationMatrix,
     SchemeSpec,
+    _read_whole,
     _require_explicit_fits,
-    _require_fits,
     _require_implicit_fits,
     _stencil,
 )
@@ -120,6 +121,11 @@ def sine_bump_profile(x: np.ndarray) -> np.ndarray:
     amplitude = 64.0 * math.pi**3 / (math.pi**2 - 4.0)
     bump = amplitude * (x - 0.25) ** 2 * np.sin(4.0 * math.pi * x)
     return np.where((x > 0.0) & (x < 0.25), bump, 0.0)
+
+
+# A line with its newline, or a last line without one: a text of one line
+# is matched whole, so np.loadtxt parses it without a copy.
+_LINE = re.compile(r".*\n|.+")
 
 
 class Profile(enum.Enum):
@@ -181,13 +187,14 @@ class InitialCondition:
             return GridFunction.sample(sine_bump_profile, n)
         if self.profile is Profile.UNIFORM:
             return GridFunction(n, np.ones(n + 1))
-        # np.loadtxt peaks under 20 bytes per byte of the file, at values of
-        # 2 bytes (one digit and a separator, the fewest a value can take)
-        # on one line; the 23-byte values of a CSV take 0.43.
-        size = self.path.stat().st_size
-        _require_fits(f"{self.path} ({size} bytes)", 5 * size // 2, "reading it whole")
+        # The text and np.loadtxt's parse of it peak under 20 bytes per byte
+        # of the file, at values of 2 bytes (one digit and a separator, the
+        # fewest a value can take) on one line; the 23-byte values of a CSV
+        # take 3.
+        text = _read_whole(self.path, 20)
         try:
-            values = np.atleast_1d(np.loadtxt(self.path, dtype=float))
+            lines = (match.group() for match in _LINE.finditer(text))
+            values = np.atleast_1d(np.loadtxt(lines, dtype=float))
         except ValueError as exc:
             raise InvalidSpec(f"{self.path} is not a list of numbers: {exc}") from None
         if values.shape != (n + 1,):
@@ -339,14 +346,17 @@ class _Stepper:
 _COL_MAJOR, _NO_TRANS, _UPPER, _LOWER, _NON_UNIT, _UNIT = 102, 111, 121, 122, 131, 132
 
 
-def _openblas_path() -> Path | None:
-    """numpy's bundled OpenBLAS, with 64-bit integers, which its wheels ship
-    beside the package (``numpy.libs``, or ``numpy/.dylibs`` on macOS);
-    None for a numpy built against another BLAS."""
-    package = Path(np.__file__).parent
-    found = [*package.parent.glob("numpy.libs/libscipy_openblas64_*"),
-             *package.glob(".dylibs/libscipy_openblas64_*")]
-    return found[0] if found else None
+def _numpy_blas():
+    """The packed and the band triangular solve, with 64-bit integers, of
+    the OpenBLAS that numpy's wheels bundle, as ctypes functions: symbols
+    looked up through numpy's linear-algebra extension find them in the
+    libraries it links.  None where that BLAS does not export them (a
+    numpy built against another BLAS)."""
+    try:
+        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        return library.scipy_cblas_dtpsv64_, library.scipy_cblas_dtbsv64_
+    except (OSError, AttributeError):  # not loadable, or without these symbols
+        return None
 
 
 @functools.cache
@@ -363,14 +373,10 @@ def _in_place_solve():
     passes column-major float64 arrays that it holds for as long as it
     calls the solve.
     """
-    path = _openblas_path()
-    if path is None:
+    routines = _numpy_blas()
+    if routines is None:
         return _scipy_in_place_solve()
-    try:
-        library = ctypes.CDLL(str(path))
-        tpsv, tbsv = library.scipy_cblas_dtpsv64_, library.scipy_cblas_dtbsv64_
-    except (OSError, AttributeError):  # not loadable, or without these symbols
-        return _scipy_in_place_solve()
+    tpsv, tbsv = routines
     enum, index, pointer = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
     tpsv.argtypes = [enum] * 4 + [index, pointer, pointer, index]
     tbsv.argtypes = [enum] * 4 + [index, index, pointer, index, pointer, index]
@@ -408,8 +414,8 @@ def _scipy_in_place_solve():
     try:
         from scipy.linalg.blas import dtbsv, dtpsv
     except ImportError:
-        raise FracDiffError("implicit steps need numpy's bundled OpenBLAS or "
-                            "scipy, and neither was found") from None
+        raise FracDiffError("implicit steps need numpy's bundled OpenBLAS or scipy, "
+                            "and neither was found: pip install scipy") from None
 
     def bind(packed, band, x):
         def solve() -> None:

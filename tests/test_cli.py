@@ -26,7 +26,6 @@ from fracdiff1d import (
     build_matrix,
     grunwald_weights,
     run_simulation,
-    total_mass,
 )
 from fracdiff1d.cli import (
     FIGURE_PROTOCOLS,
@@ -376,12 +375,16 @@ class TestMain:
     @pytest.mark.parametrize("argv", [
         ["matrix", "--alpha", "1.5", "--n", "200", "--deriv", "caputo",
          "--left", "absorbing", "--right", "absorbing"],
-        ["weights", "--order", "1.5", "--m", "200000"],
+        ["weights", "--order", "1.5", "--m", "8000"],
     ])
     def test_memory_bound_covers_the_command(self, tmp_path, capsys, monkeypatch, argv):
         # The check before allocating counts all the command holds: the
         # dense matrix or the weights' work arrays, and the CSV text.  Twice
         # the peak passes it (parsed only: the run above already wrote).
+        # The sizes are about the smallest at which the arrays outweigh the
+        # fixed allowance enough for that (twice the peak of m = 8000 is
+        # 1.1 times the check), while an emit that held its whole text
+        # would peak at 1.7 times the check.
         out = tmp_path / "out.csv"
         argv = [*argv, "--out", str(out)]
         peak = traced_peak(lambda: main(argv))
@@ -459,7 +462,7 @@ class TestMain:
 
     def test_profile_is_read_only_if_it_fits(self, tmp_path, capsys, monkeypatch):
         # The profile's size at np.loadtxt's per-byte peak, as
-        # InitialCondition.sample bounds it, is checked before the read: one
+        # InitialCondition.sample bounds it, is checked by the read: one
         # byte less memory stops the run with exit code 1 and no file.
         n = 1000
         profile = tmp_path / "profile.txt"
@@ -497,6 +500,40 @@ class TestMain:
         monkeypatch.setattr(operators, "_MEMORY_BYTES", needs)
         assert main(argv) == 0
         assert out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_endless_inputs_are_read_only_as_far_as_they_fit(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # A device or a pipe reports size 0, so the read itself stops one
+        # byte past what fits: 1 MiB beside the fixed allowance fits 51 KiB
+        # of a profile and 21 KiB of a config.
+        monkeypatch.setattr(operators, "_MEMORY_BYTES",
+                            8 * operators._OVERHEAD_FLOATS + 2**20)
+        out = tmp_path / "run.csv"
+        solve = ["solve", "--alpha", "1.5", "--n", "16", "--method", "explicit",
+                 "--dt", "1e-4", "--t-end", "1e-3", "--out", str(out)]
+        for flags, code, start in (
+                (["--config", "/dev/zero"], 2, "error: cannot read config /dev/zero: "),
+                (["--ic", "file:/dev/zero"], 1, "error: /dev/zero (over ")):
+            codes = []
+            assert traced_peak(lambda: codes.append(main([*solve, *flags]))) < 2**20
+            assert codes == [code]
+            err = capsys.readouterr().err
+            assert err.startswith(start) and err.count("\n") == 1
+            assert "physical memory" in err
+            assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+    def test_config_may_come_from_a_pipe(self, tmp_path):
+        read, write = os.pipe()
+        with os.fdopen(write, "w") as pipe:
+            pipe.write(json.dumps({"alpha": 1.5, "n": 20}))
+        try:
+            cmd = parse_args(["solve", "--config", f"/dev/fd/{read}",
+                              "--out", str(tmp_path / "run.csv")])
+        finally:
+            os.close(read)
+        assert cmd.config.spec.n == 20
 
     @pytest.mark.parametrize("item", ["{}", "[{}]", "[]", "[" * 50 + "0" + "]" * 50])
     def test_config_bound_covers_its_read(self, tmp_path, item):

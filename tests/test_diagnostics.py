@@ -20,14 +20,12 @@ from fracdiff1d import (
     TimeSeries,
     UnsupportedForm,
     boundary_flux_check,
-    convergence_order,
     decay_rate,
     l1_distance_interior,
     negativity_scan,
     run_simulation,
     steady_state_reference,
     tent_profile,
-    total_mass,
 )
 
 RL = DerivativeForm.RIEMANN_LIOUVILLE
@@ -40,7 +38,7 @@ R = BoundaryCondition.REFLECTING
 def series_from_values(spec, times, value_arrays):
     n = spec.n
     snaps = tuple(GridFunction(n, v) for v in value_arrays)
-    masses = tuple(total_mass(s) for s in snaps)
+    masses = tuple(s.h * float(s.values.sum()) for s in snaps)
     config = SolverConfig(spec=spec, dt=1e-3, t_end=max(times, default=1.0),
                           method=Method.IMPLICIT, snapshot_times=tuple(times),
                           initial=InitialCondition.tent())
@@ -57,18 +55,6 @@ def run_scheme(form, left, right, *, n=128, dt=1e-3, steps=500, every=25,
         initial=ic or InitialCondition.tent(),
     )
     return run_simulation(config)
-
-
-class TestTotalMass:
-    def test_zero(self):
-        assert total_mass(GridFunction(8, np.zeros(9))) == 0.0
-
-    def test_rectangle_rule_counts_every_node(self):
-        assert total_mass(GridFunction(100, np.ones(101))) == pytest.approx(1.01, abs=1e-14)
-
-    def test_tent_mass_close_to_one(self):
-        u = GridFunction.sample(tent_profile, 1000)
-        assert abs(total_mass(u) - 1.0) <= 1e-3
 
 
 class TestSteadyStateReference:
@@ -236,24 +222,6 @@ class TestBoundaryFlux:
         series = run_scheme(RL, A, A, n=64, steps=20, every=10)
         with pytest.raises(InvalidSpec):
             boundary_flux_check(series)
-
-
-class TestConvergenceOrder:
-    def test_linear_pairs(self):
-        pairs = [(h, h) for h in (0.1, 0.05, 0.025, 0.0125)]
-        assert convergence_order(pairs) == pytest.approx(1.0, abs=1e-12)
-
-    def test_quadratic_pairs(self):
-        pairs = [(h, h**2) for h in (0.1, 0.05, 0.025)]
-        assert convergence_order(pairs) == pytest.approx(2.0, abs=1e-12)
-
-    def test_degenerate_inputs(self):
-        with pytest.raises(DegenerateInput):
-            convergence_order([(0.1, 0.1), (0.05, 0.05)])
-        with pytest.raises(DegenerateInput):
-            convergence_order([(0.1, 0.1), (0.2, 0.2), (0.05, 0.05)])
-        with pytest.raises(DegenerateInput):
-            convergence_order([(0.1, 0.1), (0.05, 0.0), (0.025, 0.01)])
 
 
 class TestSteadyApproach:

@@ -1,9 +1,12 @@
-"""Public names resolve, and the package surface the benchmark harness in
-``perfbench/`` calls still exists with the shape it uses."""
+"""Public names resolve, each is used beyond the tests, and the package
+surface the benchmark harness in ``perfbench/`` calls still exists with the
+shape it uses."""
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,25 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_every_public_name_is_used_beyond_the_tests():
+    # A use is a name or an attribute in the code of src/ (the package's
+    # __init__.py aside), demos/ or perfbench/: a definition, an __all__
+    # entry, an import or a docstring is none.
+    root = Path(__file__).resolve().parents[1]
+    package_init = Path(fracdiff1d.__file__).resolve()
+    used = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in (root / folder).rglob("*.py"):
+            if path.resolve() == package_init:
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert sorted(set(fracdiff1d.__all__) - used) == []
 
 
 def test_names_the_benchmark_harness_uses(tmp_path):

@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from fracdiff1d import (
     DerivativeForm,
+    DimensionMismatch,
     GridFunction,
+    GrunwaldWeights,
     InvalidOrder,
     InvalidSpec,
+    IterationMatrix,
+    SteadyStateKind,
+    SteadyStateReference,
     UnsupportedForm,
     caputo_derivative_grid,
     flux_profile,
@@ -274,3 +279,35 @@ class TestFluxProfile:
         with pytest.raises(InvalidSpec):
             flux_profile(GridFunction(8, np.zeros(9)), 1.5, 0.0,
                          DerivativeForm.RIEMANN_LIOUVILLE)
+
+
+class TestValueArrays:
+    """Every value type holds a read-only float64 copy of what it is given
+    and names the shape it expected."""
+
+    BUILDERS = {
+        "weights": (lambda v: GrunwaldWeights(1.5, v), (3,)),
+        "grid": (lambda v: GridFunction(2, v), (3,)),
+        "matrix": (lambda v: IterationMatrix(2, v), (3, 3)),
+        "reference": (lambda v: SteadyStateReference(SteadyStateKind.ZERO, 3, v), (3,)),
+    }
+
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_values_are_a_read_only_float_copy(self, kind):
+        build, shape = self.BUILDERS[kind]
+        given_values = np.arange(math.prod(shape)).reshape(shape)
+        held = build(given_values)
+        held = held.entries if kind == "matrix" else held.values
+        given_values[0] = 7
+        assert held.dtype == np.float64 and not held.flags.writeable
+        assert np.array_equal(held, np.arange(math.prod(shape)).reshape(shape))
+
+    @pytest.mark.parametrize("kind,message", [
+        ("grid", "expected 3 nodal values, got shape (4,)"),
+        ("matrix", "expected shape (3, 3), got (4,)"),
+        ("reference", "reference needs 3 interior values, got shape (4,)"),
+    ])
+    def test_a_wrong_shape_names_the_expected_one(self, kind, message):
+        with pytest.raises(DimensionMismatch) as raised:
+            self.BUILDERS[kind][0](np.zeros(4))
+        assert str(raised.value) == message

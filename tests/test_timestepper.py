@@ -26,7 +26,6 @@ from fracdiff1d import (
     sine_bump_profile,
     stability_limit,
     tent_profile,
-    total_mass,
 )
 from fracdiff1d import operators, timestepper
 from fracdiff1d.cli import emit_timeseries_csv, main
@@ -197,10 +196,10 @@ class TestImplicitSolveOracle:
 
 @pytest.fixture
 def without_openblas(monkeypatch):
-    """Steppers built under it find no bundled OpenBLAS beside numpy, as
-    with a numpy built against another BLAS."""
+    """Steppers built under it find no solves in numpy's BLAS, as with a
+    numpy built against another BLAS."""
     timestepper._in_place_solve.cache_clear()
-    monkeypatch.setattr(timestepper, "_openblas_path", lambda: None)
+    monkeypatch.setattr(timestepper, "_numpy_blas", lambda: None)
     yield
     timestepper._in_place_solve.cache_clear()
 
@@ -273,7 +272,7 @@ class TestStepperInput:
     def test_blas_takes_only_arrays_of_the_factor_layout(self):
         packed, band = self.stepper().factors
         bind = timestepper._in_place_solve()
-        if timestepper._openblas_path() is None:
+        if timestepper._numpy_blas() is None:
             pytest.skip("scipy's wrappers check their own arguments")
         for x in (np.empty(self.n), np.empty(self.n + 1, dtype=np.float32),
                   np.empty(2 * self.n + 2)[::2]):
@@ -360,18 +359,18 @@ class TestInitialConditions:
     def test_tent_shape(self):
         n = 1000
         u = InitialCondition.tent().sample(n)
-        x = u.x
+        x = np.arange(n + 1) / n
         assert u.values[x.tolist().index(0.5)] == 5.0
         assert np.all(u.values[(x <= 0.3) | (x >= 0.7)] == 0.0)
         assert np.all(u.values >= 0.0)
-        assert total_mass(u) == pytest.approx(1.0, abs=1e-12)
+        assert u.h * u.values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_sine_bump_shape(self):
         u = InitialCondition.sine_bump().sample(1024)
-        x = u.x
+        x = np.arange(1025) / 1024
         assert np.all(u.values >= 0.0)
         assert np.all(u.values[x >= 0.25] == 0.0)
-        assert total_mass(u) == pytest.approx(1.0, abs=1e-3)
+        assert u.h * u.values.sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_uniform(self):
         u = InitialCondition.uniform().sample(10)
@@ -383,6 +382,13 @@ class TestInitialConditions:
         path.write_text("\n".join(str(v) for v in values))
         u = InitialCondition.from_file(path).sample(8)
         assert np.array_equal(u.values, values)
+
+    def test_from_file_reads_any_newlines(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        values = np.linspace(0.0, 1.0, 9)
+        for newline in ("\r\n", "\r"):
+            path.write_bytes(newline.join(str(v) for v in values).encode())
+            assert np.array_equal(InitialCondition.from_file(path).sample(8).values, values)
 
     def test_from_file_wrong_length(self, tmp_path):
         path = tmp_path / "short.txt"
