@@ -34,14 +34,15 @@ replaced rows.  Runs and the ``verify`` checks of ``B`` use only that
 form.  Runs take its row sums in O(n):
 explicit steps apply it by convolution (FFT from ``n = 512`` up), and
 implicit runs read it one row at a time into their O(n^2) Hessenberg
-factorization, whose packed triangle is half a dense matrix.
+factorization, whose triangle ``U`` (stored in blocks of rows, see
+``timestepper._layout``) is half a dense matrix.
 :func:`build_matrix` is its dense, immutable expansion, which serves the
 ``matrix`` command and the tests, as their oracle.  No O(n log n)
 implicit solve is implemented.  A grid whose state vector alone would
 exceed physical memory is rejected for every use; one whose dense matrix
 would is rejected by dense expansion; a run is rejected when its arrays
 would: an explicit run's stencil, FFT buffers and recorded states, an
-implicit run's packed factor and recorded states.
+implicit run's factor and recorded states.
 """
 
 from __future__ import annotations
@@ -156,12 +157,15 @@ def _require_explicit_fits(n: int, states: int) -> None:
 
 def _require_implicit_fits(n: int, states: int) -> None:
     """Reject an implicit run and its CSV emit whose memory would exceed
-    physical memory: the packed factor of ``I - beta B``, ``(n+1)(n+2)/2``
+    physical memory: the factor ``U`` of ``I - beta B``, ``(n+1)(n+2)/2``
     floats, plus ``states`` recorded states with their bookkeeping
     (``_SNAPSHOT_FLOATS`` each) and under 16 (n+1) more for the stencil,
-    the band of ``L``, the outflow, one row's work arrays while factoring,
-    and the stepper's solve buffer with the state it returns while stepping
-    (traced at 9.2-12.8 (n+1) from n = 1000 to 4000, that buffer included).
+    its scaled weights and edge column, the band of ``L``, the outflow, one
+    row's work arrays while factoring, and while stepping the solve buffer,
+    the trailing-update scratch (n + 1 - 1024 floats from n = 1024 on) and
+    the state a step returns.  Traced beside the factor and four states'
+    values, a run of RL r/r or Caputo a/a holds 8.1-11.0 (n+1) more at
+    n = 1000, 2048 and 4000.
     The emit comes after the factor and these are freed: the ``x`` column's
     text and one state's values as Python objects take under 14 (n+1).
     The stencil brings no FFT transform: only explicit steps compute one."""

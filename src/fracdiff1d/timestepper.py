@@ -10,11 +10,15 @@ unconditionally stable.  Every ``B`` is upper Hessenberg
 in row form :math:`\mathbf{u}_{k+1} M = \mathbf{u}_k` with
 :math:`M = I - \beta B = L U` factored without pivoting: ``L`` is unit lower
 bidiagonal (one multiplier per row) and ``U`` upper triangular.  The factor
-is built one row of ``B`` at a time into packed storage, half a dense
-matrix; it costs O(n^2) and each step one packed triangular and one
-bidiagonal BLAS solve, called through ctypes from the OpenBLAS that numpy's
-wheels bundle, so no run imports scipy.  Where numpy's BLAS lacks them,
-scipy's wrappers of the same two routines solve instead.
+is built one row of ``B`` at a time into ``(n+1)(n+2)/2`` floats, half a
+dense matrix, in blocks of 1024 rows: each block's diagonal triangle in
+BLAS packed storage, then its rectangle to the right as a dense array.  It
+costs O(n^2), and each step one packed triangular solve per block, one
+matrix-vector product per block but the last (numpy's threaded ``dgemv``)
+and one bidiagonal solve.  The triangular solves are called through ctypes
+from the OpenBLAS that numpy's wheels bundle, so no run imports scipy;
+where numpy's BLAS lacks them, scipy's wrappers of the same two routines
+solve instead.
 For the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
 dominant Z-matrix, so the growth factor is at most 2; a pivot check still
 runs for every scheme.
@@ -220,7 +224,7 @@ class SolverConfig:
     Construction fails with :class:`StabilityViolation` when an explicit
     method is paired with ``dt`` above the stability limit, unless
     ``allow_unstable`` is set, and with :class:`InvalidSpec` when the run's
-    arrays (an implicit run's packed factor and recorded states; an
+    arrays (an implicit run's factor and recorded states; an
     explicit run's stencil, FFT buffers and recorded states) would exceed
     physical memory.
     """
@@ -289,12 +293,14 @@ class _Stepper:
     The only place the update rule lives.  Built once per run from an
     operator holding ``B`` (the stencil of :mod:`~fracdiff1d.operators`),
     whose O(n) row sums both methods book: explicit steps apply it;
-    implicit runs read its rows into the packed factor of
-    ``M = I - beta B = L U`` without pivoting, which every :meth:`step`
-    reuses, so no run holds an (n+1)^2 array.  An implicit step copies the
-    state into the stepper's own (n+1) buffer, solves there in place and
-    returns a copy: only the factor and that buffer, which the stepper
-    holds for its lifetime, reach BLAS.  An absorbing node j needs
+    implicit runs read its rows into the blocked factor of
+    ``M = I - beta B = L U`` without pivoting (see :func:`_layout`), which
+    every :meth:`step` reuses, so no run holds an (n+1)^2 array.  An
+    implicit step copies the state into the stepper's own (n+1) buffer,
+    solves there in place and returns a copy: only the factor and that
+    buffer, which the stepper holds for its lifetime, reach BLAS through
+    ctypes; the trailing updates of a factor of several blocks go through
+    numpy, into scratch that the bound solve holds.  An absorbing node j needs
     no pin: its zero column of ``B`` makes the explicit update add
     ``+0.0`` there, and column j of ``M`` the unit vector, so the solve
     returns ``+0.0`` there, for every finite state that is zero at j.
@@ -361,17 +367,17 @@ def _numpy_blas():
 
 @functools.cache
 def _in_place_solve():
-    """Bind the implicit step's two BLAS solves, once per process.
+    """Bind the implicit step's BLAS solves, once per process.
 
     Returns ``bind(packed, band, x)``, which returns a call that overwrites
-    ``x`` (``u`` in, ``v`` out) with the solution of ``v L U = u``: the
-    packed solve ``U^T w = u`` (``dtpsv``, lower, non-unit), then the band
-    solve ``L^T v = w`` (``dtbsv``, upper, unit, one superdiagonal), for the
-    factors of :func:`_hessenberg_lu`.  The routines come from numpy's
-    bundled OpenBLAS through ctypes or, where it is not found, from scipy;
-    with neither, :class:`FracDiffError`.  Only :class:`_Stepper` binds: it
-    passes column-major float64 arrays that it holds for as long as it
-    calls the solve.
+    ``x`` (``u`` in, ``v`` out) with the solution of ``v L U = u``, for the
+    factors of :func:`_hessenberg_lu`: ``U^T w = u`` block by block (see
+    :func:`_blocked_solve`), then the band solve ``L^T v = w`` (``dtbsv``,
+    upper, unit, one superdiagonal).  The triangular routines come from
+    numpy's bundled OpenBLAS through ctypes or, where it is not found, from
+    scipy; with neither, :class:`FracDiffError`.  Only :class:`_Stepper`
+    binds: it passes column-major float64 arrays that it holds for as long
+    as it calls the solve.
     """
     routines = _numpy_blas()
     if routines is None:
@@ -381,6 +387,15 @@ def _in_place_solve():
     tpsv.argtypes = [enum] * 4 + [index, pointer, pointer, index]
     tbsv.argtypes = [enum] * 4 + [index, index, pointer, index, pointer, index]
     tpsv.restype = tbsv.restype = None
+    lower = tuple(map(enum, (_COL_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT)))
+    upper = tuple(map(enum, (_COL_MAJOR, _UPPER, _NO_TRANS, _UNIT)))
+    one = index(1)
+
+    def triangular(triangle, segment):
+        # Converted once: ctypes passes its own objects without conversion.
+        return functools.partial(tpsv, *lower, index(segment.size),
+                                 pointer(triangle.ctypes.data),
+                                 pointer(segment.ctypes.data), one)
 
     def bind(packed, band, x):
         # BLAS reads and writes through raw addresses: a wrong array would
@@ -392,18 +407,10 @@ def _in_place_solve():
                     or not array.flags.f_contiguous):
                 raise ValueError("the solve takes column-major float64 arrays "
                                  "sized for one grid")
-        # Converted once: ctypes passes its own objects without conversion.
-        size, one, into = index(size), index(1), pointer(x.ctypes.data)
-        triangular = (*map(enum, (_COL_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT)),
-                      size, pointer(packed.ctypes.data), into, one)
-        bidiagonal = (*map(enum, (_COL_MAJOR, _UPPER, _NO_TRANS, _UNIT)),
-                      size, one, pointer(band.ctypes.data), index(2), into, one)
-
-        def solve() -> None:
-            tpsv(*triangular)
-            tbsv(*bidiagonal)
-
-        return solve
+        bidiagonal = functools.partial(tbsv, *upper, index(size), one,
+                                       pointer(band.ctypes.data), index(2),
+                                       pointer(x.ctypes.data), one)
+        return _blocked_solve(packed, x, triangular, bidiagonal)
 
     return bind
 
@@ -417,48 +424,138 @@ def _scipy_in_place_solve():
         raise FracDiffError("implicit steps need numpy's bundled OpenBLAS or scipy, "
                             "and neither was found: pip install scipy") from None
 
-    def bind(packed, band, x):
-        def solve() -> None:
-            dtpsv(x.size, packed, x, lower=1, overwrite_x=1)
-            dtbsv(1, band, x, diag=1, overwrite_x=1)
+    def triangular(triangle, segment):
+        return lambda: dtpsv(segment.size, triangle, segment, lower=1, overwrite_x=1)
 
-        return solve
+    def bind(packed, band, x):
+        return _blocked_solve(packed, x, triangular,
+                              lambda: dtbsv(1, band, x, diag=1, overwrite_x=1))
 
     return bind
 
 
-def _hessenberg_lu(operator, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factor ``M = I - beta B = L U`` without pivoting, one row of ``B``
-    at a time, one row axpy per row.
+def _blocked_solve(packed, x, triangular, bidiagonal):
+    """A call that overwrites ``x`` with the solution of ``v L U = x``.
 
-    ``B`` is upper Hessenberg, so row ``k`` of ``M`` needs only the
-    multiplier ``m_{k,k-1} / u_{k-1,k-1}`` and row ``k - 1`` of ``U``.
-    Returns ``U`` by rows from the diagonal, laid end to end, which is
-    ``U^T`` in BLAS lower packed storage, ``(n+1)(n+2)/2`` floats; and the
+    For each block ``[a, b)`` of :func:`_layout`, in order: the packed
+    solve of its triangle, ``triangular(triangle, x[a:b])()`` (``dtpsv``,
+    lower, non-unit, in place), then the trailing update
+    ``x[b:] -= x[a:b] @ U[a:b, b:]``, a matrix-vector product by numpy's
+    BLAS (threaded ``dgemv``) into scratch that the call holds.  Then
+    ``bidiagonal()``.  A grid of one block makes two calls: one ``dtpsv``
+    and one ``dtbsv``.
+    """
+    size = x.size
+    scratch = np.empty(max(size - _BLOCK, 0))  # the first rectangle's width
+    calls = []
+    for a, b, triangle, rectangle in _layout(packed, size):
+        calls.append(triangular(triangle, x[a:b]))
+        if b < size:
+            calls.append(functools.partial(
+                _trailing_update, x[a:b], rectangle, x[b:], scratch[: size - b]))
+    calls.append(bidiagonal)
+
+    def solve() -> None:
+        for call in calls:
+            call()
+
+    return solve
+
+
+def _trailing_update(solved, rectangle, rest, scratch) -> None:
+    np.matmul(solved, rectangle, out=scratch)
+    np.subtract(rest, scratch, out=rest)
+
+
+# Rows of ``U`` in each block of its storage (see _layout).
+_BLOCK = 1024
+
+
+def _layout(packed: np.ndarray, size: int):
+    """The blocks of ``U``'s storage, as views ``(a, b, triangle, rectangle)``.
+
+    ``U``, of ``size`` rows, is stored in ``(n+1)(n+2)/2`` floats, blocks of
+    ``_BLOCK`` rows ``[a, b)`` laid end to end.  A block holds first its
+    diagonal triangle, the rows ``U[k, k:b]`` end to end, which is that
+    triangle's transpose in BLAS lower packed storage, then its rectangle
+    ``U[a:b, b:]``, row-major.  A grid of at most ``_BLOCK`` nodes is one
+    block: a packed triangle and an empty rectangle.
+    """
+    start = 0
+    for a in range(0, size, _BLOCK):
+        b = min(a + _BLOCK, size)
+        middle = start + (b - a) * (b - a + 1) // 2
+        end = middle + (b - a) * (size - b)
+        yield a, b, packed[start:middle], packed[middle:end].reshape(b - a, size - b)
+        start = end
+
+
+def _hessenberg_lu(operator, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Factor ``M = I - beta B = L U`` without pivoting, one row at a time.
+
+    ``B`` is upper Hessenberg, so row ``k`` of ``U`` is row ``k`` of ``M``
+    less the multiplier ``m_{k,k-1} / u_{k-1,k-1}`` times row ``k - 1`` of
+    ``U``: one row axpy, written in the layout of :func:`_layout`, one piece
+    in the triangle and one in the rectangle of its block.  Rows 0 and 1 of
+    ``B`` come from ``operator.row``; each later row is the stencil
+    ``operator.g`` (``b_kj = g_{j-k+1}``) with ``operator.edges[:, 1]`` in
+    column ``n``, both scaled by ``-beta`` once, so a row costs two array
+    calls a piece, and its diagonal and column ``n`` are computed as
+    scalars.  Returns ``U`` in that layout, ``(n+1)(n+2)/2`` floats, and the
     multipliers of ``L`` as the band of the unit upper bidiagonal ``L^T``.
     A non-finite factor or a zero pivot raises :class:`SingularSystem`.
     """
-    size = operator.n + 1
+    n = operator.n
+    size = n + 1
     packed = np.empty(size * (size + 1) // 2)
     band = np.zeros((2, size), order="F")
+    multipliers = band[0]
     with np.errstate(all="ignore"):  # an overflow fails the health check
-        tail = packed[:size]
-        np.multiply(operator.row(0), -beta, out=tail)
-        tail[0] += 1.0
-        offset = size
-        for k in range(1, size):
-            row = operator.row(k) * -beta  # columns k - 1 .. n
-            row[1] += 1.0
-            band[0, k] = multiplier = row[0] / tail[0]
-            above, tail = tail[1:], packed[offset : offset + size - k]
-            np.subtract(row[1:], multiplier * above, out=tail)
-            offset += size - k
+        g, edge = operator.g * -beta, operator.edges[:, 1] * -beta
+        sub, diagonal_of_stencil = g.item(0), g.item(1) + 1.0
+        try:
+            for a, b, triangle, rectangle in _layout(packed, size):
+                wide = b < size
+                if a:  # the last row above, split at this block's end
+                    above, beyond = last[: b - a], last[b - a :]
+                start = 0
+                for k in range(a, min(b, n)):
+                    near = triangle[start : start + b - k]
+                    start += b - k
+                    if k >= 2:
+                        multiplier = sub / pivot
+                        diagonal, source = diagonal_of_stencil, g[1 : size - k + 1]
+                    else:  # rows 0 and 1 may be patched: row(k) is from column 0
+                        row = operator.row(k) * -beta
+                        if k == 0:
+                            near[:], rectangle[0] = row[:b], row[b:]
+                            near[0] = pivot = row.item(0) + 1.0
+                            corner = row.item(-1)
+                            above, beyond = near[1:], rectangle[0]
+                            continue
+                        multiplier = row.item(0) / pivot
+                        diagonal, source = row.item(1) + 1.0, row[1:]
+                    multipliers[k] = multiplier
+                    top = above.item(0)
+                    if wide:
+                        far = rectangle[k - a]
+                        np.subtract(source[b - k :], multiplier * beyond, out=far)
+                        source, beyond = source[: b - k], far
+                    np.subtract(source, multiplier * above, out=near)
+                    above = near[1:]
+                    near[0] = pivot = diagonal - multiplier * top
+                    # Column n: the edge, not the stencil's next weight.
+                    corner = edge.item(k) - multiplier * corner
+                    (far if wide else near)[-1] = corner
+                last = rectangle[-1]
+            multipliers[n] = multiplier = sub / pivot
+            triangle[-1] = pivot = (edge.item(n) + 1.0) - multiplier * corner
+        except ZeroDivisionError:  # a zero pivot: multipliers are Python floats
+            pivot = 0.0
         # min and max propagate NaN and, unlike isfinite, need no n^2 mask.
-        healthy = (math.isfinite(packed.min()) and math.isfinite(packed.max())
-                   and np.isfinite(band).all())
-    rows = np.arange(size)
-    pivots = packed[rows * size - rows * (rows - 1) // 2]
-    if not healthy or not pivots.all():
+        healthy = (pivot != 0.0 and math.isfinite(packed.min())
+                   and math.isfinite(packed.max()) and np.isfinite(band).all())
+    if not healthy:
         raise SingularSystem("implicit system matrix is numerically singular")
     return packed, band
 
@@ -473,6 +570,10 @@ class _Dense:
 
     def __init__(self, matrix: IterationMatrix) -> None:
         self.n, self.entries = matrix.n, matrix.entries
+        # What the factor reads beyond rows 0 and 1: the stencil of the rows
+        # below, row 2 from column 1 (its entry in column n stands in for a
+        # weight that the factor overwrites), and columns 0 and n.
+        self.g, self.edges = self.entries[2, 1:], self.entries[:, :: self.n]
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return u @ self.entries

@@ -398,7 +398,7 @@ class TestMain:
 
     @pytest.mark.parametrize("n,states", [(n, states) for n in (16, 64, 200, 600)
                                           for states in (4, 10, 40)]
-                             + [(2, 2000), (64, 2000)])
+                             + [(2, 2000), (64, 2000), (1100, 4)])
     @pytest.mark.parametrize("method", ["explicit", "implicit"])
     def test_memory_bound_covers_the_solve(self, tmp_path, capsys, monkeypatch,
                                            method, n, states):
@@ -406,7 +406,8 @@ class TestMain:
         # included: at small n those outweigh the run's arrays, and with
         # many snapshots each one's bookkeeping and meta JSON outweigh its
         # n + 1 values.  A first run fills the import and FFT caches, which
-        # a second does not.
+        # a second does not.  At n = 1100 an implicit factor is two blocks,
+        # solved with a trailing update through scratch.
         dt, steps = (1e-5, 40) if states <= 40 else (1e-6, states)
         times = ",".join(repr(k * steps // (states - 1) * dt) for k in range(states))
         out = tmp_path / "run.csv"

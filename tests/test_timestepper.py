@@ -141,7 +141,8 @@ class TestImplicitSolveOracle:
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_one_step_matches_dense_lu(self, form, left, right, alpha):
-        for n in (2, 3, 8, 64, 257, 512, 1000, 2048):
+        # From n = 1024 on, U is stored and solved in blocks of 1024 rows.
+        for n in (2, 3, 8, 64, 257, 512, 1000, 1024, 2048):
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
             beta = n**alpha * 1e-3  # dt = 1e-3, c = 1
             u = np.random.default_rng(n).random(n + 1)
@@ -213,7 +214,9 @@ def chained_steps(stepper, start, steps=50):
 
 
 class TestBlasFallback:
-    @pytest.mark.parametrize("n", (128, 1000))
+    # At n = 2048 U is solved in two blocks; both paths make the same
+    # trailing updates through numpy.
+    @pytest.mark.parametrize("n", (128, 1000, 2048))
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
     def test_scipy_solve_is_bit_identical(self, request, form, left, right, n):
         spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
@@ -224,6 +227,19 @@ class TestBlasFallback:
         assert "_scipy_in_place_solve" in timestepper._in_place_solve().__qualname__
         fallback = chained_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT), start)
         for (u, increment), (v, other) in zip(bundled, fallback, strict=True):
+            assert bit_equal(u, v)
+            assert bit_equal(np.float64(increment), np.float64(other))
+
+    @pytest.mark.parametrize("form,left,right", [(RL, R, R), (PS, R, A)])
+    def test_blocked_solve_repeats_bit_for_bit(self, form, left, right):
+        # Three blocks: two threaded trailing updates a step.
+        n = 2100
+        spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+        beta = n**1.5 * 1e-3
+        start = np.random.default_rng(n).random(n + 1)
+        first, second = (chained_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT),
+                                       start) for _ in range(2))
+        for (u, increment), (v, other) in zip(first, second, strict=True):
             assert bit_equal(u, v)
             assert bit_equal(np.float64(increment), np.float64(other))
 
@@ -280,6 +296,9 @@ class TestStepperInput:
                 bind(packed, band, x)
         with pytest.raises(ValueError):
             bind(packed, np.zeros((2, self.n + 1)), np.empty(self.n + 1))
+        for wrong in (packed[:-1], packed.astype(np.float32), np.repeat(packed, 2)[::2]):
+            with pytest.raises(ValueError):
+                bind(wrong, band, np.empty(self.n + 1))
 
     def test_a_returned_state_is_not_changed_by_later_steps(self):
         stepper = self.stepper()
@@ -296,6 +315,26 @@ STENCIL_SIZES = (2, 3, 8, 64, 257, 512, 1000, 2048)
 
 def bit_equal(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# The schemes whose factor and solve are checked across block edges too: a
+# reflecting patch on both columns, two patched rows, a patched row.
+BLOCK_EDGE_SCHEMES = [(RL, R, R), (CAP, A, A), (PS, R, A)]
+
+
+def assert_factor_layout(packed, U):
+    """``packed`` holds every entry of the dense upper triangle ``U``, bit
+    for bit, in blocks of at most 1024 rows: each block's rows from the
+    diagonal up to the block's end, end to end, then the rest of its rows
+    as one row-major rectangle."""
+    size = len(U)
+    blocks = list(timestepper._layout(packed, size))
+    assert [a for a, *_ in blocks] == list(range(0, size, 1024))
+    assert [b for _, b, *_ in blocks] == [min(a + 1024, size) for a, *_ in blocks]
+    expected = np.concatenate([
+        part for a, b, *_ in blocks
+        for part in ([U[k, k:b] for k in range(a, b)] + [U[a:b, b:].ravel()])])
+    assert bit_equal(packed, expected), size - 1
 
 
 class TestStencilOracle:
@@ -317,9 +356,14 @@ class TestStencilOracle:
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_implicit_system_is_bit_identical(self, form, left, right, alpha):
-        # The packed factor repeats, bit for bit, a row-axpy elimination of
-        # the dense I - beta B in place.
-        for n in STENCIL_SIZES:
+        # The factor repeats, bit for bit, a row-axpy elimination of the
+        # dense I - beta B in place.  Past one block of rows (n + 1 > 1024)
+        # each row is written in two pieces: 1024 puts the last block at one
+        # row, 2049 at two.
+        sizes = STENCIL_SIZES
+        if (form, left, right) in BLOCK_EDGE_SCHEMES:
+            sizes += (1023, 1024, 2049)
+        for n in sizes:
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
             beta = n**alpha * 1e-3
             packed, band = timestepper._hessenberg_lu(_stencil(spec), beta)
@@ -329,7 +373,7 @@ class TestStencilOracle:
             for k in range(1, n + 1):
                 multipliers[k] = U[k, k - 1] / U[k - 1, k - 1]
                 U[k, k:] -= multipliers[k] * U[k - 1, k:]
-            assert bit_equal(packed, np.concatenate([U[k, k:] for k in range(n + 1)])), n
+            assert_factor_layout(packed, U)
             assert bit_equal(band[0], multipliers) and not band[1].any(), n
 
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
