@@ -138,7 +138,11 @@ def grunwald_weights(order: float, m: int) -> GrunwaldWeights:
     vals[0] = 1.0
     if m > 0:
         i = np.arange(1, m + 1)
-        np.cumprod((i - 1 - order) / i, out=vals[1:])
+        # An overflow, or an overflow times a zero factor, is reported below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumprod((i - 1 - order) / i, out=vals[1:])
+        if not np.isfinite(vals).all():
+            raise InvalidOrder(f"weights of order {order} up to m={m} overflow float64")
     return GrunwaldWeights(order, vals)
 
 

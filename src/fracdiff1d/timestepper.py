@@ -15,10 +15,10 @@ dense matrix, in blocks of 1024 rows: each block's diagonal triangle in
 BLAS packed storage, then its rectangle to the right as a dense array.  It
 costs O(n^2), and each step one packed triangular solve per block, one
 matrix-vector product per block but the last (numpy's threaded ``dgemv``)
-and one bidiagonal solve.  The triangular solves are called through ctypes
-from the OpenBLAS that numpy's wheels bundle, so no run imports scipy;
-where numpy's BLAS lacks them, scipy's wrappers of the same two routines
-solve instead.
+and one bidiagonal solve.  The two triangular routines, ``dtpsv`` and
+``dtbsv``, are bound once through ctypes, by address, from one of two
+sources: the OpenBLAS that numpy's wheels bundle, so no run imports scipy,
+or, where numpy's BLAS lacks them, scipy's ``cython_blas``.
 For the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
 dominant Z-matrix, so the growth factor is at most 2; a pivot check still
 runs for every scheme.
@@ -298,12 +298,13 @@ class _Stepper:
     every :meth:`step` reuses, so no run holds an (n+1)^2 array.  An
     implicit step copies the state into the stepper's own (n+1) buffer,
     solves there in place and returns a copy: only the factor and that
-    buffer, which the stepper holds for its lifetime, reach BLAS through
-    ctypes; the trailing updates of a factor of several blocks go through
-    numpy, into scratch that the bound solve holds.  An absorbing node j needs
-    no pin: its zero column of ``B`` makes the explicit update add
-    ``+0.0`` there, and column j of ``M`` the unit vector, so the solve
-    returns ``+0.0`` there, for every finite state that is zero at j.
+    buffer, which the bound solve holds, reach the two BLAS routines, bound
+    by address from either source (see :func:`_blas_routines`); the
+    trailing updates of a factor of several blocks go through numpy, into
+    scratch that the bound solve holds too.  An absorbing node j needs no
+    pin: its zero column of ``B`` makes the explicit update add ``+0.0``
+    there, and column j of ``M`` the unit vector, so the solve returns
+    ``+0.0`` there, for every finite state that is zero at j.
     """
 
     def __init__(self, operator, beta: float, method: Method) -> None:
@@ -314,11 +315,9 @@ class _Stepper:
         self.steps = 0
         self.apply = self.solve = None
         if method is Method.IMPLICIT:
-            bind = _in_place_solve()  # a missing BLAS fails before the factor
-            # BLAS keeps the addresses of these three: the stepper holds them.
-            self.factors = _hessenberg_lu(operator, beta)
+            _blas_routines()  # a missing BLAS fails before the factor
             self.state = np.empty(n + 1)
-            self.solve = bind(*self.factors, self.state)
+            self.solve = _in_place_solve(*_hessenberg_lu(operator, beta), self.state)
         else:
             self.apply = operator.apply
         self.outflow = -operator.row_sums()
@@ -348,118 +347,93 @@ class _Stepper:
         return u, increment
 
 
-# The CBLAS enumerators of cblas.h.
-_COL_MAJOR, _NO_TRANS, _UPPER, _LOWER, _NON_UNIT, _UNIT = 102, 111, 121, 122, 131, 132
+@functools.cache
+def _blas_routines():
+    """``dtpsv`` and ``dtbsv``, the packed and the band triangular solve of
+    the Fortran interface, and the C integer type they take, found once per
+    process.
 
-
-def _numpy_blas():
-    """The packed and the band triangular solve, with 64-bit integers, of
-    the OpenBLAS that numpy's wheels bundle, as ctypes functions: symbols
-    looked up through numpy's linear-algebra extension find them in the
-    libraries it links.  None where that BLAS does not export them (a
-    numpy built against another BLAS)."""
+    Every argument of both is an address.  They come from the OpenBLAS that
+    numpy's wheels bundle, with 64-bit integers, looked up through numpy's
+    linear-algebra extension, which links it, so no run imports scipy; or,
+    where numpy's BLAS lacks them (a numpy built against another BLAS), from
+    the capsules of scipy's ``cython_blas``, with C ``int``.  With neither,
+    :class:`FracDiffError`.
+    """
+    names = "dtpsv", "dtbsv"
     try:
         library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        return library.scipy_cblas_dtpsv64_, library.scipy_cblas_dtbsv64_
+        addresses = [ctypes.cast(library[f"scipy_{routine}_64_"], ctypes.c_void_p).value
+                     for routine in names]
+        integer = ctypes.c_int64
     except (OSError, AttributeError):  # not loadable, or without these symbols
-        return None
+        try:
+            from scipy.linalg.cython_blas import __pyx_capi__ as capsules
+        except ImportError:
+            raise FracDiffError("implicit steps need numpy's bundled OpenBLAS or scipy, "
+                                "and neither was found: pip install scipy") from None
+        # Fresh function objects: ctypes.pythonapi's are shared by the process.
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi))
+        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+        addresses = [pointer(capsules[routine], name(capsules[routine]))
+                     for routine in names]
+        integer = ctypes.c_int
+    tpsv, tbsv = (ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * count)(address)
+                  for address, count in zip(addresses, (7, 9)))
+    return tpsv, tbsv, integer
 
 
-@functools.cache
-def _in_place_solve():
-    """Bind the implicit step's BLAS solves, once per process.
+def _in_place_solve(packed, band, x):
+    """A call that overwrites ``x`` (``u`` in, ``v`` out) with the solution
+    of ``v L U = u``, for the factors of :func:`_hessenberg_lu`.
 
-    Returns ``bind(packed, band, x)``, which returns a call that overwrites
-    ``x`` (``u`` in, ``v`` out) with the solution of ``v L U = u``, for the
-    factors of :func:`_hessenberg_lu`: ``U^T w = u`` block by block (see
-    :func:`_blocked_solve`), then the band solve ``L^T v = w`` (``dtbsv``,
-    upper, unit, one superdiagonal).  The triangular routines come from
-    numpy's bundled OpenBLAS through ctypes or, where it is not found, from
-    scipy; with neither, :class:`FracDiffError`.  Only :class:`_Stepper`
-    binds: it passes column-major float64 arrays that it holds for as long
-    as it calls the solve.
-    """
-    routines = _numpy_blas()
-    if routines is None:
-        return _scipy_in_place_solve()
-    tpsv, tbsv = routines
-    enum, index, pointer = ctypes.c_int, ctypes.c_int64, ctypes.c_void_p
-    tpsv.argtypes = [enum] * 4 + [index, pointer, pointer, index]
-    tbsv.argtypes = [enum] * 4 + [index, index, pointer, index, pointer, index]
-    tpsv.restype = tbsv.restype = None
-    lower = tuple(map(enum, (_COL_MAJOR, _LOWER, _NO_TRANS, _NON_UNIT)))
-    upper = tuple(map(enum, (_COL_MAJOR, _UPPER, _NO_TRANS, _UNIT)))
-    one = index(1)
-
-    def triangular(triangle, segment):
-        # Converted once: ctypes passes its own objects without conversion.
-        return functools.partial(tpsv, *lower, index(segment.size),
-                                 pointer(triangle.ctypes.data),
-                                 pointer(segment.ctypes.data), one)
-
-    def bind(packed, band, x):
-        # BLAS reads and writes through raw addresses: a wrong array would
-        # corrupt memory, not raise.
-        size = x.size
-        for array, shape in ((packed, (size * (size + 1) // 2,)), (band, (2, size)),
-                             (x, (size,))):
-            if (array.shape != shape or array.dtype != np.float64
-                    or not array.flags.f_contiguous):
-                raise ValueError("the solve takes column-major float64 arrays "
-                                 "sized for one grid")
-        bidiagonal = functools.partial(tbsv, *upper, index(size), one,
-                                       pointer(band.ctypes.data), index(2),
-                                       pointer(x.ctypes.data), one)
-        return _blocked_solve(packed, x, triangular, bidiagonal)
-
-    return bind
-
-
-def _scipy_in_place_solve():
-    """:func:`_in_place_solve` through scipy's wrappers, which overwrite a
-    contiguous float64 ``x`` in place."""
-    try:
-        from scipy.linalg.blas import dtbsv, dtpsv
-    except ImportError:
-        raise FracDiffError("implicit steps need numpy's bundled OpenBLAS or scipy, "
-                            "and neither was found: pip install scipy") from None
-
-    def triangular(triangle, segment):
-        return lambda: dtpsv(segment.size, triangle, segment, lower=1, overwrite_x=1)
-
-    def bind(packed, band, x):
-        return _blocked_solve(packed, x, triangular,
-                              lambda: dtbsv(1, band, x, diag=1, overwrite_x=1))
-
-    return bind
-
-
-def _blocked_solve(packed, x, triangular, bidiagonal):
-    """A call that overwrites ``x`` with the solution of ``v L U = x``.
-
-    For each block ``[a, b)`` of :func:`_layout`, in order: the packed
-    solve of its triangle, ``triangular(triangle, x[a:b])()`` (``dtpsv``,
-    lower, non-unit, in place), then the trailing update
-    ``x[b:] -= x[a:b] @ U[a:b, b:]``, a matrix-vector product by numpy's
-    BLAS (threaded ``dgemv``) into scratch that the call holds.  Then
-    ``bidiagonal()``.  A grid of one block makes two calls: one ``dtpsv``
-    and one ``dtbsv``.
+    For each block ``[a, b)`` of :func:`_layout`, in order: ``dtpsv``
+    (lower, non-unit) on its triangle and ``x[a:b]``, in place, then, but
+    for the last block, the trailing update ``x[b:] -= x[a:b] @ U[a:b, b:]``,
+    a matrix-vector product by numpy's BLAS (threaded ``dgemv``) into
+    scratch that the call holds.  Then one ``dtbsv`` (upper, unit, one
+    superdiagonal) solves ``L^T v = w``.  The call holds the three
+    column-major float64 arrays it is bound to.
     """
     size = x.size
+    # BLAS reads and writes through raw addresses: a wrong array would
+    # corrupt memory, not raise.
+    for array, shape in ((packed, (size * (size + 1) // 2,)), (band, (2, size)),
+                         (x, (size,))):
+        if (array.shape != shape or array.dtype != np.float64
+                or not array.flags.f_contiguous):
+            raise ValueError("the solve takes column-major float64 arrays "
+                             "sized for one grid")
+    tpsv, tbsv, integer = _blas_routines()
+    # Fortran takes every argument by address: the options from one byte
+    # string, each integer k from entry k of a table of 0 .. size.  Each
+    # pointer holds its array, so the calls keep both alive.
+    options, counts = np.frombuffer(b"LNU", np.uint8), np.arange(size + 1, dtype=integer)
+    lower, no, upper = (_address(options[i:]) for i in range(3))
+    one, two, order = (_address(counts[k:]) for k in (1, 2, size))
     scratch = np.empty(max(size - _BLOCK, 0))  # the first rectangle's width
     calls = []
     for a, b, triangle, rectangle in _layout(packed, size):
-        calls.append(triangular(triangle, x[a:b]))
+        calls.append(functools.partial(tpsv, lower, no, no, _address(counts[b - a :]),
+                                       _address(triangle), _address(x[a:b]), one))
         if b < size:
             calls.append(functools.partial(
                 _trailing_update, x[a:b], rectangle, x[b:], scratch[: size - b]))
-    calls.append(bidiagonal)
+    calls.append(functools.partial(tbsv, upper, no, upper, order, one, _address(band),
+                                   two, _address(x), one))
 
     def solve() -> None:
         for call in calls:
             call()
 
     return solve
+
+
+def _address(array) -> ctypes.c_void_p:
+    """A pointer to ``array``'s first element that holds the array."""
+    return array.ctypes.data_as(ctypes.c_void_p)
 
 
 def _trailing_update(solved, rectangle, rest, scratch) -> None:
@@ -570,10 +544,26 @@ class _Dense:
 
     def __init__(self, matrix: IterationMatrix) -> None:
         self.n, self.entries = matrix.n, matrix.entries
-        # What the factor reads beyond rows 0 and 1: the stencil of the rows
-        # below, row 2 from column 1 (its entry in column n stands in for a
-        # weight that the factor overwrites), and columns 0 and n.
-        self.g, self.edges = self.entries[2, 1:], self.entries[:, :: self.n]
+        self.edges = self.entries[:, :: self.n]
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        """What the factor reads beyond rows 0 and 1 and columns 0 and n:
+        the stencil of the rows below, row 2 from column 1 (its entry in
+        column n stands in for a weight that the factor overwrites).
+
+        Raises :class:`InvalidSpec` unless every row ``k >= 2`` is zero left
+        of column ``k - 1`` and that stencil shifted from there to column
+        ``n - 1``: the factor could not read the matrix.
+        """
+        n, entries = self.n, self.entries
+        g = entries[2, 1:]
+        for k in range(2, n + 1):  # row views: a masked copy would be (n+1)^2
+            row = entries[k]
+            if row[: k - 1].any() or not np.array_equal(row[k - 1 : n], g[: n - k + 1]):
+                raise InvalidSpec("implicit steps need an upper Hessenberg matrix "
+                                  f"whose rows from 2 on repeat row 2; row {k} does not")
+        return g
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return u @ self.entries

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -607,6 +608,19 @@ class TestMain:
         assert main(["weights", "--order", "0.5", "--m", "3", "--out", str(out)]) == 0
         parsed = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert parsed == [1.0, -0.5, -0.125, -0.0625]
+
+    @pytest.mark.parametrize("order", ("1e308", "2000"))
+    def test_overflowing_weights_exit_one(self, tmp_path, capsys, order):
+        # 1e308 overflows to inf; the integer order 2000 overflows and then
+        # meets its zero factor, which makes NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["weights", "--order", order, "--m", "2100",
+                         "--out", str(tmp_path / "w.csv")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_matrix_command_writes_file(self, tmp_path):
         out = tmp_path / "b.csv"

@@ -1,4 +1,5 @@
 import builtins
+import ctypes
 import dataclasses
 import sys
 import tracemalloc
@@ -14,6 +15,7 @@ from fracdiff1d import (
     GridFunction,
     InitialCondition,
     InvalidSpec,
+    IterationMatrix,
     Method,
     SchemeSpec,
     SingularSystem,
@@ -107,6 +109,31 @@ class TestSteps:
         out = implicit_step(u, B, 0.0)
         assert np.array_equal(out.values, u.values)
 
+    def test_implicit_step_rejects_a_matrix_the_factor_cannot_read(self):
+        # The factor reads rows 2 to n as row 2's stencil shifted; the dense
+        # explicit step takes any matrix.
+        n = 6
+        u = GridFunction.sample(tent_profile, n)
+        hessenberg = np.triu(np.random.default_rng(n).random((n + 1, n + 1)), -1)
+        below = build_matrix(SchemeSpec(RL, R, R, 1.5, 1.0, n)).entries.copy()
+        below[4, 1] = 0.5
+        for entries in (hessenberg, below):
+            matrix = IterationMatrix(n, entries)
+            with pytest.raises(InvalidSpec):
+                implicit_step(u, matrix, 0.1)
+            expected = u.values + 0.1 * (u.values @ entries)
+            assert bit_equal(explicit_step(u, matrix, 0.1).values, expected)
+
+    @pytest.mark.parametrize("form,left,right", SUPPORTED)
+    def test_implicit_step_is_the_run_step(self, form, left, right):
+        for n in (2, 3, 64, 1100):
+            spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+            beta = n**1.5 * 1e-3
+            u = np.random.default_rng(n).random(n + 1)
+            expected, _ = _Stepper(_stencil(spec), beta, Method.IMPLICIT).step(u)
+            got = implicit_step(GridFunction(n, u), build_matrix(spec), beta).values
+            assert bit_equal(got, expected), n
+
     def test_implicit_matches_explicit_for_tiny_beta(self):
         n = 64
         B = build_matrix(SchemeSpec(RL, R, R, 1.5, 1.0, n))
@@ -197,12 +224,16 @@ class TestImplicitSolveOracle:
 
 @pytest.fixture
 def without_openblas(monkeypatch):
-    """Steppers built under it find no solves in numpy's BLAS, as with a
-    numpy built against another BLAS."""
-    timestepper._in_place_solve.cache_clear()
-    monkeypatch.setattr(timestepper, "_numpy_blas", lambda: None)
+    """Steppers built under it cannot load numpy's BLAS, as with a numpy
+    built against another BLAS, so they bind scipy's routines."""
+
+    def unloadable(*args, **kwargs):
+        raise OSError("no library")
+
+    timestepper._blas_routines.cache_clear()
+    monkeypatch.setattr(timestepper.ctypes, "CDLL", unloadable)
     yield
-    timestepper._in_place_solve.cache_clear()
+    timestepper._blas_routines.cache_clear()
 
 
 def chained_steps(stepper, start, steps=50):
@@ -224,7 +255,7 @@ class TestBlasFallback:
         start = np.random.default_rng(n).random(n + 1)
         bundled = chained_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT), start)
         request.getfixturevalue("without_openblas")
-        assert "_scipy_in_place_solve" in timestepper._in_place_solve().__qualname__
+        assert timestepper._blas_routines()[2] is ctypes.c_int  # scipy's integers
         fallback = chained_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT), start)
         for (u, increment), (v, other) in zip(bundled, fallback, strict=True):
             assert bit_equal(u, v)
@@ -243,9 +274,31 @@ class TestBlasFallback:
             assert bit_equal(u, v)
             assert bit_equal(np.float64(increment), np.float64(other))
 
+    def test_numpy_bundled_openblas_is_bound_without_scipy(self, monkeypatch):
+        # A numpy that renamed the symbols would bind scipy's instead, with
+        # no error, and every implicit command would import scipy.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if blas != "scipy-openblas":
+            pytest.skip(f"numpy is built against {blas}")
+        spec = SchemeSpec(RL, R, R, 1.5, 1.0, 64)
+        imported, real_import = [], builtins.__import__
+
+        def record(name, *args, **kwargs):
+            imported.append(name)
+            return real_import(name, *args, **kwargs)
+
+        timestepper._blas_routines.cache_clear()
+        monkeypatch.setattr(builtins, "__import__", record)
+        try:
+            _Stepper(_stencil(spec), 1.0, Method.IMPLICIT).step(np.ones(65))
+        finally:
+            monkeypatch.undo()
+        assert timestepper._blas_routines()[2] is ctypes.c_int64
+        assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
     def test_without_any_blas_an_implicit_solve_exits_one(
             self, without_openblas, monkeypatch, tmp_path, capsys):
-        monkeypatch.setitem(sys.modules, "scipy.linalg.blas", None)
+        monkeypatch.setitem(sys.modules, "scipy.linalg.cython_blas", None)
         out = tmp_path / "run.csv"
         assert main(["solve", "--alpha", "1.5", "--n", "64", "--t-end", "1e-2",
                      "--out", str(out)]) == 1
@@ -285,11 +338,13 @@ class TestStepperInput:
             with pytest.raises(DimensionMismatch):
                 stepper.step(np.ones(size))
 
-    def test_blas_takes_only_arrays_of_the_factor_layout(self):
-        packed, band = self.stepper().factors
-        bind = timestepper._in_place_solve()
-        if timestepper._numpy_blas() is None:
-            pytest.skip("scipy's wrappers check their own arguments")
+    @pytest.mark.parametrize("source", ("bundled", "without_openblas"))
+    def test_blas_takes_only_arrays_of_the_factor_layout(self, request, source):
+        if source != "bundled":
+            request.getfixturevalue(source)
+        spec = SchemeSpec(RL, R, R, 1.5, 1.0, self.n)
+        packed, band = timestepper._hessenberg_lu(_stencil(spec), self.n**1.5 * 1e-3)
+        bind = timestepper._in_place_solve
         for x in (np.empty(self.n), np.empty(self.n + 1, dtype=np.float32),
                   np.empty(2 * self.n + 2)[::2]):
             with pytest.raises(ValueError):
@@ -299,6 +354,9 @@ class TestStepperInput:
         for wrong in (packed[:-1], packed.astype(np.float32), np.repeat(packed, 2)[::2]):
             with pytest.raises(ValueError):
                 bind(wrong, band, np.empty(self.n + 1))
+        x = np.zeros(self.n + 1)
+        bind(packed, band, x)()
+        assert not x.any()
 
     def test_a_returned_state_is_not_changed_by_later_steps(self):
         stepper = self.stepper()
