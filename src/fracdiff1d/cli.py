@@ -17,6 +17,7 @@ import enum
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,8 +113,21 @@ CliCommand = Union[SolveCommand, MatrixCommand, WeightsCommand, VerifyCommand,
                    FigureListCommand]
 
 
+# A negative number as a command line spells it, exponent form included:
+# -1, -1.5, -.5, -1e3, -1E-3, -.5e2.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises :class:`UsageError` instead of exiting."""
+    """argparse that raises :class:`UsageError` instead of exiting, and
+    takes every negative number as a value."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse before Python 3.13 takes "-1e3" for an option, so
+        # "--order -1e3" would lack its value.  No option is named like a
+        # number, so a word that reads as one is always a value.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> None:
         raise UsageError(message)

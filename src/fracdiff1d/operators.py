@@ -35,14 +35,14 @@ form.  Runs take its row sums in O(n):
 explicit steps apply it by convolution (FFT from ``n = 512`` up), and
 implicit runs read it one row at a time into their O(n^2) Hessenberg
 factorization, whose triangle ``U`` (stored in blocks of rows, see
-``timestepper._layout``) is half a dense matrix.
+``factor._layout``) is at most half a dense matrix: past the
+elimination's fixed point its rows repeat, and are kept as one row.
 :func:`build_matrix` is its dense, immutable expansion, which serves the
-``matrix`` command and the tests, as their oracle.  No O(n log n)
-implicit solve is implemented.  A grid whose state vector alone would
-exceed physical memory is rejected for every use; one whose dense matrix
-would is rejected by dense expansion; a run is rejected when its arrays
-would: an explicit run's stencil, FFT buffers and recorded states, an
-implicit run's factor and recorded states.
+``matrix`` command and the tests, as their oracle.  A grid whose state
+vector alone would exceed physical memory is rejected for every use; one
+whose dense matrix would is rejected by dense expansion; a run is rejected
+when its arrays would: an explicit run's stencil, FFT buffers and recorded
+states, an implicit run's factor and recorded states.
 """
 
 from __future__ import annotations
@@ -168,7 +168,15 @@ def _require_implicit_fits(n: int, states: int) -> None:
     n = 1000, 2048 and 4000.
     The emit comes after the factor and these are freed: the ``x`` column's
     text and one state's values as Python objects take under 14 (n+1).
-    The stencil brings no FFT transform: only explicit steps compute one."""
+    The stencil brings no FFT transform: only explicit steps compute one.
+    The factor is counted whole, as if the elimination had no fixed point
+    ``K`` (see ``factor._hessenberg_lu``).  A factor with a tail stores
+    none of the rows ``K .. n``, ``(N+1)(N+2)/2`` floats with
+    ``N = n - K >= 512``, and adds under ``16 N``: ``P`` and the tail's
+    column ``n`` (``2 N``), ``q = 1/P`` with its transform while they are
+    computed (traced at most ``5.5 N``), and one step's FFT buffers
+    (traced at most ``8.4 N``, the FFT period being under ``4 N``).  That
+    fits many times over in the ``N^2 / 2`` floats the tail frees."""
     _require_fits(f"n={n}", (n + 1) * (n + 2) // 2 + 16 * (n + 1)
                   + states * (n + 1 + _SNAPSHOT_FLOATS),
                   f"an implicit run recording {states} states")

@@ -8,20 +8,10 @@ Explicit update (row-vector convention):
 unconditionally stable.  Every ``B`` is upper Hessenberg
 (:math:`b_{ij} = 0` for :math:`i > j + 1`), so the implicit update is solved
 in row form :math:`\mathbf{u}_{k+1} M = \mathbf{u}_k` with
-:math:`M = I - \beta B = L U` factored without pivoting: ``L`` is unit lower
-bidiagonal (one multiplier per row) and ``U`` upper triangular.  The factor
-is built one row of ``B`` at a time into ``(n+1)(n+2)/2`` floats, half a
-dense matrix, in blocks of 1024 rows: each block's diagonal triangle in
-BLAS packed storage, then its rectangle to the right as a dense array.  It
-costs O(n^2), and each step one packed triangular solve per block, one
-matrix-vector product per block but the last (numpy's threaded ``dgemv``)
-and one bidiagonal solve.  The two triangular routines, ``dtpsv`` and
-``dtbsv``, are bound once through ctypes, by address, from one of two
-sources: the OpenBLAS that numpy's wheels bundle, so no run imports scipy,
-or, where numpy's BLAS lacks them, scipy's ``cython_blas``.
-For the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
-dominant Z-matrix, so the growth factor is at most 2; a pivot check still
-runs for every scheme.
+:math:`M = I - \beta B = L U` factored once per run, in O(n^2), without
+pivoting, and each step solved in place (see :mod:`~fracdiff1d.factor`):
+past the elimination's fixed point the rows of ``U`` repeat, and are solved
+as one convolution by FFT.
 
 Both updates live in one private stepper, built once per run from the O(n)
 stencil form of ``B``, ``beta`` and the method: it holds ``beta``, the
@@ -45,7 +35,6 @@ and writes no file).
 
 from __future__ import annotations
 
-import ctypes
 import enum
 import functools
 import math
@@ -57,11 +46,10 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    FracDiffError,
     InvalidSpec,
-    SingularSystem,
     StabilityViolation,
 )
+from .factor import _blas_routines, _hessenberg_lu, _in_place_solve
 from .grunwald import GridFunction
 from .operators import (
     BoundaryCondition,
@@ -293,15 +281,15 @@ class _Stepper:
     The only place the update rule lives.  Built once per run from an
     operator holding ``B`` (the stencil of :mod:`~fracdiff1d.operators`),
     whose O(n) row sums both methods book: explicit steps apply it;
-    implicit runs read its rows into the blocked factor of
-    ``M = I - beta B = L U`` without pivoting (see :func:`_layout`), which
-    every :meth:`step` reuses, so no run holds an (n+1)^2 array.  An
-    implicit step copies the state into the stepper's own (n+1) buffer,
-    solves there in place and returns a copy: only the factor and that
-    buffer, which the bound solve holds, reach the two BLAS routines, bound
-    by address from either source (see :func:`_blas_routines`); the
-    trailing updates of a factor of several blocks go through numpy, into
-    scratch that the bound solve holds too.  An absorbing node j needs no
+    implicit runs read its rows into the factor of ``M = I - beta B = L U``
+    without pivoting, its head in blocks and its tail, if any, in O(n)
+    floats (see :mod:`~fracdiff1d.factor`), which every :meth:`step`
+    reuses, so no run holds an (n+1)^2 array.  An implicit step copies the
+    state into the stepper's own (n+1) buffer, solves there in place and
+    returns a copy: only the factor's head, its band and that buffer, which
+    the bound solve holds, reach the two BLAS routines, bound by address
+    from either source; the trailing updates of the head's blocks and the
+    tail's convolution go through numpy.  An absorbing node j needs no
     pin: its zero column of ``B`` makes the explicit update add ``+0.0``
     there, and column j of ``M`` the unit vector, so the solve returns
     ``+0.0`` there, for every finite state that is zero at j.
@@ -347,193 +335,6 @@ class _Stepper:
         return u, increment
 
 
-@functools.cache
-def _blas_routines():
-    """``dtpsv`` and ``dtbsv``, the packed and the band triangular solve of
-    the Fortran interface, and the C integer type they take, found once per
-    process.
-
-    Every argument of both is an address.  They come from the OpenBLAS that
-    numpy's wheels bundle, with 64-bit integers, looked up through numpy's
-    linear-algebra extension, which links it, so no run imports scipy; or,
-    where numpy's BLAS lacks them (a numpy built against another BLAS), from
-    the capsules of scipy's ``cython_blas``, with C ``int``.  With neither,
-    :class:`FracDiffError`.
-    """
-    names = "dtpsv", "dtbsv"
-    try:
-        library = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        addresses = [ctypes.cast(library[f"scipy_{routine}_64_"], ctypes.c_void_p).value
-                     for routine in names]
-        integer = ctypes.c_int64
-    except (OSError, AttributeError):  # not loadable, or without these symbols
-        try:
-            from scipy.linalg.cython_blas import __pyx_capi__ as capsules
-        except ImportError:
-            raise FracDiffError("implicit steps need numpy's bundled OpenBLAS or scipy, "
-                                "and neither was found: pip install scipy") from None
-        # Fresh function objects: ctypes.pythonapi's are shared by the process.
-        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-            ("PyCapsule_GetName", ctypes.pythonapi))
-        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-            ("PyCapsule_GetPointer", ctypes.pythonapi))
-        addresses = [pointer(capsules[routine], name(capsules[routine]))
-                     for routine in names]
-        integer = ctypes.c_int
-    tpsv, tbsv = (ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * count)(address)
-                  for address, count in zip(addresses, (7, 9)))
-    return tpsv, tbsv, integer
-
-
-def _in_place_solve(packed, band, x):
-    """A call that overwrites ``x`` (``u`` in, ``v`` out) with the solution
-    of ``v L U = u``, for the factors of :func:`_hessenberg_lu`.
-
-    For each block ``[a, b)`` of :func:`_layout`, in order: ``dtpsv``
-    (lower, non-unit) on its triangle and ``x[a:b]``, in place, then, but
-    for the last block, the trailing update ``x[b:] -= x[a:b] @ U[a:b, b:]``,
-    a matrix-vector product by numpy's BLAS (threaded ``dgemv``) into
-    scratch that the call holds.  Then one ``dtbsv`` (upper, unit, one
-    superdiagonal) solves ``L^T v = w``.  The call holds the three
-    column-major float64 arrays it is bound to.
-    """
-    size = x.size
-    # BLAS reads and writes through raw addresses: a wrong array would
-    # corrupt memory, not raise.
-    for array, shape in ((packed, (size * (size + 1) // 2,)), (band, (2, size)),
-                         (x, (size,))):
-        if (array.shape != shape or array.dtype != np.float64
-                or not array.flags.f_contiguous):
-            raise ValueError("the solve takes column-major float64 arrays "
-                             "sized for one grid")
-    tpsv, tbsv, integer = _blas_routines()
-    # Fortran takes every argument by address: the options from one byte
-    # string, each integer k from entry k of a table of 0 .. size.  Each
-    # pointer holds its array, so the calls keep both alive.
-    options, counts = np.frombuffer(b"LNU", np.uint8), np.arange(size + 1, dtype=integer)
-    lower, no, upper = (_address(options[i:]) for i in range(3))
-    one, two, order = (_address(counts[k:]) for k in (1, 2, size))
-    scratch = np.empty(max(size - _BLOCK, 0))  # the first rectangle's width
-    calls = []
-    for a, b, triangle, rectangle in _layout(packed, size):
-        calls.append(functools.partial(tpsv, lower, no, no, _address(counts[b - a :]),
-                                       _address(triangle), _address(x[a:b]), one))
-        if b < size:
-            calls.append(functools.partial(
-                _trailing_update, x[a:b], rectangle, x[b:], scratch[: size - b]))
-    calls.append(functools.partial(tbsv, upper, no, upper, order, one, _address(band),
-                                   two, _address(x), one))
-
-    def solve() -> None:
-        for call in calls:
-            call()
-
-    return solve
-
-
-def _address(array) -> ctypes.c_void_p:
-    """A pointer to ``array``'s first element that holds the array."""
-    return array.ctypes.data_as(ctypes.c_void_p)
-
-
-def _trailing_update(solved, rectangle, rest, scratch) -> None:
-    np.matmul(solved, rectangle, out=scratch)
-    np.subtract(rest, scratch, out=rest)
-
-
-# Rows of ``U`` in each block of its storage (see _layout).
-_BLOCK = 1024
-
-
-def _layout(packed: np.ndarray, size: int):
-    """The blocks of ``U``'s storage, as views ``(a, b, triangle, rectangle)``.
-
-    ``U``, of ``size`` rows, is stored in ``(n+1)(n+2)/2`` floats, blocks of
-    ``_BLOCK`` rows ``[a, b)`` laid end to end.  A block holds first its
-    diagonal triangle, the rows ``U[k, k:b]`` end to end, which is that
-    triangle's transpose in BLAS lower packed storage, then its rectangle
-    ``U[a:b, b:]``, row-major.  A grid of at most ``_BLOCK`` nodes is one
-    block: a packed triangle and an empty rectangle.
-    """
-    start = 0
-    for a in range(0, size, _BLOCK):
-        b = min(a + _BLOCK, size)
-        middle = start + (b - a) * (b - a + 1) // 2
-        end = middle + (b - a) * (size - b)
-        yield a, b, packed[start:middle], packed[middle:end].reshape(b - a, size - b)
-        start = end
-
-
-def _hessenberg_lu(operator, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Factor ``M = I - beta B = L U`` without pivoting, one row at a time.
-
-    ``B`` is upper Hessenberg, so row ``k`` of ``U`` is row ``k`` of ``M``
-    less the multiplier ``m_{k,k-1} / u_{k-1,k-1}`` times row ``k - 1`` of
-    ``U``: one row axpy, written in the layout of :func:`_layout`, one piece
-    in the triangle and one in the rectangle of its block.  Rows 0 and 1 of
-    ``B`` come from ``operator.row``; each later row is the stencil
-    ``operator.g`` (``b_kj = g_{j-k+1}``) with ``operator.edges[:, 1]`` in
-    column ``n``, both scaled by ``-beta`` once, so a row costs two array
-    calls a piece, and its diagonal and column ``n`` are computed as
-    scalars.  Returns ``U`` in that layout, ``(n+1)(n+2)/2`` floats, and the
-    multipliers of ``L`` as the band of the unit upper bidiagonal ``L^T``.
-    A non-finite factor or a zero pivot raises :class:`SingularSystem`.
-    """
-    n = operator.n
-    size = n + 1
-    packed = np.empty(size * (size + 1) // 2)
-    band = np.zeros((2, size), order="F")
-    multipliers = band[0]
-    with np.errstate(all="ignore"):  # an overflow fails the health check
-        g, edge = operator.g * -beta, operator.edges[:, 1] * -beta
-        sub, diagonal_of_stencil = g.item(0), g.item(1) + 1.0
-        try:
-            for a, b, triangle, rectangle in _layout(packed, size):
-                wide = b < size
-                if a:  # the last row above, split at this block's end
-                    above, beyond = last[: b - a], last[b - a :]
-                start = 0
-                for k in range(a, min(b, n)):
-                    near = triangle[start : start + b - k]
-                    start += b - k
-                    if k >= 2:
-                        multiplier = sub / pivot
-                        diagonal, source = diagonal_of_stencil, g[1 : size - k + 1]
-                    else:  # rows 0 and 1 may be patched: row(k) is from column 0
-                        row = operator.row(k) * -beta
-                        if k == 0:
-                            near[:], rectangle[0] = row[:b], row[b:]
-                            near[0] = pivot = row.item(0) + 1.0
-                            corner = row.item(-1)
-                            above, beyond = near[1:], rectangle[0]
-                            continue
-                        multiplier = row.item(0) / pivot
-                        diagonal, source = row.item(1) + 1.0, row[1:]
-                    multipliers[k] = multiplier
-                    top = above.item(0)
-                    if wide:
-                        far = rectangle[k - a]
-                        np.subtract(source[b - k :], multiplier * beyond, out=far)
-                        source, beyond = source[: b - k], far
-                    np.subtract(source, multiplier * above, out=near)
-                    above = near[1:]
-                    near[0] = pivot = diagonal - multiplier * top
-                    # Column n: the edge, not the stencil's next weight.
-                    corner = edge.item(k) - multiplier * corner
-                    (far if wide else near)[-1] = corner
-                last = rectangle[-1]
-            multipliers[n] = multiplier = sub / pivot
-            triangle[-1] = pivot = (edge.item(n) + 1.0) - multiplier * corner
-        except ZeroDivisionError:  # a zero pivot: multipliers are Python floats
-            pivot = 0.0
-        # min and max propagate NaN and, unlike isfinite, need no n^2 mask.
-        healthy = (pivot != 0.0 and math.isfinite(packed.min())
-                   and math.isfinite(packed.max()) and np.isfinite(band).all())
-    if not healthy:
-        raise SingularSystem("implicit system matrix is numerically singular")
-    return packed, band
-
-
 def _non_finite(step: int) -> StabilityViolation:
     return StabilityViolation(f"the state or its ledger is no longer finite at step {step}")
 
@@ -550,13 +351,16 @@ class _Dense:
     def g(self) -> np.ndarray:
         """What the factor reads beyond rows 0 and 1 and columns 0 and n:
         the stencil of the rows below, row 2 from column 1 (its entry in
-        column n stands in for a weight that the factor overwrites).
+        column n, the edge, is never read as a weight).
 
-        Raises :class:`InvalidSpec` unless every row ``k >= 2`` is zero left
-        of column ``k - 1`` and that stencil shifted from there to column
-        ``n - 1``: the factor could not read the matrix.
+        Raises :class:`InvalidSpec` unless the grid has a row 2 and every
+        row ``k >= 2`` is zero left of column ``k - 1`` and that stencil
+        shifted from there to column ``n - 1``: the factor could not read
+        the matrix.
         """
         n, entries = self.n, self.entries
+        if n < 2:
+            raise InvalidSpec(f"implicit steps need n >= 2, got n={n}")
         g = entries[2, 1:]
         for k in range(2, n + 1):  # row views: a masked copy would be (n+1)^2
             row = entries[k]

@@ -96,6 +96,13 @@ class TestParse:
         assert cmd == WeightsCommand(order=1.5, m=2, out=cmd.out)
         assert str(cmd.out) == "w.csv"
 
+    def test_negative_numbers_in_exponent_form_are_values(self):
+        # argparse before Python 3.13 took these for options.
+        for value, order in (("-1e3", -1e3), ("-1E-3", -1e-3), ("-.5e2", -50.0),
+                             ("-2", -2.0), ("-.5", -0.5)):
+            cmd = parse_args(["weights", "--order", value, "--m", "2", "--out", "w.csv"])
+            assert cmd.order == order, value
+
     def test_alpha_out_of_range_is_usage_error(self):
         argv = list(FIGURE2_ARGV)
         argv[argv.index("--alpha") + 1] = "2.5"
@@ -407,8 +414,9 @@ class TestMain:
         # included: at small n those outweigh the run's arrays, and with
         # many snapshots each one's bookkeeping and meta JSON outweigh its
         # n + 1 values.  A first run fills the import and FFT caches, which
-        # a second does not.  At n = 1100 an implicit factor is two blocks,
-        # solved with a trailing update through scratch.
+        # a second does not.  At n = 600 and 1100 an implicit factor has a
+        # tail from row 22 and 31: its head is one block, solved with a
+        # trailing update through scratch, and its tail takes an FFT a step.
         dt, steps = (1e-5, 40) if states <= 40 else (1e-6, states)
         times = ",".join(repr(k * steps // (states - 1) * dt) for k in range(states))
         out = tmp_path / "run.csv"
@@ -608,6 +616,18 @@ class TestMain:
         assert main(["weights", "--order", "0.5", "--m", "3", "--out", str(out)]) == 0
         parsed = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
         assert parsed == [1.0, -0.5, -0.125, -0.0625]
+
+    def test_a_spaced_negative_order_writes_the_file_of_a_joined_one(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(["weights", "--order", "-1e3", "--m", "3", "--out", str(spaced)]) == 0
+        assert main(["weights", "--order=-1e3", "--m", "3", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    def test_a_negative_dt_in_exponent_form_reaches_the_config_check(self, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        assert main(["solve", "--alpha", "1.5", "--dt", "-1e-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: dt must be positive and finite, got -0.001\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("order", ("1e308", "2000"))
     def test_overflowing_weights_exit_one(self, tmp_path, capsys, order):

@@ -29,7 +29,7 @@ from fracdiff1d import (
     stability_limit,
     tent_profile,
 )
-from fracdiff1d import operators, timestepper
+from fracdiff1d import factor, operators
 from fracdiff1d.cli import emit_timeseries_csv, main
 from fracdiff1d.operators import _FFT_MIN_N, _stencil
 from fracdiff1d.timestepper import _Stepper
@@ -124,6 +124,14 @@ class TestSteps:
             expected = u.values + 0.1 * (u.values @ entries)
             assert bit_equal(explicit_step(u, matrix, 0.1).values, expected)
 
+    def test_implicit_step_rejects_a_grid_without_a_stencil_row(self):
+        # n = 1 has rows 0 and 1 only, and no scheme defines it.
+        u = GridFunction(1, [1.0, 0.5])
+        matrix = IterationMatrix(1, [[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(InvalidSpec, match="n >= 2"):
+            implicit_step(u, matrix, 0.1)
+        assert bit_equal(explicit_step(u, matrix, 0.1).values, np.array([0.95, 0.55]))
+
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     def test_implicit_step_is_the_run_step(self, form, left, right):
         for n in (2, 3, 64, 1100):
@@ -183,6 +191,27 @@ class TestImplicitSolveOracle:
                 error = np.abs(v - expected).max() / np.abs(expected).max()
                 assert error <= 1e-12, (n, error)
 
+    def test_figure_two_run_matches_dense_lu(self):
+        # Figure 2's 500 steps at n = 1000, whose factor keeps rows 381 to
+        # 1000 as a tail, against the same steps by a dense LU.
+        n, dt = 1000, 1e-3
+        config = make_config(form=RL, left=R, right=R, n=n, dt=dt, steps=500,
+                             snapshot_times=(0.0, 0.05, 0.1, 0.5))
+        spec = config.spec
+        beta = spec.c * spec.h**-spec.alpha * dt
+        assert factor._hessenberg_lu(_stencil(spec), beta)[2].p.size == n - 381
+        series = run_simulation(config)
+        dense = lu_factor(np.eye(n + 1) - beta * build_matrix(spec).entries.T)
+        expected, step = series.snapshots[0].values, 0
+        for t, snapshot in zip(series.times, series.snapshots, strict=True):
+            for _ in range(round(t / dt) - step):
+                expected = lu_solve(dense, expected)
+            step = round(t / dt)
+            error = np.abs(snapshot.values - expected).max() / np.abs(expected).max()
+            assert error <= 1e-12, (t, error)
+            assert snapshot.values.min() >= -1e-12, t
+        assert step == 500
+
     def test_overflowing_factorization_is_singular(self):
         spec = SchemeSpec(CAP, A, A, 1.5, 1.0, 8)
         u = GridFunction.sample(tent_profile, 8)
@@ -190,6 +219,14 @@ class TestImplicitSolveOracle:
             implicit_step(u, build_matrix(spec), 1e308)
         with pytest.raises(SingularSystem):
             _Stepper(_stencil(spec), 1e308, Method.IMPLICIT)
+
+    def test_a_tail_whose_inverse_series_overflows_is_singular(self):
+        # q = 1/P grows as (-3)^j: it overflows long before 1000 terms.
+        p = np.zeros(1000)
+        p[:2] = 1.0, 3.0
+        tail = factor._Tail(p, np.zeros(1000), 1.0)
+        with pytest.raises(SingularSystem):
+            factor._tail_solve(tail, np.zeros(1001))
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
     def test_steps_import_nothing(self, monkeypatch, form, left, right):
@@ -230,10 +267,10 @@ def without_openblas(monkeypatch):
     def unloadable(*args, **kwargs):
         raise OSError("no library")
 
-    timestepper._blas_routines.cache_clear()
-    monkeypatch.setattr(timestepper.ctypes, "CDLL", unloadable)
+    factor._blas_routines.cache_clear()
+    monkeypatch.setattr(factor.ctypes, "CDLL", unloadable)
     yield
-    timestepper._blas_routines.cache_clear()
+    factor._blas_routines.cache_clear()
 
 
 def chained_steps(stepper, start, steps=50):
@@ -255,7 +292,7 @@ class TestBlasFallback:
         start = np.random.default_rng(n).random(n + 1)
         bundled = chained_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT), start)
         request.getfixturevalue("without_openblas")
-        assert timestepper._blas_routines()[2] is ctypes.c_int  # scipy's integers
+        assert factor._blas_routines()[2] is ctypes.c_int  # scipy's integers
         fallback = chained_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT), start)
         for (u, increment), (v, other) in zip(bundled, fallback, strict=True):
             assert bit_equal(u, v)
@@ -287,13 +324,13 @@ class TestBlasFallback:
             imported.append(name)
             return real_import(name, *args, **kwargs)
 
-        timestepper._blas_routines.cache_clear()
+        factor._blas_routines.cache_clear()
         monkeypatch.setattr(builtins, "__import__", record)
         try:
             _Stepper(_stencil(spec), 1.0, Method.IMPLICIT).step(np.ones(65))
         finally:
             monkeypatch.undo()
-        assert timestepper._blas_routines()[2] is ctypes.c_int64
+        assert factor._blas_routines()[2] is ctypes.c_int64
         assert [name for name in imported if name.split(".")[0] == "scipy"] == []
 
     def test_without_any_blas_an_implicit_solve_exits_one(
@@ -343,19 +380,35 @@ class TestStepperInput:
         if source != "bundled":
             request.getfixturevalue(source)
         spec = SchemeSpec(RL, R, R, 1.5, 1.0, self.n)
-        packed, band = timestepper._hessenberg_lu(_stencil(spec), self.n**1.5 * 1e-3)
-        bind = timestepper._in_place_solve
+        packed, band, tail = factor._hessenberg_lu(_stencil(spec), self.n**1.5 * 1e-3)
+        assert tail is None
+        bind = factor._in_place_solve
         for x in (np.empty(self.n), np.empty(self.n + 1, dtype=np.float32),
                   np.empty(2 * self.n + 2)[::2]):
             with pytest.raises(ValueError):
-                bind(packed, band, x)
+                bind(packed, band, None, x)
         with pytest.raises(ValueError):
-            bind(packed, np.zeros((2, self.n + 1)), np.empty(self.n + 1))
+            bind(packed, np.zeros((2, self.n + 1)), None, np.empty(self.n + 1))
         for wrong in (packed[:-1], packed.astype(np.float32), np.repeat(packed, 2)[::2]):
             with pytest.raises(ValueError):
-                bind(wrong, band, np.empty(self.n + 1))
+                bind(wrong, band, None, np.empty(self.n + 1))
         x = np.zeros(self.n + 1)
-        bind(packed, band, x)()
+        bind(packed, band, None, x)()
+        assert not x.any()
+
+    def test_blas_takes_only_the_head_of_a_factor_with_a_tail(self):
+        # The packed head's size follows from the tail's: a factor bound
+        # without its tail, or with another's, is refused before any call.
+        n = 1000
+        spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
+        packed, band, tail = factor._hessenberg_lu(_stencil(spec), n**1.5 * 1e-3)
+        assert tail is not None
+        shorter = tail._replace(p=tail.p[1:], column=tail.column[1:])
+        for wrong in (None, shorter):
+            with pytest.raises(ValueError):
+                factor._in_place_solve(packed, band, wrong, np.empty(n + 1))
+        x = np.zeros(n + 1)
+        factor._in_place_solve(packed, band, tail, x)()
         assert not x.any()
 
     def test_a_returned_state_is_not_changed_by_later_steps(self):
@@ -381,14 +434,14 @@ BLOCK_EDGE_SCHEMES = [(RL, R, R), (CAP, A, A), (PS, R, A)]
 
 
 def assert_factor_layout(packed, U):
-    """``packed`` holds every entry of the dense upper triangle ``U``, bit
-    for bit, in blocks of at most 1024 rows: each block's rows from the
-    diagonal up to the block's end, end to end, then the rest of its rows
-    as one row-major rectangle."""
-    size = len(U)
-    blocks = list(timestepper._layout(packed, size))
-    assert [a for a, *_ in blocks] == list(range(0, size, 1024))
-    assert [b for _, b, *_ in blocks] == [min(a + 1024, size) for a, *_ in blocks]
+    """``packed`` holds every entry of the upper trapezoid ``U``, the first
+    rows of the factor, bit for bit, in blocks of at most 1024 rows: each
+    block's rows from the diagonal up to the block's end, end to end, then
+    the rest of its rows, to the last column, as one row-major rectangle."""
+    rows, size = U.shape
+    blocks = list(factor._layout(packed, rows, size))
+    assert [a for a, *_ in blocks] == list(range(0, rows, 1024))
+    assert [b for _, b, *_ in blocks] == [min(a + 1024, rows) for a, *_ in blocks]
     expected = np.concatenate([
         part for a, b, *_ in blocks
         for part in ([U[k, k:b] for k in range(a, b)] + [U[a:b, b:].ravel()])])
@@ -417,21 +470,39 @@ class TestStencilOracle:
         # The factor repeats, bit for bit, a row-axpy elimination of the
         # dense I - beta B in place.  Past one block of rows (n + 1 > 1024)
         # each row is written in two pieces: 1024 puts the last block at one
-        # row, 2049 at two.
+        # row, 2049 at two.  From the elimination's fixed point K on, with
+        # 512 rows or more after it, only the tail is kept: P, which every
+        # later row repeats shifted, column n and the last pivot.  Every
+        # scheme has a tail at n = 1000 and 2048 from alpha = 1.2 and 1.5;
+        # none has one up to n = 512 or at n = 1000 from alpha = 1.8, and
+        # at n = 2048 and 2049 from it some have a head of two blocks.
         sizes = STENCIL_SIZES
         if (form, left, right) in BLOCK_EDGE_SCHEMES:
             sizes += (1023, 1024, 2049)
         for n in sizes:
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
             beta = n**alpha * 1e-3
-            packed, band = timestepper._hessenberg_lu(_stencil(spec), beta)
+            packed, band, tail = factor._hessenberg_lu(_stencil(spec), beta)
             U = -beta * build_matrix(spec).entries
             U.flat[:: n + 2] += 1.0
             multipliers = np.zeros(n + 1)
             for k in range(1, n + 1):
                 multipliers[k] = U[k, k - 1] / U[k - 1, k - 1]
                 U[k, k:] -= multipliers[k] * U[k - 1, k:]
-            assert_factor_layout(packed, U)
+            if n <= _FFT_MIN_N or (n == 1000 and alpha == 1.8):
+                assert tail is None, n
+            elif n in (1000, 2048) and alpha < 1.8:
+                assert tail is not None, n
+            if tail is None:
+                assert_factor_layout(packed, U)
+            else:
+                head = n - tail.p.size
+                assert head >= 3 and tail.p.size >= _FFT_MIN_N
+                assert_factor_layout(packed, U[:head])
+                for k in range(head, n):
+                    assert bit_equal(U[k, k:n], tail.p[: n - k]), (n, k)
+                assert bit_equal(tail.column, U[head:n, n]), n
+                assert bit_equal(np.float64(tail.pivot), U[n, n]), n
             assert bit_equal(band[0], multipliers) and not band[1].any(), n
 
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
@@ -625,8 +696,9 @@ class TestRunSimulation:
                              [case for case in SUPPORTED if A in case[1:]])
     def test_absorbing_nodes_pinned_to_zero(self, form, left, right, method):
         # Zeroed once, as in the initial data of a run, an absorbing node
-        # stays +0.0 through every step: its zero column of B pins it.
-        for n in (64, _FFT_MIN_N):
+        # stays +0.0 through every step: its zero column of B pins it.  At
+        # n = 1000 an implicit factor has a tail, which solves node n.
+        for n in (64, _FFT_MIN_N, 1000):
             spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
             beta = 0.5 / 1.5 if method is Method.EXPLICIT else n**1.5 * 1e-3
             stepper = _Stepper(_stencil(spec), beta, method)
@@ -695,20 +767,31 @@ class TestRunMemory:
         monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * peak)
         dataclasses.replace(config)
 
+    @pytest.mark.parametrize("dt", [None, 0.1])
     @pytest.mark.parametrize("n", [300, _FFT_MIN_N, 1025])
     @pytest.mark.parametrize("form,left,right", [(PS, R, R), (CAP, A, A)])
-    def test_implicit_memory_bound_covers_the_run(self, monkeypatch, form, left, right, n):
+    def test_implicit_memory_bound_covers_the_run(self, monkeypatch, form, left, right,
+                                                  n, dt):
         # 512 and 1025 lie just past powers of two, where an FFT transform
-        # would be largest for its n: the bound leaves it out, as implicit
-        # runs take no FFT (test_implicit_runs_take_no_fft).
-        config = make_config(form=form, left=left, right=right, n=n, steps=4,
+        # would be largest for its n: the bound leaves out the stencil's, as
+        # implicit runs take none (test_implicit_runs_take_no_fft).  The
+        # bound counts the whole factor.  At n = 1025, half the explicit
+        # limit leaves a tail of over 980 rows, stored in O(n) floats and
+        # an FFT a step, and the run holds far less; dt = 0.1 has no fixed
+        # point, and the factor is whole.
+        config = make_config(form=form, left=left, right=right, n=n, dt=dt, steps=4,
                              method=Method.IMPLICIT, snap_every=1)
+        spec = config.spec
+        beta = spec.c * spec.h**-spec.alpha * config.dt
+        tail = factor._hessenberg_lu(_stencil(spec), beta)[2]
+        assert (tail is not None) == (n == 1025 and dt is None)
         peak = traced_peak(lambda: run_simulation(config))
         monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
         with pytest.raises(InvalidSpec, match="an implicit run recording 5 states"):
             dataclasses.replace(config)
-        monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * peak)
-        dataclasses.replace(config)
+        if tail is None:
+            monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * peak)
+            dataclasses.replace(config)
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
     def test_implicit_run_holds_half_a_dense_matrix(self, form, left, right):
@@ -718,6 +801,15 @@ class TestRunMemory:
                              method=Method.IMPLICIT, snap_every=5)
         peak = traced_peak(lambda: run_simulation(config))
         assert peak <= 0.6 * 8 * (n + 1) ** 2, peak
+
+    def test_a_tail_is_not_stored_as_rows(self):
+        # Figure 2 at n = 4000 keeps rows 1464 to 4000 of U as a tail of
+        # O(n) floats: the stepper peaks at 0.6 of the whole packed factor.
+        n = 4000
+        spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
+        beta = spec.c * spec.h**-spec.alpha * 1e-3
+        peak = traced_peak(lambda: _Stepper(_stencil(spec), beta, Method.IMPLICIT))
+        assert peak < 0.65 * 8 * (n + 1) * (n + 2) / 2, peak
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
@@ -742,7 +834,9 @@ class TestRunMemory:
 
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     def test_implicit_runs_take_no_fft(self, monkeypatch, form, left, right):
-        # The stencil's FFT transform serves only the explicit apply.
+        # The stencil's FFT transform serves only the explicit apply.  The
+        # factor's tail takes an FFT a step, but needs 512 rows after the
+        # fixed point, which no grid of 512 intervals has.
         def refuse(*args, **kwargs):
             raise AssertionError("an implicit run took an FFT")
 
