@@ -3,24 +3,30 @@ r"""The factor of the implicit system and its in-place solve.
 Every ``B`` is upper Hessenberg, so :math:`M = I - \beta B = L U` is
 factored without pivoting: ``L`` is unit lower bidiagonal (one multiplier
 per row) and ``U`` upper triangular.  The factor is built one row of ``B``
-at a time, in O(n^2).  Below the interior's Toeplitz structure the
-elimination reaches a fixed point: from some row ``K`` on, every row of
-``U`` repeats the one above it shifted, bit for bit (the finite-precision
-form of the convergence of a Toeplitz LU to its Wiener-Hopf factor).  The
-rows above ``K``, the head, are stored in blocks of 1024 rows: each
-block's diagonal triangle in BLAS packed storage, then its rectangle to
-the right as a dense array.  With 512 rows or more past ``K`` the rest,
+at a time, in O(n^2) and one pass.  Below the interior's Toeplitz
+structure the elimination reaches a fixed point: from some row ``K`` on,
+every row of ``U`` repeats the one above it shifted, bit for bit (the
+finite-precision form of the convergence of a Toeplitz LU to its
+Wiener-Hopf factor).  Of the rows above ``K``, the head, only the diagonal
+triangles of blocks of 1024 rows are stored, each in BLAS packed storage:
+under ``513 (n+1)`` floats.  With 512 rows or more past ``K`` the rest,
 the tail, is kept in O(n) floats and solved as one causal convolution by
-FFT; otherwise every row is stored, ``(n+1)(n+2)/2`` floats, half a dense
-matrix.
+FFT; otherwise the triangles run to row ``n``.
 
-Each step takes one packed triangular solve per block, one matrix-vector
-product per block that ends before row ``n`` (numpy's threaded ``dgemv``),
-the tail's convolution if there is one, and one bidiagonal solve.  The two
-triangular routines, ``dtpsv`` and ``dtbsv``, are bound once through
-ctypes, by address, from one of two sources: the OpenBLAS that numpy's
-wheels bundle, so no run imports scipy, or, where numpy's BLAS lacks them,
-scipy's ``cython_blas``.  For the Riemann-Liouville and Patie-Simon
+The rest of ``U`` is not stored: ``L`` is bidiagonal, so the rows above
+any split ``a`` are ``U[:a] = L_a^{-1} M[:a]``, ``L_a`` the leading
+``a x a`` block of ``L``, and a solved ``w[:a]`` reaches the columns past
+``a`` as ``w[:a] U[:a, a:] = z M[:a, a:]`` with ``z L_a = w[:a]``.  Each
+step takes, per block after the first, that coupling into the block's
+columns (one bidiagonal solve for ``z`` and one direct convolution with
+the stencil of ``M``), then one packed triangular solve; with a tail, the
+head's coupling into it and its convolution; then one bidiagonal solve.
+Up to n = 10,000 no step calls a threaded BLAS routine: OpenBLAS threads
+``ddot``, which the convolutions and dot products call, only past 10,000
+entries.  The two triangular routines, ``dtpsv`` and ``dtbsv``, are bound
+once through ctypes, by address, from one of two sources: the OpenBLAS
+that numpy's wheels bundle, so no run imports scipy, or, where numpy's
+BLAS lacks them, scipy's ``cython_blas``.  For the Riemann-Liouville and Patie-Simon
 schemes ``M`` is a row diagonally dominant Z-matrix, so the growth factor
 is at most 2; a pivot check still runs for every scheme.
 """
@@ -35,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FracDiffError, SingularSystem
-from .operators import _FFT_MIN_N, _fft_period
+from .operators import _BLOCK, _FFT_MIN_N
 
 
 @functools.cache
@@ -76,52 +82,59 @@ def _blas_routines():
     return tpsv, tbsv, integer
 
 
-def _in_place_solve(packed, band, tail, x):
+def _in_place_solve(lu: _Factor, x: np.ndarray):
     """A call that overwrites ``x`` (``u`` in, ``v`` out) with the solution
-    of ``v L U = u``, for the factor of :func:`_hessenberg_lu`.
+    of ``v L U = u``, for the factor ``lu`` of :func:`_hessenberg_lu`.
 
-    For each block ``[a, b)`` of :func:`_layout`, in order: ``dtpsv``
-    (lower, non-unit) on its triangle and ``x[a:b]``, in place, then, but
-    for a last block that reaches row ``n``, the trailing update
-    ``x[b:] -= x[a:b] @ U[a:b, b:]``, a matrix-vector product by numpy's
-    BLAS (threaded ``dgemv``) into scratch that the call holds.  With a
-    tail (see :class:`_Tail`), its rows ``K .. n - 1`` are one lower
-    triangular Toeplitz solve, ``x[K:n]`` convolved with ``q = 1/P``, the
-    inverse power series of ``P``, by one FFT, and then row ``n``, by one
-    dot product with the tail's column ``n``.  Then one ``dtbsv`` (upper,
-    unit, one superdiagonal) solves ``L^T v = w``.  The call holds the
-    three column-major float64 arrays it is bound to, and, with a tail,
+    For each block ``[a, b)`` of :func:`_blocks`, in order: but for the
+    first, the coupling of the solved ``w[:a]`` into ``x[a:b]`` (see
+    :func:`_couple`; the last block without a tail reaches row ``n``), then
+    ``dtpsv`` (lower, non-unit) on its triangle and ``x[a:b]``, in place.
+    With a tail (see :class:`_Tail`), the head's coupling into ``x[K:]``,
+    then its rows ``K .. n - 1``, one lower triangular Toeplitz solve,
+    ``x[K:n]`` convolved with ``q = 1/P``, the inverse power series of
+    ``P``, by one FFT, and then row ``n``, by one dot product with the
+    tail's column ``n``.  Then one ``dtbsv`` (upper, unit, one
+    superdiagonal) solves ``L^T v = w``.  The call holds the column-major
+    float64 arrays it is bound to, the scratch of ``z`` and, with a tail,
     the transform of ``q`` and the tail's column ``n``.
     """
+    triangles, band, coupling, tail = lu
     size = x.size
-    rows = size if tail is None else size - 1 - tail.p.size
+    head = size if tail is None else size - 1 - tail.p.size
+    blocks = _blocks(head)
     # BLAS reads and writes through raw addresses: a wrong array would
     # corrupt memory, not raise.
-    for array, shape in ((packed, (rows * size - rows * (rows - 1) // 2,)),
-                         (band, (2, size)), (x, (size,))):
-        if (array.shape != shape or array.dtype != np.float64
-                or not array.flags.f_contiguous):
-            raise ValueError("the solve takes column-major float64 arrays "
-                             "sized for one grid")
+    shapes = [(triangle, ((b - a) * (b - a + 1) // 2,))
+              for triangle, (a, b) in zip(triangles, blocks)]
+    if len(triangles) != len(blocks) or any(
+            array.shape != shape or array.dtype != np.float64
+            or not array.flags.f_contiguous
+            for array, shape in (*shapes, (band, (2, size)), (x, (size,)))):
+        raise ValueError("the solve takes column-major float64 arrays sized for one grid")
     tpsv, tbsv, integer = _blas_routines()
     # Fortran takes every argument by address: the options from one byte
     # string, each integer k from entry k of a table of 0 .. size.  Each
     # pointer holds its array, so the calls keep both alive.
     options, counts = np.frombuffer(b"LNU", np.uint8), np.arange(size + 1, dtype=integer)
     lower, no, upper = (_address(options[i:]) for i in range(3))
-    one, two, order = (_address(counts[k:]) for k in (1, 2, size))
-    scratch = np.empty(size - min(_BLOCK, rows))  # the first rectangle's width
+    one, two = (_address(counts[k:]) for k in (1, 2))
+
+    def bidiagonal(y):  # a call that overwrites y with v, L_a^T v = y, a = y.size
+        return functools.partial(tbsv, upper, no, upper, _address(counts[y.size :]), one,
+                                 _address(band), two, _address(y), one)
+
+    z = np.empty(head if tail is not None else blocks[-1][0])
     calls = []
-    for a, b, triangle, rectangle in _layout(packed, rows, size):
+    for (a, b), triangle in zip(blocks, triangles):
+        if a:
+            calls.append(_couple(coupling, bidiagonal(z[:a]), x, z[:a], b))
         calls.append(functools.partial(tpsv, lower, no, no, _address(counts[b - a :]),
                                        _address(triangle), _address(x[a:b]), one))
-        if b < size:
-            calls.append(functools.partial(
-                _trailing_update, x[a:b], rectangle, x[b:], scratch[: size - b]))
     if tail is not None:
-        calls.append(_tail_solve(tail, x[rows:]))
-    calls.append(functools.partial(tbsv, upper, no, upper, order, one, _address(band),
-                                   two, _address(x), one))
+        calls.append(_couple(coupling, bidiagonal(z), x, z, size))
+        calls.append(_tail_solve(tail, x[head:]))
+    calls.append(bidiagonal(x))
 
     def solve() -> None:
         for call in calls:
@@ -135,9 +148,49 @@ def _address(array) -> ctypes.c_void_p:
     return array.ctypes.data_as(ctypes.c_void_p)
 
 
-def _trailing_update(solved, rectangle, rest, scratch) -> None:
-    np.matmul(solved, rectangle, out=scratch)
-    np.subtract(rest, scratch, out=rest)
+def _couple(coupling: _Coupling, bidiagonal, x: np.ndarray, z: np.ndarray, c: int):
+    """A call that subtracts from ``x[a:c]``, ``a = z.size``, the share
+    ``w[:a] U[:a, a:c]`` of the solved ``w[:a] = x[:a]``: it copies
+    ``w[:a]`` into ``z``, solves ``z L_a = w[:a]`` there by ``bidiagonal``
+    and subtracts ``z M[:a, a:c]`` (:meth:`_Coupling.product`)."""
+    a = z.size
+    solved, rest = x[:a], x[a:c]
+
+    def couple() -> None:
+        np.copyto(z, solved)
+        bidiagonal()
+        np.subtract(rest, coupling.product(z, c), out=rest)
+
+    return couple
+
+
+class _Coupling(NamedTuple):
+    """The entries of ``M`` that couple the rows above a split to the
+    columns past it, read from the stencil in O(n) floats, all off the
+    diagonal: ``g``, the stencil times ``-beta`` (``M[i, j] = g[j - i + 1]``
+    for ``2 <= i`` and ``0 < j < n``), ``top``, rows 0 and 1 of ``M`` from
+    column 0, and ``edge``, column ``n``."""
+
+    g: np.ndarray
+    top: np.ndarray
+    edge: np.ndarray
+
+    def product(self, z: np.ndarray, c: int) -> np.ndarray:
+        """``z M[:a, a:c]`` for ``a = z.size``, ``2 <= a < c <= n + 1``:
+        rows 0 and 1 by two row axpys, the stencil rows by one direct
+        convolution and their column ``n``, if ``c`` reaches it, by one dot
+        product.  By FFT the convolution would be faster, but its roundoff
+        moved figure 2's last state at n = 4000 3.4e-12 from a dense LU's,
+        against 1.1e-13."""
+        a, n = z.size, self.edge.size - 1
+        out = z.item(0) * self.top[0, a:c]
+        out += z.item(1) * self.top[1, a:c]
+        if 2 < a < n:
+            # Entry j - a is sum_i z_i g[j - i + 1] over 2 <= i < a.
+            out[: min(c, n) - a] += np.convolve(z[2:], self.g[2 : min(c, n) - 1], "valid")
+        if c > n:
+            out[-1] += z[2:] @ self.edge[2:a]
+        return out
 
 
 def _tail_solve(tail: _Tail, x: np.ndarray):
@@ -146,11 +199,11 @@ def _tail_solve(tail: _Tail, x: np.ndarray):
     convolution with ``q = 1/P``, which solves the lower triangular
     Toeplitz system ``U[K:n, K:n]^T w = x[:N]``, and ``x[N]`` its share of
     row ``n``.  A linear convolution of two length-``N`` sequences has
-    ``2N - 1`` terms, which the FFT period above ``2 (N - 1)`` holds
-    without aliasing; only the first ``N`` are kept."""
+    ``2N - 1`` terms, which an FFT period of at least that holds without
+    aliasing; only the first ``N`` are kept."""
     p, column, pivot = tail
     size = p.size
-    period = _fft_period(size - 1)
+    period = _fast_period(2 * size - 1)
     with np.errstate(all="ignore"):  # an overflow fails the check below
         q_hat = np.fft.rfft(_inverse_series(p), period)
     if not np.isfinite(q_hat).all():
@@ -162,6 +215,19 @@ def _tail_solve(tail: _Tail, x: np.ndarray):
         x[size] = (x.item(size) - float(body @ column)) / pivot
 
     return solve
+
+
+def _fast_period(minimum: int) -> int:
+    """The smallest ``2^a 3^b 5^c >= minimum``: numpy's FFT transforms
+    such lengths about as fast per entry as powers of two."""
+    best, fives = 1 << (minimum - 1).bit_length(), 1
+    while fives < best:
+        odd = fives
+        while odd < best:
+            best = min(best, odd << (-(-minimum // odd) - 1).bit_length())
+            odd *= 3
+        fives *= 5
+    return best
 
 
 def _inverse_series(p: np.ndarray) -> np.ndarray:
@@ -177,31 +243,26 @@ def _inverse_series(p: np.ndarray) -> np.ndarray:
     return backwards[::-1]
 
 
-# Rows of ``U`` in each block of its storage (see _layout).
-_BLOCK = 1024
+def _blocks(rows: int) -> list[tuple[int, int]]:
+    """The blocks ``[a, b)`` of ``_BLOCK`` rows, the last one shorter, that
+    tile the first ``rows`` rows of ``U``.  Block ``[a, b)`` stores its
+    diagonal triangle, the rows ``U[k, k:b]`` end to end, which is that
+    triangle's transpose in BLAS lower packed storage,
+    ``(b - a)(b - a + 1) / 2`` floats.  A factor with a tail stores its
+    ``K`` head rows this way (see :class:`_Tail`)."""
+    return [(a, min(a + _BLOCK, rows)) for a in range(0, rows, _BLOCK)]
 
 
-def _layout(packed: np.ndarray, rows: int, size: int):
-    """The blocks of the stored rows of ``U``, as views ``(a, b, triangle,
-    rectangle)``.
+class _Factor(NamedTuple):
+    """``M = L U`` as :func:`_hessenberg_lu` stores it: the packed
+    triangles of the blocks of ``U``'s head, the multipliers of ``L`` as
+    the band of the unit upper bidiagonal ``L^T``, the :class:`_Coupling`
+    of ``M`` and the :class:`_Tail`, or ``None``."""
 
-    The first ``rows`` rows of ``U``, of ``size`` columns, are stored in
-    ``rows * size - rows (rows - 1) / 2`` floats (``(n+1)(n+2)/2`` when
-    ``rows == size``), blocks of ``_BLOCK`` rows ``[a, b)`` laid end to
-    end.  A block holds first its diagonal triangle, the rows ``U[k, k:b]``
-    end to end, which is that triangle's transpose in BLAS lower packed
-    storage, then its rectangle ``U[a:b, b:]``, row-major, which runs to
-    column ``n``.  A factor with a tail stores its ``K`` head rows this way
-    (see :class:`_Tail`); a grid of at most ``_BLOCK`` nodes without one is
-    one block: a packed triangle and an empty rectangle.
-    """
-    start = 0
-    for a in range(0, rows, _BLOCK):
-        b = min(a + _BLOCK, rows)
-        middle = start + (b - a) * (b - a + 1) // 2
-        end = middle + (b - a) * (size - b)
-        yield a, b, packed[start:middle], packed[middle:end].reshape(b - a, size - b)
-        start = end
+    triangles: list[np.ndarray]
+    band: np.ndarray
+    coupling: _Coupling
+    tail: _Tail | None
 
 
 class _Tail(NamedTuple):
@@ -253,88 +314,92 @@ def _eliminated_rows(operator, g: np.ndarray, beta: float):
         above = row
 
 
-def _fixed_point(rows, n: int):
-    """``(K, P)``: the first row ``K >= 3`` whose stencil part
-    ``P = U[K, K:n]`` equals ``U[K-1, K-1:n-1]`` bit for bit, if at least
-    ``_FFT_MIN_N`` rows remain after it; ``None`` otherwise.
-
-    Past ``K`` every row and multiplier repeats, shifted: each is computed
-    by the same floating-point operations on the same inputs.  This is the
-    finite-precision form of the convergence of a Toeplitz LU to its
-    Wiener-Hopf factor.  ``rows`` is :func:`_eliminated_rows`; the search
-    holds only its two buffers and stops at row ``n - _FFT_MIN_N``.
-    """
-    for k, (_, row) in zip(range(n - _FFT_MIN_N + 1), rows):
-        # Pivots settle first; only an equal pivot earns the whole compare.
-        if (k >= 3 and row.item(0) == above.item(0)
-                and row.tobytes() == above[: n - k].tobytes()):
-            return k, row.copy()
-        above = row
-    return None
+def _shorten(triangle: np.ndarray, a: int, b: int, end: int) -> None:
+    """Repack, in place, the rows ``a .. end - 1`` stored in the triangle
+    of the block ``[a, b)`` as the triangle of the block ``[a, end)``, and
+    free the rest of its memory."""
+    source = target = 0
+    for k in range(a, end):
+        triangle[target : target + end - k] = triangle[source : source + end - k]
+        source, target = source + b - k, target + end - k
+    # The factor holds no view of it, so the array may move.
+    triangle.resize(target, refcheck=False)
 
 
-def _hessenberg_lu(operator, beta: float):
-    """Factor ``M = I - beta B = L U`` without pivoting, one row at a time.
+def _hessenberg_lu(operator, beta: float) -> _Factor:
+    """Factor ``M = I - beta B = L U`` without pivoting, one row at a time,
+    in one pass.
 
     The rows come from :func:`_eliminated_rows`, the stencil ``operator.g``
     and ``operator.edges[:, 1]``, column ``n``, both scaled by ``-beta``
-    once; column ``n`` is computed as a scalar, the edge less the
-    multiplier times the entry above.  A first pass over two row buffers
-    looks for the elimination's fixed point ``K`` (:func:`_fixed_point`).
-    Without one, or with fewer than ``_FFT_MIN_N`` rows past it, a second
-    pass writes all of ``U`` in the layout of :func:`_layout`,
-    ``(n+1)(n+2)/2`` floats, and the tail is ``None``.  With one it writes
-    only the head, rows ``0 .. K-1``, in that layout, and returns the rest
-    as a :class:`_Tail`.  Returns the stored rows, the multipliers of ``L``
-    as the band of the unit upper bidiagonal ``L^T``, and the tail.
-    A non-finite factor or a zero pivot raises :class:`SingularSystem`.
+    once and kept, with rows 0 and 1 of ``M``, as the :class:`_Coupling`;
+    column ``n`` is computed as a scalar, the edge less the multiplier
+    times the entry above.  Each row's part in its block's
+    triangle (see :func:`_blocks`) is written as it is eliminated.  The
+    first row ``K >= 3`` whose stencil part ``P = U[K, K:n]`` equals
+    ``U[K-1, K-1:n-1]`` bit for bit, with at least ``_FFT_MIN_N`` rows after
+    it, is the elimination's fixed point: past it every row and multiplier
+    repeats, shifted, since each is computed by the same floating-point
+    operations on the same inputs.  There the pass stops, the block that
+    holds ``K`` is repacked to end at row ``K`` and the rest is returned
+    as a :class:`_Tail`; without one the triangles run to row ``n`` and the
+    tail is ``None``.  A non-finite factor or a zero pivot raises
+    :class:`SingularSystem`.
     """
     n = operator.n
     size = n + 1
     band = np.zeros((2, size), order="F")
     multipliers = band[0]
-    tail = None
+    triangles, tail = [], None
     with np.errstate(all="ignore"):  # an overflow fails the health check
         g, edge = operator.g * -beta, operator.edges[:, 1] * -beta
+        coupling = _Coupling(g, np.stack((operator.row(0), operator.row(1))) * -beta, edge)
+        corner = 0.0
         try:
-            found = _fixed_point(_eliminated_rows(operator, g, beta), n)
-            head = size if found is None else found[0]
-            packed = np.empty(head * size - head * (head - 1) // 2)
-            rows = _eliminated_rows(operator, g, beta)
-            corner = 0.0
-            for a, b, triangle, rectangle in _layout(packed, head, size):
-                start = 0
-                for k in range(a, min(b, n)):
-                    multiplier, row = next(rows)
-                    multipliers[k] = multiplier
-                    corner = edge.item(k) - multiplier * corner
-                    near = triangle[start : start + b - k]
-                    start += b - k
-                    if b < size:
-                        near[:] = row[: b - k]
-                        far = rectangle[k - a]
-                        far[:-1], far[-1] = row[b - k :], corner
-                    else:
-                        near[:-1], near[-1] = row, corner
-            if found is None:
+            for k, (multiplier, row) in enumerate(_eliminated_rows(operator, g, beta)):
+                # Pivots settle first; only an equal pivot earns the whole compare.
+                if (3 <= k <= n - _FFT_MIN_N and row.item(0) == above.item(0)
+                        and row.tobytes() == above[: n - k].tobytes()):
+                    if k % _BLOCK:
+                        _shorten(triangle, k - k % _BLOCK, b, k)
+                    multipliers[k:] = multiplier
+                    column = np.empty(n - k)
+                    for j in range(k, n):
+                        column[j - k] = corner = edge.item(j) - multiplier * corner
+                    pivot = (edge.item(n) + 1.0) - multiplier * corner
+                    tail = _Tail(row.copy(), column, pivot)
+                    break
+                multipliers[k] = multiplier
+                corner = edge.item(k) - multiplier * corner
+                if k % _BLOCK == 0:
+                    b = min(k + _BLOCK, size)
+                    triangle = np.empty((b - k) * (b - k + 1) // 2)
+                    triangles.append(triangle)
+                    start = 0
+                if b < size:
+                    triangle[start : start + b - k] = row[: b - k]
+                else:
+                    triangle[start : start + n - k] = row
+                    triangle[start + n - k] = corner
+                start += b - k
+                above = row
+            else:
+                if n % _BLOCK == 0:  # row n is a block of its own
+                    triangle = np.empty(1)
+                    triangles.append(triangle)
                 multipliers[n] = multiplier = g.item(0) / row.item(0)
                 triangle[-1] = pivot = (edge.item(n) + 1.0) - multiplier * corner
-            else:
-                p = found[1]
-                multipliers[head:] = multiplier = g.item(0) / p.item(0)
-                column = np.empty(n - head)
-                for k in range(head, n):
-                    column[k - head] = corner = edge.item(k) - multiplier * corner
-                pivot = (edge.item(n) + 1.0) - multiplier * corner
-                tail = _Tail(p, column, pivot)
         except ZeroDivisionError:  # a zero pivot: multipliers are Python floats
             pivot = 0.0
-        # min and max propagate NaN and, unlike isfinite, need no n^2 mask.
+        # min and max propagate NaN and, unlike isfinite, need no mask of
+        # the triangles.
         healthy = (pivot != 0.0 and math.isfinite(pivot)
-                   and math.isfinite(packed.min()) and math.isfinite(packed.max())
+                   and all(math.isfinite(triangle.min()) and math.isfinite(triangle.max())
+                           for triangle in triangles)
                    and np.isfinite(band).all()
+                   and all(np.isfinite(entries).all() for entries in coupling)
                    and (tail is None or np.isfinite(tail.p).all()
                         and np.isfinite(tail.column).all()))
     if not healthy:
         raise SingularSystem("implicit system matrix is numerically singular")
-    return packed, band, tail
+    return _Factor(triangles, band, coupling, tail)

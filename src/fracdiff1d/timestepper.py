@@ -10,8 +10,9 @@ unconditionally stable.  Every ``B`` is upper Hessenberg
 in row form :math:`\mathbf{u}_{k+1} M = \mathbf{u}_k` with
 :math:`M = I - \beta B = L U` factored once per run, in O(n^2), without
 pivoting, and each step solved in place (see :mod:`~fracdiff1d.factor`):
-past the elimination's fixed point the rows of ``U`` repeat, and are solved
-as one convolution by FFT.
+``U`` is stored as the diagonal triangles of its blocks of rows, which the
+stencil couples, and past the elimination's fixed point its rows repeat,
+and are solved as one convolution by FFT.
 
 Both updates live in one private stepper, built once per run from the O(n)
 stencil form of ``B``, ``beta`` and the method: it holds ``beta``, the
@@ -282,14 +283,15 @@ class _Stepper:
     operator holding ``B`` (the stencil of :mod:`~fracdiff1d.operators`),
     whose O(n) row sums both methods book: explicit steps apply it;
     implicit runs read its rows into the factor of ``M = I - beta B = L U``
-    without pivoting, its head in blocks and its tail, if any, in O(n)
-    floats (see :mod:`~fracdiff1d.factor`), which every :meth:`step`
-    reuses, so no run holds an (n+1)^2 array.  An implicit step copies the
-    state into the stepper's own (n+1) buffer, solves there in place and
-    returns a copy: only the factor's head, its band and that buffer, which
-    the bound solve holds, reach the two BLAS routines, bound by address
-    from either source; the trailing updates of the head's blocks and the
-    tail's convolution go through numpy.  An absorbing node j needs no
+    without pivoting, the diagonal triangles of its head's blocks and its
+    tail, if any, in O(n) floats (see :mod:`~fracdiff1d.factor`), which
+    every :meth:`step` reuses, so no run holds an (n+1)^2 array.  An
+    implicit step copies the state into the stepper's own (n+1) buffer,
+    solves there in place and returns a copy: only the triangles, the band
+    of ``L``, that buffer and the coupling's scratch, which the bound solve
+    holds, reach the two BLAS routines, bound by address from either
+    source; the blocks' couplings, direct convolutions with the stencil,
+    and the tail's convolution go through numpy.  An absorbing node j needs no
     pin: its zero column of ``B`` makes the explicit update add ``+0.0``
     there, and column j of ``M`` the unit vector, so the solve returns
     ``+0.0`` there, for every finite state that is zero at j.
@@ -305,7 +307,7 @@ class _Stepper:
         if method is Method.IMPLICIT:
             _blas_routines()  # a missing BLAS fails before the factor
             self.state = np.empty(n + 1)
-            self.solve = _in_place_solve(*_hessenberg_lu(operator, beta), self.state)
+            self.solve = _in_place_solve(_hessenberg_lu(operator, beta), self.state)
         else:
             self.apply = operator.apply
         self.outflow = -operator.row_sums()

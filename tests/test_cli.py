@@ -351,8 +351,8 @@ class TestMain:
 
     def test_only_dense_paths_are_bounded_by_memory(self, tmp_path, capsys, monkeypatch):
         # On an 8 GiB host an explicit run at n = 40000 needs a few MiB and an
-        # implicit one its 5.96 GiB packed factor, while the dense (n+1)^2
-        # matrix would take 11.9 GiB.
+        # implicit one the 156 MiB of its factor's 1024-row triangles, while
+        # the dense (n+1)^2 matrix would take 11.9 GiB.
         monkeypatch.setattr(operators, "_MEMORY_BYTES", 8 * 2**30)
         out = tmp_path / "run.csv"
         one_step = ["--alpha", "1.5", "--n", "40000", "--dt", "1e-9", "--t-end", "1e-9",
@@ -360,15 +360,16 @@ class TestMain:
         assert main(["solve", *one_step, "--method", "explicit"]) == 0
         assert len(read_rows(out)) == 2 * 40001
         out.unlink()
-        # Parsed only: running it would allocate the 5.96 GiB factor.
-        assert isinstance(parse_args(["solve", *one_step, "--method", "implicit"]),
-                          SolveCommand)
+        implicit = [["solve", *one_step, "--method", "implicit"],
+                    ["figure", "2", "--n", "40000", "--out", str(out)]]
+        # Parsed only: the implicit runs would take seconds.  With 256 MiB
+        # they fit, with 128 MiB their triangles do not.
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", 256 * 2**20)
+        for argv in implicit:
+            assert isinstance(parse_args(argv), SolveCommand)
         matrix = ["matrix", "--alpha", "1.5", "--n", "40000", "--deriv", "rl",
                   "--left", "absorbing", "--right", "absorbing", "--out", str(out)]
-        # With 4 GiB the packed factor does not fit either.
-        for memory, argv in ((8 * 2**30, matrix),
-                             (4 * 2**30, ["solve", *one_step, "--method", "implicit"]),
-                             (4 * 2**30, ["figure", "2", "--n", "40000", "--out", str(out)])):
+        for memory, argv in ((8 * 2**30, matrix), *((128 * 2**20, argv) for argv in implicit)):
             monkeypatch.setattr(operators, "_MEMORY_BYTES", memory)
             assert main(argv) == 2
             assert "physical memory" in capsys.readouterr().err
@@ -415,8 +416,8 @@ class TestMain:
         # many snapshots each one's bookkeeping and meta JSON outweigh its
         # n + 1 values.  A first run fills the import and FFT caches, which
         # a second does not.  At n = 600 and 1100 an implicit factor has a
-        # tail from row 22 and 31: its head is one block, solved with a
-        # trailing update through scratch, and its tail takes an FFT a step.
+        # tail from row 22 and 31: its head is one block, coupled to the
+        # tail through the stencil, and its tail takes an FFT a step.
         dt, steps = (1e-5, 40) if states <= 40 else (1e-6, states)
         times = ",".join(repr(k * steps // (states - 1) * dt) for k in range(states))
         out = tmp_path / "run.csv"

@@ -261,8 +261,9 @@ class TestSpecValidation:
 
     def test_grid_beyond_memory_is_rejected(self):
         # 10**400 is not even a float.  10**6 needs only an 8 MB state but an
-        # 8 TB dense matrix (4 TB packed factor): build_matrix and implicit
-        # runs reject it.
+        # 8 TB dense matrix: build_matrix rejects it.  An implicit factor
+        # stores 1024-row triangles, 4.1 GB at n = 10**6 and 410 GB at
+        # 10**8, whose 0.8 GB state fits: implicit runs reject that.
         with pytest.raises(InvalidSpec, match="physical memory"):
             spec(RL, A, A, n=10**400)
         big = spec(RL, A, A, n=10**6)
@@ -272,8 +273,9 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec, match="physical memory"):
             build_matrix(big)
         with pytest.raises(InvalidSpec, match="physical memory"):
-            SolverConfig(spec=big, dt=1e-3, t_end=1e-3, method=Method.IMPLICIT,
-                         snapshot_times=(0.0,), initial=InitialCondition.tent())
+            SolverConfig(spec=spec(RL, A, A, n=10**8), dt=1e-3, t_end=1e-3,
+                         method=Method.IMPLICIT, snapshot_times=(0.0,),
+                         initial=InitialCondition.tent())
 
     def test_nonpositive_diffusivity_is_rejected(self):
         for c in (0.0, float("nan"), float("inf")):

@@ -191,6 +191,23 @@ class TestImplicitSolveOracle:
                 error = np.abs(v - expected).max() / np.abs(expected).max()
                 assert error <= 1e-12, (n, error)
 
+    @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
+    def test_blocks_without_a_tail_match_dense_lu(self, form, left, right):
+        # dt = 0.1 leaves no fixed point: four blocks, each coupled to the
+        # solved rows above it through the stencil, up to row n.
+        n = 3073
+        spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+        beta = n**1.5 * 0.1
+        stepper = _Stepper(_stencil(spec), beta, Method.IMPLICIT)
+        assert factor._hessenberg_lu(_stencil(spec), beta).tail is None
+        u = np.random.default_rng(n).random(n + 1)
+        v, _ = stepper.step(u)
+        system = -beta * build_matrix(spec).entries.T
+        system.flat[:: n + 2] += 1.0
+        backward = np.abs(system @ v - u).max() / (
+            np.abs(system).sum(axis=1).max() * np.abs(v).max())
+        assert backward <= 1e-15, backward
+
     def test_figure_two_run_matches_dense_lu(self):
         # Figure 2's 500 steps at n = 1000, whose factor keeps rows 381 to
         # 1000 as a tail, against the same steps by a dense LU.
@@ -199,7 +216,7 @@ class TestImplicitSolveOracle:
                              snapshot_times=(0.0, 0.05, 0.1, 0.5))
         spec = config.spec
         beta = spec.c * spec.h**-spec.alpha * dt
-        assert factor._hessenberg_lu(_stencil(spec), beta)[2].p.size == n - 381
+        assert factor._hessenberg_lu(_stencil(spec), beta).tail.p.size == n - 381
         series = run_simulation(config)
         dense = lu_factor(np.eye(n + 1) - beta * build_matrix(spec).entries.T)
         expected, step = series.snapshots[0].values, 0
@@ -227,6 +244,22 @@ class TestImplicitSolveOracle:
         tail = factor._Tail(p, np.zeros(1000), 1.0)
         with pytest.raises(SingularSystem):
             factor._tail_solve(tail, np.zeros(1001))
+
+    def test_tail_period_is_the_least_five_smooth_length(self):
+        # A period of 2N - 1 or more aliases none of the N entries kept;
+        # figure 2's tails, N = 619 and 2536, take 1250 and 5120.
+        def smooth(m):
+            for prime in (2, 3, 5):
+                while m % prime == 0:
+                    m //= prime
+            return m == 1
+
+        expected = [m for m in range(1, 6000) if smooth(m)]
+        for minimum in range(1, 5200):
+            assert factor._fast_period(minimum) == next(
+                m for m in expected if m >= minimum), minimum
+        assert factor._fast_period(2 * 619 - 1) == 1250
+        assert factor._fast_period(2 * 2536 - 1) == 5120
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
     def test_steps_import_nothing(self, monkeypatch, form, left, right):
@@ -282,13 +315,13 @@ def chained_steps(stepper, start, steps=50):
 
 
 class TestBlasFallback:
-    # At n = 2048 U is solved in two blocks; both paths make the same
-    # trailing updates through numpy.
-    @pytest.mark.parametrize("n", (128, 1000, 2048))
+    # From n = 1000 at dt = 1e-3 the factor has a tail; at n = 2049 and
+    # dt = 0.1 it has three blocks, the later ones coupled through a dtbsv.
+    @pytest.mark.parametrize("n,dt", [(128, 1e-3), (1000, 1e-3), (2048, 1e-3), (2049, 0.1)])
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
-    def test_scipy_solve_is_bit_identical(self, request, form, left, right, n):
+    def test_scipy_solve_is_bit_identical(self, request, form, left, right, n, dt):
         spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
-        beta = n**1.5 * 1e-3
+        beta = n**1.5 * dt
         start = np.random.default_rng(n).random(n + 1)
         bundled = chained_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT), start)
         request.getfixturevalue("without_openblas")
@@ -300,10 +333,10 @@ class TestBlasFallback:
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (PS, R, A)])
     def test_blocked_solve_repeats_bit_for_bit(self, form, left, right):
-        # Three blocks: two threaded trailing updates a step.
+        # Three blocks and no tail: two couplings a step.
         n = 2100
         spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
-        beta = n**1.5 * 1e-3
+        beta = n**1.5 * 0.1
         start = np.random.default_rng(n).random(n + 1)
         first, second = (chained_steps(_Stepper(_stencil(spec), beta, Method.IMPLICIT),
                                        start) for _ in range(2))
@@ -380,35 +413,37 @@ class TestStepperInput:
         if source != "bundled":
             request.getfixturevalue(source)
         spec = SchemeSpec(RL, R, R, 1.5, 1.0, self.n)
-        packed, band, tail = factor._hessenberg_lu(_stencil(spec), self.n**1.5 * 1e-3)
-        assert tail is None
+        lu = factor._hessenberg_lu(_stencil(spec), self.n**1.5 * 1e-3)
+        (triangle,) = lu.triangles
+        assert lu.tail is None
         bind = factor._in_place_solve
         for x in (np.empty(self.n), np.empty(self.n + 1, dtype=np.float32),
                   np.empty(2 * self.n + 2)[::2]):
             with pytest.raises(ValueError):
-                bind(packed, band, None, x)
+                bind(lu, x)
         with pytest.raises(ValueError):
-            bind(packed, np.zeros((2, self.n + 1)), None, np.empty(self.n + 1))
-        for wrong in (packed[:-1], packed.astype(np.float32), np.repeat(packed, 2)[::2]):
+            bind(lu._replace(band=np.zeros((2, self.n + 1))), np.empty(self.n + 1))
+        for wrong in ([triangle[:-1]], [triangle.astype(np.float32)],
+                      [np.repeat(triangle, 2)[::2]], [], [triangle, triangle[:1]]):
             with pytest.raises(ValueError):
-                bind(wrong, band, None, np.empty(self.n + 1))
+                bind(lu._replace(triangles=wrong), np.empty(self.n + 1))
         x = np.zeros(self.n + 1)
-        bind(packed, band, None, x)()
+        bind(lu, x)()
         assert not x.any()
 
     def test_blas_takes_only_the_head_of_a_factor_with_a_tail(self):
-        # The packed head's size follows from the tail's: a factor bound
+        # The head's triangles follow from the tail's size: a factor bound
         # without its tail, or with another's, is refused before any call.
         n = 1000
         spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
-        packed, band, tail = factor._hessenberg_lu(_stencil(spec), n**1.5 * 1e-3)
-        assert tail is not None
-        shorter = tail._replace(p=tail.p[1:], column=tail.column[1:])
+        lu = factor._hessenberg_lu(_stencil(spec), n**1.5 * 1e-3)
+        assert lu.tail is not None
+        shorter = lu.tail._replace(p=lu.tail.p[1:], column=lu.tail.column[1:])
         for wrong in (None, shorter):
             with pytest.raises(ValueError):
-                factor._in_place_solve(packed, band, wrong, np.empty(n + 1))
+                factor._in_place_solve(lu._replace(tail=wrong), np.empty(n + 1))
         x = np.zeros(n + 1)
-        factor._in_place_solve(packed, band, tail, x)()
+        factor._in_place_solve(lu, x)()
         assert not x.any()
 
     def test_a_returned_state_is_not_changed_by_later_steps(self):
@@ -433,19 +468,18 @@ def bit_equal(a, b) -> bool:
 BLOCK_EDGE_SCHEMES = [(RL, R, R), (CAP, A, A), (PS, R, A)]
 
 
-def assert_factor_layout(packed, U):
-    """``packed`` holds every entry of the upper trapezoid ``U``, the first
-    rows of the factor, bit for bit, in blocks of at most 1024 rows: each
-    block's rows from the diagonal up to the block's end, end to end, then
-    the rest of its rows, to the last column, as one row-major rectangle."""
-    rows, size = U.shape
-    blocks = list(factor._layout(packed, rows, size))
-    assert [a for a, *_ in blocks] == list(range(0, rows, 1024))
-    assert [b for _, b, *_ in blocks] == [min(a + 1024, rows) for a, *_ in blocks]
-    expected = np.concatenate([
-        part for a, b, *_ in blocks
-        for part in ([U[k, k:b] for k in range(a, b)] + [U[a:b, b:].ravel()])])
-    assert bit_equal(packed, expected), size - 1
+def assert_triangles(triangles, U):
+    """``triangles`` hold, bit for bit, the diagonal triangles of the upper
+    trapezoid ``U``, the first rows of the factor, in blocks of at most
+    1024 rows: each block's rows from the diagonal up to the block's end,
+    end to end, and nothing of ``U`` right of them."""
+    rows = U.shape[0]
+    bounds = [(a, min(a + 1024, rows)) for a in range(0, rows, 1024)]
+    assert factor._blocks(rows) == bounds
+    assert len(triangles) == len(bounds), rows
+    for (a, b), triangle in zip(bounds, triangles):
+        expected = np.concatenate([U[k, k:b] for k in range(a, b)])
+        assert bit_equal(triangle, expected), (rows, a)
 
 
 class TestStencilOracle:
@@ -468,21 +502,22 @@ class TestStencilOracle:
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_implicit_system_is_bit_identical(self, form, left, right, alpha):
         # The factor repeats, bit for bit, a row-axpy elimination of the
-        # dense I - beta B in place.  Past one block of rows (n + 1 > 1024)
-        # each row is written in two pieces: 1024 puts the last block at one
-        # row, 2049 at two.  From the elimination's fixed point K on, with
-        # 512 rows or more after it, only the tail is kept: P, which every
-        # later row repeats shifted, column n and the last pivot.  Every
-        # scheme has a tail at n = 1000 and 2048 from alpha = 1.2 and 1.5;
-        # none has one up to n = 512 or at n = 1000 from alpha = 1.8, and
-        # at n = 2048 and 2049 from it some have a head of two blocks.
+        # dense I - beta B in place, of which it stores each 1024-row
+        # block's diagonal triangle: 1024 puts the last block at one row,
+        # 2049 at two.  From the elimination's fixed point K on, with 512
+        # rows or more after it, only the tail is kept: P, which every later
+        # row repeats shifted, column n and the last pivot; the block that
+        # holds K ends there.  Every scheme has a tail at n = 1000 and 2048
+        # from alpha = 1.2 and 1.5; none has one up to n = 512 or at
+        # n = 1000 from alpha = 1.8, and at n = 2048 and 2049 from it some
+        # have a head of two blocks.
         sizes = STENCIL_SIZES
         if (form, left, right) in BLOCK_EDGE_SCHEMES:
             sizes += (1023, 1024, 2049)
         for n in sizes:
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
             beta = n**alpha * 1e-3
-            packed, band, tail = factor._hessenberg_lu(_stencil(spec), beta)
+            triangles, band, _, tail = factor._hessenberg_lu(_stencil(spec), beta)
             U = -beta * build_matrix(spec).entries
             U.flat[:: n + 2] += 1.0
             multipliers = np.zeros(n + 1)
@@ -494,16 +529,38 @@ class TestStencilOracle:
             elif n in (1000, 2048) and alpha < 1.8:
                 assert tail is not None, n
             if tail is None:
-                assert_factor_layout(packed, U)
+                assert_triangles(triangles, U)
             else:
                 head = n - tail.p.size
                 assert head >= 3 and tail.p.size >= _FFT_MIN_N
-                assert_factor_layout(packed, U[:head])
+                assert_triangles(triangles, U[:head])
                 for k in range(head, n):
                     assert bit_equal(U[k, k:n], tail.p[: n - k]), (n, k)
                 assert bit_equal(tail.column, U[head:n, n]), n
                 assert bit_equal(np.float64(tail.pivot), U[n, n]), n
             assert bit_equal(band[0], multipliers) and not band[1].any(), n
+
+    @pytest.mark.parametrize("form,left,right", SUPPORTED)
+    def test_coupling_is_the_dense_product(self, form, left, right):
+        # The solve reads w[:a] U[:a, a:c] as z M[:a, a:c] from the stencil:
+        # rows 0 and 1 (patched for PS and Caputo), the stencil rows and
+        # column n, at the splits it takes (1024, the block edge, and K,
+        # the fixed point) and the least it could.  Each entry is a sum of
+        # a products, within a rounding error of (a u) |z| |M|.
+        n = 2048
+        spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+        beta = n**1.5 * 1e-3
+        coupling, tail = factor._hessenberg_lu(_stencil(spec), beta)[2:]
+        M = -beta * build_matrix(spec).entries
+        head = n - tail.p.size
+        for a in (2, 3, 1024, head):
+            z = np.random.default_rng(a).random(a) - 0.5
+            for c in (a + 1, min(a + 1024, n), n + 1):
+                got = coupling.product(z, c)
+                expected = z @ M[:a, a:c]
+                bound = a * 2.0**-52 * (np.abs(z) @ np.abs(M[:a, a:c]))
+                assert got.shape == expected.shape, (a, c)
+                assert np.all(np.abs(got - expected) <= bound), (a, c)
 
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
@@ -775,41 +832,45 @@ class TestRunMemory:
         # 512 and 1025 lie just past powers of two, where an FFT transform
         # would be largest for its n: the bound leaves out the stencil's, as
         # implicit runs take none (test_implicit_runs_take_no_fft).  The
-        # bound counts the whole factor.  At n = 1025, half the explicit
-        # limit leaves a tail of over 980 rows, stored in O(n) floats and
-        # an FFT a step, and the run holds far less; dt = 0.1 has no fixed
-        # point, and the factor is whole.
+        # bound counts the block triangles of every row.  At n = 1025, half
+        # the explicit limit leaves a tail of over 980 rows, stored in O(n)
+        # floats and an FFT a step, but the block that holds the fixed point
+        # is allocated whole before the pass finds it; dt = 0.1 has no fixed
+        # point, and the factor is two blocks.
         config = make_config(form=form, left=left, right=right, n=n, dt=dt, steps=4,
                              method=Method.IMPLICIT, snap_every=1)
         spec = config.spec
         beta = spec.c * spec.h**-spec.alpha * config.dt
-        tail = factor._hessenberg_lu(_stencil(spec), beta)[2]
+        tail = factor._hessenberg_lu(_stencil(spec), beta).tail
         assert (tail is not None) == (n == 1025 and dt is None)
         peak = traced_peak(lambda: run_simulation(config))
         monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
         with pytest.raises(InvalidSpec, match="an implicit run recording 5 states"):
             dataclasses.replace(config)
-        if tail is None:
-            monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * peak)
-            dataclasses.replace(config)
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * peak)
+        dataclasses.replace(config)
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
-    def test_implicit_run_holds_half_a_dense_matrix(self, form, left, right):
-        # The packed factor is (n+1)(n+2)/2 floats; a dense B is (n+1)^2.
-        n = 1000
-        config = make_config(form=form, left=left, right=right, n=n, steps=5,
+    def test_implicit_run_holds_the_block_triangles(self, form, left, right):
+        # Without a fixed point (dt = 0.1) the factor is four blocks whose
+        # diagonal triangles take under 512.5 floats a node; the whole
+        # packed U would take (n + 2) / 2 = 1537, a dense B n + 1.
+        n = 3073
+        config = make_config(form=form, left=left, right=right, n=n, dt=0.1, steps=5,
                              method=Method.IMPLICIT, snap_every=5)
         peak = traced_peak(lambda: run_simulation(config))
-        assert peak <= 0.6 * 8 * (n + 1) ** 2, peak
+        assert peak <= 8 * 540 * (n + 1), peak
 
     def test_a_tail_is_not_stored_as_rows(self):
         # Figure 2 at n = 4000 keeps rows 1464 to 4000 of U as a tail of
-        # O(n) floats: the stepper peaks at 0.6 of the whole packed factor.
+        # O(n) floats: the stepper peaks at 0.6 of the triangles of every
+        # row, with the block that holds row 1464 allocated whole.
         n = 4000
         spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
         beta = spec.c * spec.h**-spec.alpha * 1e-3
         peak = traced_peak(lambda: _Stepper(_stencil(spec), beta, Method.IMPLICIT))
-        assert peak < 0.65 * 8 * (n + 1) * (n + 2) / 2, peak
+        triangles = 3 * 1024 * 1025 / 2 + (n + 1 - 3072) * (n + 2 - 3072) / 2
+        assert peak < 0.6 * 8 * triangles, peak
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
@@ -832,15 +893,18 @@ class TestRunMemory:
         assert len(results) == 34 and all(r.passed for r in results), \
             [r.name for r in results if not r.passed]
 
+    @pytest.mark.parametrize("n,dt", [(_FFT_MIN_N, None), (2049, 0.1)])
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
-    def test_implicit_runs_take_no_fft(self, monkeypatch, form, left, right):
+    def test_implicit_runs_take_no_fft(self, monkeypatch, form, left, right, n, dt):
         # The stencil's FFT transform serves only the explicit apply.  The
         # factor's tail takes an FFT a step, but needs 512 rows after the
-        # fixed point, which no grid of 512 intervals has.
+        # fixed point, which no grid of 512 intervals has, and at dt = 0.1
+        # no grid of 2049 has a fixed point: its three blocks are coupled
+        # by direct convolutions.
         def refuse(*args, **kwargs):
             raise AssertionError("an implicit run took an FFT")
 
         monkeypatch.setattr(np.fft, "rfft", refuse)
-        config = make_config(form=form, left=left, right=right, n=_FFT_MIN_N,
+        config = make_config(form=form, left=left, right=right, n=n, dt=dt,
                              steps=10, method=Method.IMPLICIT)
         assert len(run_simulation(config)) == len(config.snapshot_times)
