@@ -6,6 +6,20 @@ who do not care about the fine distinctions can catch a single class.
 
 from __future__ import annotations
 
+__all__ = [
+    "DegenerateInput",
+    "DimensionMismatch",
+    "EmptySeries",
+    "FracDiffError",
+    "InvalidOrder",
+    "InvalidSpec",
+    "SingularSystem",
+    "StabilityViolation",
+    "UnsupportedCombination",
+    "UnsupportedForm",
+    "UsageError",
+]
+
 
 class FracDiffError(ValueError):
     """Base class for all errors raised by this package."""

@@ -41,7 +41,39 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FracDiffError, SingularSystem
-from .operators import _BLOCK, _FFT_MIN_N
+from .operators import _FFT_MIN_N, _SNAPSHOT_FLOATS, _require_fits
+
+# Rows of ``U`` in each block of the factor (see _blocks).
+_BLOCK = 1024
+
+
+def _require_implicit_fits(n: int, states: int) -> None:
+    """Reject an implicit run and its CSV emit whose memory would exceed
+    physical memory: the factor ``U`` of ``I - beta B``, the diagonal
+    triangles of its blocks of ``_BLOCK`` rows, under ``513 (n+1)`` floats
+    (see :func:`_blocks`), plus ``states`` recorded states with their
+    bookkeeping (``_SNAPSHOT_FLOATS`` each) and under 20 (n+1) more for the
+    stencil, its scaled weights, rows 0 and 1 and edge column, the band of
+    ``L``, the outflow, one row's work arrays while factoring, and while
+    stepping the solve buffer, the coupling's scratch and products and the
+    state a step returns.  Traced beside the factor and five states'
+    values, a run of RL r/r, PS r/r or Caputo a/a without a fixed point
+    holds 12.5-17.6 (n+1) more at n = 300 to 4000, the most at n = 1025.
+    The emit comes after the factor and these are freed: the ``x`` column's
+    text and one state's values as Python objects take under 14 (n+1).
+    The stencil brings no FFT transform: only explicit steps compute one.
+    The factor is counted as if the elimination had no fixed point ``K``
+    (see :func:`_hessenberg_lu`), which allocates the block that holds
+    ``K`` whole before it finds ``K``.  A factor with a tail then stores
+    none of the rows ``K .. n``, ``N = n - K >= 512`` rows whose triangles
+    hold at least 64 N floats, and adds under 20 N (traced at most 13 N at
+    n = 600 to 4000): ``P`` and the tail's column ``n``, ``q = 1/P`` with
+    its transform, one step's FFT buffers (the FFT period is under 2.5 N)
+    and the head's coupling into the tail."""
+    full, last = divmod(n + 1, _BLOCK)
+    _require_fits(f"n={n}", full * _BLOCK * (_BLOCK + 1) // 2 + last * (last + 1) // 2
+                  + 20 * (n + 1) + states * (n + 1 + _SNAPSHOT_FLOATS),
+                  f"an implicit run recording {states} states")
 
 
 @functools.cache
@@ -277,43 +309,6 @@ class _Tail(NamedTuple):
     pivot: float
 
 
-def _eliminated_rows(operator, g: np.ndarray, beta: float):
-    """Rows ``k = 0 .. n - 1`` of ``U`` left of column ``n``: yields each
-    multiplier ``m_{k,k-1} / u_{k-1,k-1}`` of ``L`` (0.0 for row 0) and
-    ``U[k, k:n]``, the latter in one of two buffers, which the row after
-    next overwrites.
-
-    ``B`` is upper Hessenberg, so row ``k`` of ``U`` is row ``k`` of ``M``
-    less the multiplier times row ``k - 1`` of ``U``: one row axpy.  Rows 0
-    and 1 of ``B`` come from ``operator.row``, scaled by ``-beta``; each
-    later row is the stencil ``g`` (``b_kj = g_{j-k+1}``, already scaled),
-    and its diagonal is computed as a scalar.  A zero pivot raises
-    :class:`ZeroDivisionError`: the multipliers are Python floats.
-    """
-    n = operator.n
-    buffers = np.empty(n), np.empty(n)
-    sub, diagonal_of_stencil = g.item(0), g.item(1) + 1.0
-    for k in range(n):
-        row = buffers[k % 2][: n - k]
-        if k >= 2:
-            multiplier = sub / above.item(0)
-            diagonal, source = diagonal_of_stencil, g[1 : n - k + 1]
-        else:  # rows 0 and 1 may be patched: row(k) is from column 0
-            patched = operator.row(k)[:n] * -beta
-            if k == 0:
-                row[:] = patched
-                row[0] = patched.item(0) + 1.0
-                yield 0.0, row
-                above = row
-                continue
-            multiplier = patched.item(0) / above.item(0)
-            diagonal, source = patched.item(1) + 1.0, patched[1:]
-        np.subtract(source, multiplier * above[1:], out=row)
-        row[0] = diagonal - multiplier * above.item(1)
-        yield multiplier, row
-        above = row
-
-
 def _shorten(triangle: np.ndarray, a: int, b: int, end: int) -> None:
     """Repack, in place, the rows ``a .. end - 1`` stored in the triangle
     of the block ``[a, b)`` as the triangle of the block ``[a, end)``, and
@@ -330,33 +325,54 @@ def _hessenberg_lu(operator, beta: float) -> _Factor:
     """Factor ``M = I - beta B = L U`` without pivoting, one row at a time,
     in one pass.
 
-    The rows come from :func:`_eliminated_rows`, the stencil ``operator.g``
-    and ``operator.edges[:, 1]``, column ``n``, both scaled by ``-beta``
-    once and kept, with rows 0 and 1 of ``M``, as the :class:`_Coupling`;
-    column ``n`` is computed as a scalar, the edge less the multiplier
-    times the entry above.  Each row's part in its block's
-    triangle (see :func:`_blocks`) is written as it is eliminated.  The
-    first row ``K >= 3`` whose stencil part ``P = U[K, K:n]`` equals
-    ``U[K-1, K-1:n-1]`` bit for bit, with at least ``_FFT_MIN_N`` rows after
-    it, is the elimination's fixed point: past it every row and multiplier
-    repeats, shifted, since each is computed by the same floating-point
-    operations on the same inputs.  There the pass stops, the block that
-    holds ``K`` is repacked to end at row ``K`` and the rest is returned
-    as a :class:`_Tail`; without one the triangles run to row ``n`` and the
-    tail is ``None``.  A non-finite factor or a zero pivot raises
-    :class:`SingularSystem`.
+    The stencil ``operator.g``, ``operator.edges[:, 1]``, column ``n``, and
+    rows 0 and 1 of ``B`` from ``operator.row`` are scaled by ``-beta``
+    once and kept as the :class:`_Coupling`; the elimination reads ``M``
+    from them alone.  ``B`` is upper Hessenberg, so row ``k`` of ``U`` is
+    row ``k`` of ``M`` less the multiplier ``m_{k,k-1} / u_{k-1,k-1}`` times
+    row ``k - 1`` of ``U``: one row axpy into one of two buffers, which the
+    row after next overwrites.  Rows 0 and 1 come from the coupling's
+    ``top``, each later row from the stencil (``m_kj = g_{j-k+1}``), and
+    the diagonal and column ``n`` are computed as scalars.  Each row's part
+    in its block's triangle (see :func:`_blocks`) is written as it is
+    eliminated.  The first row ``K >= 3`` whose stencil part
+    ``P = U[K, K:n]`` equals ``U[K-1, K-1:n-1]`` bit for bit, with at least
+    ``_FFT_MIN_N`` rows after it, is the elimination's fixed point: past it
+    every row and multiplier repeats, shifted, since each is computed by
+    the same floating-point operations on the same inputs.  There the pass
+    stops, the block that holds ``K`` is repacked to end at row ``K`` and
+    the rest is returned as a :class:`_Tail`; without one the triangles run
+    to row ``n`` and the tail is ``None``.  A non-finite factor or a zero
+    pivot raises :class:`SingularSystem`.
     """
     n = operator.n
     size = n + 1
     band = np.zeros((2, size), order="F")
     multipliers = band[0]
     triangles, tail = [], None
+    buffers = np.empty(n), np.empty(n)
     with np.errstate(all="ignore"):  # an overflow fails the health check
         g, edge = operator.g * -beta, operator.edges[:, 1] * -beta
-        coupling = _Coupling(g, np.stack((operator.row(0), operator.row(1))) * -beta, edge)
-        corner = 0.0
+        top = np.stack((operator.row(0), operator.row(1))) * -beta
+        coupling = _Coupling(g, top, edge)
+        sub, diagonal_of_stencil = g.item(0), g.item(1) + 1.0
+        multiplier = corner = 0.0
         try:
-            for k, (multiplier, row) in enumerate(_eliminated_rows(operator, g, beta)):
+            for k in range(n):
+                row = buffers[k % 2][: n - k]
+                if k == 0:
+                    row[:] = top[0, :n]
+                    row[0] = top.item(0, 0) + 1.0
+                else:
+                    # A zero pivot raises ZeroDivisionError: these are Python floats.
+                    if k == 1:
+                        multiplier = top.item(1, 0) / above.item(0)
+                        diagonal, source = top.item(1, 1) + 1.0, top[1, 1:n]
+                    else:
+                        multiplier = sub / above.item(0)
+                        diagonal, source = diagonal_of_stencil, g[1 : n - k + 1]
+                    np.subtract(source, multiplier * above[1:], out=row)
+                    row[0] = diagonal - multiplier * above.item(1)
                 # Pivots settle first; only an equal pivot earns the whole compare.
                 if (3 <= k <= n - _FFT_MIN_N and row.item(0) == above.item(0)
                         and row.tobytes() == above[: n - k].tobytes()):
@@ -389,7 +405,7 @@ def _hessenberg_lu(operator, beta: float) -> _Factor:
                     triangles.append(triangle)
                 multipliers[n] = multiplier = g.item(0) / row.item(0)
                 triangle[-1] = pivot = (edge.item(n) + 1.0) - multiplier * corner
-        except ZeroDivisionError:  # a zero pivot: multipliers are Python floats
+        except ZeroDivisionError:
             pivot = 0.0
         # min and max propagate NaN and, unlike isfinite, need no mask of
         # the triangles.

@@ -94,9 +94,6 @@ class GrunwaldWeights:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _frozen(self.values))
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class GridFunction:

@@ -33,11 +33,7 @@ the weights of the shared stencil plus the boundary columns and the
 replaced rows.  Runs and the ``verify`` checks of ``B`` use only that
 form.  Runs take its row sums in O(n):
 explicit steps apply it by convolution (FFT from ``n = 512`` up), and
-implicit runs read it one row at a time into their O(n^2) Hessenberg
-factorization, which stores only the diagonal triangles of blocks of
-``U``'s rows, under 513 floats a node (see ``factor._blocks``), and
-couples the blocks through this form: past the elimination's fixed point
-the rows of ``U`` repeat, and are kept as one row.
+implicit runs factor ``I - beta B`` from it (see :mod:`~fracdiff1d.factor`).
 :func:`build_matrix` is its dense, immutable expansion, which serves the
 ``matrix`` command and the tests, as their oracle.  A grid whose state
 vector alone would exceed physical memory is rejected for every use; one
@@ -81,7 +77,7 @@ def _physical_memory() -> int:
 
 # A grid whose (n+1) float64 state alone exceeds this cannot run; one whose
 # dense (n+1)^2 matrix does cannot be expanded; a run must fit its arrays
-# (see _require_explicit_fits and _require_implicit_fits).
+# (see _require_explicit_fits and factor._require_implicit_fits).
 _MEMORY_BYTES = _physical_memory()
 
 
@@ -91,9 +87,6 @@ _MEMORY_BYTES = _physical_memory()
 # see cli.emit_timeseries_csv), numpy's ufunc buffer (8192 floats) and what
 # the argument parse leaves.  Sized from traced peaks of the commands.
 _OVERHEAD_FLOATS = 2**15 + 2**13
-
-# Rows of ``U`` in each block of the implicit factor (see factor._blocks).
-_BLOCK = 1024
 
 # Floats each recorded state costs beside its n + 1 values: its time, mass
 # and ledger entries as Python floats in tuples, its GridFunction and array
@@ -157,35 +150,6 @@ def _require_explicit_fits(n: int, states: int) -> None:
     objects take under 14 (n+1)."""
     _require_fits(f"n={n}", 12 * (n + 1) + states * (n + 1 + _SNAPSHOT_FLOATS)
                   + 3 * _fft_period(n), f"an explicit run recording {states} states")
-
-
-def _require_implicit_fits(n: int, states: int) -> None:
-    """Reject an implicit run and its CSV emit whose memory would exceed
-    physical memory: the factor ``U`` of ``I - beta B``, the diagonal
-    triangles of its blocks of ``_BLOCK`` rows, under ``513 (n+1)`` floats
-    (see ``factor._blocks``), plus ``states`` recorded states with their
-    bookkeeping (``_SNAPSHOT_FLOATS`` each) and under 20 (n+1) more for the
-    stencil, its scaled weights, rows 0 and 1 and edge column, the band of
-    ``L``, the outflow, one row's work arrays while factoring, and while
-    stepping the solve buffer, the coupling's scratch and products and the
-    state a step returns.  Traced beside the factor and five states'
-    values, a run of RL r/r, PS r/r or Caputo a/a without a fixed point
-    holds 12.5-17.6 (n+1) more at n = 300 to 4000, the most at n = 1025.
-    The emit comes after the factor and these are freed: the ``x`` column's
-    text and one state's values as Python objects take under 14 (n+1).
-    The stencil brings no FFT transform: only explicit steps compute one.
-    The factor is counted as if the elimination had no fixed point ``K``
-    (see ``factor._hessenberg_lu``), which allocates the block that holds
-    ``K`` whole before it finds ``K``.  A factor with a tail then stores
-    none of the rows ``K .. n``, ``N = n - K >= 512`` rows whose triangles
-    hold at least 64 N floats, and adds under 20 N (traced at most 13 N at
-    n = 600 to 4000): ``P`` and the tail's column ``n``, ``q = 1/P`` with
-    its transform, one step's FFT buffers (the FFT period is under 2.5 N)
-    and the head's coupling into the tail."""
-    full, last = divmod(n + 1, _BLOCK)
-    _require_fits(f"n={n}", full * _BLOCK * (_BLOCK + 1) // 2 + last * (last + 1) // 2
-                  + 20 * (n + 1) + states * (n + 1 + _SNAPSHOT_FLOATS),
-                  f"an implicit run recording {states} states")
 
 
 def _fft_period(n: int) -> int:

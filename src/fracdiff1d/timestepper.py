@@ -5,14 +5,9 @@ Explicit update (row-vector convention):
 :math:`\beta = C h^{-\alpha} \Delta t`, stable for
 :math:`\Delta t < h^\alpha / (C \alpha)`.  Implicit update:
 :math:`(I - \beta B^T)\, \mathbf{u}_{k+1}^T = \mathbf{u}_k^T`,
-unconditionally stable.  Every ``B`` is upper Hessenberg
-(:math:`b_{ij} = 0` for :math:`i > j + 1`), so the implicit update is solved
-in row form :math:`\mathbf{u}_{k+1} M = \mathbf{u}_k` with
-:math:`M = I - \beta B = L U` factored once per run, in O(n^2), without
-pivoting, and each step solved in place (see :mod:`~fracdiff1d.factor`):
-``U`` is stored as the diagonal triangles of its blocks of rows, which the
-stencil couples, and past the elimination's fixed point its rows repeat,
-and are solved as one convolution by FFT.
+unconditionally stable, solved in row form
+:math:`\mathbf{u}_{k+1} M = \mathbf{u}_k` with :math:`M = I - \beta B`
+factored once per run (see :mod:`~fracdiff1d.factor`).
 
 Both updates live in one private stepper, built once per run from the O(n)
 stencil form of ``B``, ``beta`` and the method: it holds ``beta``, the
@@ -50,7 +45,7 @@ from .errors import (
     InvalidSpec,
     StabilityViolation,
 )
-from .factor import _blas_routines, _hessenberg_lu, _in_place_solve
+from .factor import _blas_routines, _hessenberg_lu, _in_place_solve, _require_implicit_fits
 from .grunwald import GridFunction
 from .operators import (
     BoundaryCondition,
@@ -58,7 +53,6 @@ from .operators import (
     SchemeSpec,
     _read_whole,
     _require_explicit_fits,
-    _require_implicit_fits,
     _stencil,
 )
 
@@ -148,10 +142,6 @@ class InitialCondition:
         return cls(Profile.SINE_BUMP)
 
     @classmethod
-    def uniform(cls) -> "InitialCondition":
-        return cls(Profile.UNIFORM)
-
-    @classmethod
     def from_file(cls, path: str | Path) -> "InitialCondition":
         return cls(Profile.FROM_FILE, Path(path))
 
@@ -170,8 +160,8 @@ class InitialCondition:
     def sample(self, n: int) -> GridFunction:
         """Sample onto the nodes of an ``n``-interval grid.
 
-        A file must hold exactly ``n + 1`` whitespace-separated finite
-        values (one concentration per node), and is read whole only if
+        A file must hold ``n + 1`` finite values, one per line or all on
+        one line (one concentration per node), and is read whole only if
         reading it fits in physical memory.
         """
         if self.profile is Profile.TENT:
@@ -190,6 +180,11 @@ class InitialCondition:
             values = np.atleast_1d(np.loadtxt(lines, dtype=float))
         except ValueError as exc:
             raise InvalidSpec(f"{self.path} is not a list of numbers: {exc}") from None
+        if values.ndim > 1:
+            raise DimensionMismatch(
+                f"{self.path} holds {values.shape[0]} lines x {values.shape[1]} columns; "
+                f"grid needs {n + 1} values, one per line or all on one line"
+            )
         if values.shape != (n + 1,):
             raise DimensionMismatch(
                 f"{self.path} holds {values.size} values, grid needs {n + 1}"
@@ -212,7 +207,8 @@ class SolverConfig:
 
     Construction fails with :class:`StabilityViolation` when an explicit
     method is paired with ``dt`` above the stability limit, unless
-    ``allow_unstable`` is set, and with :class:`InvalidSpec` when the run's
+    ``allow_unstable`` is set, and with :class:`InvalidSpec` when ``beta``
+    or the step count ``t_end / dt`` is not finite or when the run's
     arrays (an implicit run's factor and recorded states; an
     explicit run's stencil, FFT buffers and recorded states) would exceed
     physical memory.
@@ -232,6 +228,10 @@ class SolverConfig:
             raise InvalidSpec(f"dt must be positive and finite, got {self.dt}")
         if not 0.0 < self.t_end < math.inf:
             raise InvalidSpec(f"t_end must be positive and finite, got {self.t_end}")
+        if not math.isfinite(self.beta):
+            raise InvalidSpec(f"beta = c h^-alpha dt must be finite, got {self.beta}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise InvalidSpec(f"t_end / dt must be finite, got {self.t_end / self.dt}")
         times = self.snapshot_times
         if not all(0.0 <= t <= self.t_end for t in times):
             raise InvalidSpec("snapshot times must lie within [0, t_end]")
@@ -248,6 +248,11 @@ class SolverConfig:
                     f"explicit dt={self.dt} exceeds the stability limit "
                     f"{limit:.6g}; shrink dt, go implicit, or set allow_unstable"
                 )
+
+    @property
+    def beta(self) -> float:
+        """The step's weight on ``B``, ``c h^-alpha dt``."""
+        return self.spec.c * self.spec.h**-self.spec.alpha * self.dt
 
 
 @dataclass(frozen=True)
@@ -282,16 +287,10 @@ class _Stepper:
     The only place the update rule lives.  Built once per run from an
     operator holding ``B`` (the stencil of :mod:`~fracdiff1d.operators`),
     whose O(n) row sums both methods book: explicit steps apply it;
-    implicit runs read its rows into the factor of ``M = I - beta B = L U``
-    without pivoting, the diagonal triangles of its head's blocks and its
-    tail, if any, in O(n) floats (see :mod:`~fracdiff1d.factor`), which
-    every :meth:`step` reuses, so no run holds an (n+1)^2 array.  An
+    implicit runs factor ``M = I - beta B`` from it once (see
+    :mod:`~fracdiff1d.factor`), so no run holds an (n+1)^2 array.  An
     implicit step copies the state into the stepper's own (n+1) buffer,
-    solves there in place and returns a copy: only the triangles, the band
-    of ``L``, that buffer and the coupling's scratch, which the bound solve
-    holds, reach the two BLAS routines, bound by address from either
-    source; the blocks' couplings, direct convolutions with the stencil,
-    and the tail's convolution go through numpy.  An absorbing node j needs no
+    solves there in place and returns a copy.  An absorbing node j needs no
     pin: its zero column of ``B`` makes the explicit update add ``+0.0``
     there, and column j of ``M`` the unit vector, so the solve returns
     ``+0.0`` there, for every finite state that is zero at j.
@@ -414,7 +413,7 @@ def run_simulation(config: SolverConfig) -> TimeSeries:
     # Sampled before the factor exists: a profile's read is bounded alone.
     u = config.initial.sample(n).values.copy()
     u[absorbing] = 0.0
-    stepper = _Stepper(_stencil(spec), spec.c * h**-spec.alpha * dt, config.method)
+    stepper = _Stepper(_stencil(spec), config.beta, config.method)
 
     # Integer step indices guard against float-floor surprises near t/dt.
     def step_of(t: float) -> int:

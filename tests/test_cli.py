@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fracdiff1d
@@ -224,6 +225,10 @@ class TestConfigProperty:
     @given(config=_CONFIGS,
            flags=st.sampled_from([[], ["--alpha", "1.5"], ["--out", "x.csv"],
                                   ["--alpha", "1.5", "--out", "x.csv"]]))
+    # Recipes whose beta or step count overflows, which a search rarely meets.
+    @example(config={"n": 8, "c": 1e308}, flags=["--alpha", "1.5", "--out", "x.csv"])
+    @example(config={"n": 8, "t_end": 1e308, "dt": 1e-308},
+             flags=["--alpha", "1.5", "--out", "x.csv"])
     def test_config_parses_or_is_usage_error(self, tmp_path, config, flags):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
@@ -232,6 +237,8 @@ class TestConfigProperty:
         except UsageError:
             return
         assert isinstance(cmd, SolveCommand)
+        parsed = cmd.config
+        assert math.isfinite(parsed.beta) and math.isfinite(parsed.t_end / parsed.dt)
 
 
 def recipe(spec, times):
@@ -339,8 +346,10 @@ class TestMain:
         for order, m in (("1.5", "-3"), ("nan", "5"), ("1.5", "1" + "0" * 20),
                          ("1.5", "1" + "0" * 12)):
             assert main(["weights", "--order", order, "--m", m, "--out", "w.csv"]) == 2
+        # The last two overflow beta and the step count t_end / dt.
         for flags in (["--dt", "nan"], ["--t-end", "inf"], ["--snapshots", "0,nan"],
-                      ["--c", "nan"], ["--ic", "bogus"]):
+                      ["--c", "nan"], ["--ic", "bogus"], ["--c", "1e308"],
+                      ["--t-end", "1e308", "--dt", "1e-308"]):
             assert main(["solve", "--alpha", "1.5", "--n", "20", *flags,
                          "--out", "x.csv"]) == 2
         assert main(["solve", "--alpha", "1.5", "--n", "1" + "0" * 400,

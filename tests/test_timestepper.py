@@ -603,7 +603,7 @@ class TestInitialConditions:
         assert u.h * u.values.sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_uniform(self):
-        u = InitialCondition.uniform().sample(10)
+        u = InitialCondition.parse("uniform").sample(10)
         assert np.all(u.values == 1.0)
 
     def test_from_file_roundtrip(self, tmp_path):
@@ -624,6 +624,10 @@ class TestInitialConditions:
         path = tmp_path / "short.txt"
         path.write_text("1.0\n2.0\n")
         with pytest.raises(DimensionMismatch):
+            InitialCondition.from_file(path).sample(8)
+        # Nine values for the nine nodes, but in three lines of three.
+        path.write_text("1 2 3\n4 5 6\n7 8 9\n")
+        with pytest.raises(DimensionMismatch, match="3 lines x 3 columns"):
             InitialCondition.from_file(path).sample(8)
 
     def test_from_file_rejects_non_finite_and_non_numeric_values(self, tmp_path):
