@@ -18,17 +18,22 @@ any split ``a`` are ``U[:a] = L_a^{-1} M[:a]``, ``L_a`` the leading
 ``a x a`` block of ``L``, and a solved ``w[:a]`` reaches the columns past
 ``a`` as ``w[:a] U[:a, a:] = z M[:a, a:]`` with ``z L_a = w[:a]``.  Each
 step takes, per block after the first, that coupling into the block's
-columns (one bidiagonal solve for ``z`` and one direct convolution with
-the stencil of ``M``), then one packed triangular solve; with a tail, the
-head's coupling into it and its convolution; then one bidiagonal solve.
-Up to n = 10,000 no step calls a threaded BLAS routine: OpenBLAS threads
-``ddot``, which the convolutions and dot products call, only past 10,000
-entries.  The two triangular routines, ``dtpsv`` and ``dtbsv``, are bound
-once through ctypes, by address, from one of two sources: the OpenBLAS
-that numpy's wheels bundle, so no run imports scipy, or, where numpy's
-BLAS lacks them, scipy's ``cython_blas``.  For the Riemann-Liouville and Patie-Simon
-schemes ``M`` is a row diagonally dominant Z-matrix, so the growth factor
-is at most 2; a pivot check still runs for every scheme.
+columns, then one packed triangular solve; with a tail, the head's
+coupling into it and its convolution; then one bidiagonal solve.  A
+coupling is one bidiagonal solve for ``z`` and its product with the
+stencil of ``M``: the 64 rows nearest the split by one direct
+convolution, and the rows above them, which reach the columns past ``a``
+only through the stencil's small entries past lag 64, by one FFT product
+with a transform of the stencil that every coupling shares, in
+O(n log n).  Up to n = 10,000 no step calls a threaded BLAS routine:
+OpenBLAS threads ``ddot``, which the dot products with column ``n`` call,
+only past 10,000 entries.  The two triangular routines, ``dtpsv`` and
+``dtbsv``, are bound once through ctypes, by address, from one of two
+sources: the OpenBLAS that numpy's wheels bundle, so no run imports
+scipy, or, where numpy's BLAS lacks them, scipy's ``cython_blas``.  For
+the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
+dominant Z-matrix, so the growth factor is at most 2; a pivot check still
+runs for every scheme.
 """
 
 from __future__ import annotations
@@ -45,6 +50,15 @@ from .operators import _FFT_MIN_N, _SNAPSHOT_FLOATS, _require_fits
 
 # Rows of ``U`` in each block of the factor (see _blocks).
 _BLOCK = 1024
+# The solved rows nearest a split that a coupling sums directly, over
+# every column (see _Coupling.product).  The rows above them reach the
+# split's columns only through lags past _NEAR, whose stencil entries are
+# small: they decay like k^(-1-alpha).  An FFT product's roundoff scales
+# with the largest entry it transforms: summed by FFT over every lag,
+# figure 2's last state at n = 4000 ended 2.9e-12 from a dense LU's,
+# against 1.1e-13 for a direct product, and with 8 or 32 rows summed
+# directly 5.0e-14 and 1.1e-13.  64 leaves a margin.
+_NEAR = 64
 
 
 def _require_implicit_fits(n: int, states: int) -> None:
@@ -55,10 +69,14 @@ def _require_implicit_fits(n: int, states: int) -> None:
     bookkeeping (``_SNAPSHOT_FLOATS`` each) and under 20 (n+1) more for the
     stencil, its scaled weights, rows 0 and 1 and edge column, the band of
     ``L``, the outflow, one row's work arrays while factoring, and while
-    stepping the solve buffer, the coupling's scratch and products and the
-    state a step returns.  Traced beside the factor and five states'
-    values, a run of RL r/r, PS r/r or Caputo a/a without a fixed point
-    holds 12.5-17.6 (n+1) more at n = 300 to 4000, the most at n = 1025.
+    stepping the solve buffer, the coupling's scratch and products, the
+    far field's transform (:attr:`_Coupling.far_field`, about n + 2
+    floats), one coupling's FFT buffers (about 3 n) and the state a step
+    returns.  Traced beside the factor and five states' values, a run of
+    RL r/r, PS r/r or Caputo a/a without a fixed point holds 11.0-17.4
+    (n+1) more at n = 512 to 4000 (14.4-19.6 at n = 300), the most at
+    n = 1025; the couplings' FFTs add at most 1.4 (n+1) (RL r/r at
+    n = 4000: 12.8 without them, 14.1 with).
     The emit comes after the factor and these are freed: the ``x`` column's
     text and one state's values as Python objects take under 14 (n+1).
     The stencil brings no FFT transform: only explicit steps compute one.
@@ -128,8 +146,9 @@ def _in_place_solve(lu: _Factor, x: np.ndarray):
     ``P``, by one FFT, and then row ``n``, by one dot product with the
     tail's column ``n``.  Then one ``dtbsv`` (upper, unit, one
     superdiagonal) solves ``L^T v = w``.  The call holds the column-major
-    float64 arrays it is bound to, the scratch of ``z`` and, with a tail,
-    the transform of ``q`` and the tail's column ``n``.
+    float64 arrays it is bound to, the scratch of ``z``, once a coupling
+    ran the far field's transform and, with a tail, the transform of ``q``
+    and the tail's column ``n``.
     """
     triangles, band, coupling, tail = lu
     size = x.size
@@ -196,30 +215,53 @@ def _couple(coupling: _Coupling, bidiagonal, x: np.ndarray, z: np.ndarray, c: in
     return couple
 
 
-class _Coupling(NamedTuple):
+class _Coupling:
     """The entries of ``M`` that couple the rows above a split to the
     columns past it, read from the stencil in O(n) floats, all off the
     diagonal: ``g``, the stencil times ``-beta`` (``M[i, j] = g[j - i + 1]``
     for ``2 <= i`` and ``0 < j < n``), ``top``, rows 0 and 1 of ``M`` from
     column 0, and ``edge``, column ``n``."""
 
-    g: np.ndarray
-    top: np.ndarray
-    edge: np.ndarray
+    def __init__(self, g: np.ndarray, top: np.ndarray, edge: np.ndarray) -> None:
+        self.g, self.top, self.edge = g, top, edge
+
+    @functools.cached_property
+    def far_field(self) -> tuple[int, np.ndarray]:
+        """The period and transform of the stencil's far field,
+        ``g[2 : n - 1]`` (lags 1 .. n - 3) with the lags up to ``_NEAR``
+        zeroed, computed by the first :meth:`product` with a far field (a
+        factor of one block without a tail takes none).  No far row reaches
+        the split's columns through the zeroed lags, and their large entries
+        would set the FFT's roundoff.  The period is the least 5-smooth
+        length that holds the kernel; every split shares it."""
+        n = self.edge.size - 1
+        far = self.g[2 : n - 1].copy()
+        far[:_NEAR] = 0.0
+        period = _fast_period(far.size)
+        return period, np.fft.rfft(far, period)
 
     def product(self, z: np.ndarray, c: int) -> np.ndarray:
         """``z M[:a, a:c]`` for ``a = z.size``, ``2 <= a < c <= n + 1``:
-        rows 0 and 1 by two row axpys, the stencil rows by one direct
-        convolution and their column ``n``, if ``c`` reaches it, by one dot
-        product.  By FFT the convolution would be faster, but its roundoff
-        moved figure 2's last state at n = 4000 3.4e-12 from a dense LU's,
-        against 1.1e-13."""
+        rows 0 and 1 by two row axpys, the stencil rows by a near and a far
+        field, and their column ``n``, if ``c`` reaches it, by one dot
+        product.  The near field, the last ``_NEAR`` stencil rows, is one
+        direct convolution; the far field, the rows above them, one FFT
+        product with :attr:`far_field`, whose "valid" entries alias none of
+        the ones kept, since the period holds the kernel.  A split with at
+        most ``_NEAR`` stencil rows takes no FFT, and its entries are sums
+        of ``a`` products, each within ``a u |z| |M|``; the far field adds
+        an error that scales with its norms, not with each entry."""
         a, n = z.size, self.edge.size - 1
         out = z.item(0) * self.top[0, a:c]
         out += z.item(1) * self.top[1, a:c]
         if 2 < a < n:
-            # Entry j - a is sum_i z_i g[j - i + 1] over 2 <= i < a.
-            out[: min(c, n) - a] += np.convolve(z[2:], self.g[2 : min(c, n) - 1], "valid")
+            # Entry j - a is sum_i z_i g[j - i + 1] over 2 <= i < a, the lag j - i.
+            end, start = min(c, n), max(2, a - _NEAR)
+            out[: end - a] += np.convolve(z[start:], self.g[2 : end - start + 1], "valid")
+            if start > 2:
+                period, far_hat = self.far_field
+                far = np.fft.irfft(np.fft.rfft(z[2:start], period) * far_hat, period)
+                out[: end - a] += far[a - 3 : end - 3]
         if c > n:
             out[-1] += z[2:] @ self.edge[2:a]
         return out
@@ -413,7 +455,7 @@ def _hessenberg_lu(operator, beta: float) -> _Factor:
                    and all(math.isfinite(triangle.min()) and math.isfinite(triangle.max())
                            for triangle in triangles)
                    and np.isfinite(band).all()
-                   and all(np.isfinite(entries).all() for entries in coupling)
+                   and all(np.isfinite(entries).all() for entries in (g, top, edge))
                    and (tail is None or np.isfinite(tail.p).all()
                         and np.isfinite(tail.column).all()))
     if not healthy:

@@ -1,6 +1,7 @@
 import builtins
 import ctypes
 import dataclasses
+import math
 import sys
 import tracemalloc
 
@@ -202,6 +203,23 @@ class TestImplicitSolveOracle:
         assert factor._hessenberg_lu(_stencil(spec), beta).tail is None
         u = np.random.default_rng(n).random(n + 1)
         v, _ = stepper.step(u)
+        system = -beta * build_matrix(spec).entries.T
+        system.flat[:: n + 2] += 1.0
+        backward = np.abs(system @ v - u).max() / (
+            np.abs(system).sum(axis=1).max() * np.abs(v).max())
+        assert backward <= 1e-15, backward
+
+    @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
+    def test_two_head_blocks_and_a_tail_match_dense_lu(self, form, left, right):
+        # The fixed point K is 1125, 1398 and 1267: the head is two blocks,
+        # the second coupled to the first, and the tail is coupled to both.
+        n = 3000
+        spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+        beta = n**1.5 * 1e-3
+        lu = factor._hessenberg_lu(_stencil(spec), beta)
+        assert len(lu.triangles) == 2 and lu.tail is not None
+        u = np.random.default_rng(n).random(n + 1)
+        v, _ = _Stepper(_stencil(spec), beta, Method.IMPLICIT).step(u)
         system = -beta * build_matrix(spec).entries.T
         system.flat[:: n + 2] += 1.0
         backward = np.abs(system @ v - u).max() / (
@@ -562,6 +580,32 @@ class TestStencilOracle:
                 assert got.shape == expected.shape, (a, c)
                 assert np.all(np.abs(got - expected) <= bound), (a, c)
 
+    @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
+    def test_coupling_is_the_exact_product_to_roundoff(self, form, left, right):
+        # Against exactly rounded sums, entry by entry, at splits that clip
+        # the near rows (a <= 66) or not, up to c < n or to column n, with
+        # rows 0 and 1 of each form.  The direct sums stay within a few
+        # u sum_i |z_i M_ij|.  The FFT's roundoff scales with the norms of
+        # what it transforms, not with each entry, so the far rows may add
+        # a few u |z| |g|, g the stencil past lag 64, under 1e-4 of its
+        # largest entry: an FFT that carried the nearer lags would not meet
+        # this, nor would a purely componentwise gate be met by any FFT.
+        n = 1500
+        spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+        beta = n**1.5 * 1e-3
+        coupling = factor._hessenberg_lu(_stencil(spec), beta).coupling
+        M = -beta * build_matrix(spec).entries
+        far = np.linalg.norm(M[2, 64 + 3 : n])  # lags 65 .. n - 3
+        for a in (3, 40, 66, 67, 300, 1024, n - 1, n):
+            z = np.random.default_rng(a).random(a) - 0.5
+            for c in sorted(c for c in {a + 1, min(a + 100, n - 1), n + 1} if c > a):
+                got = coupling.product(z, c)
+                exact = np.array([math.fsum(z * M[:a, j]) for j in range(a, c)])
+                bound = 4 * 2.0**-52 * (np.abs(z) @ np.abs(M[:a, a:c])
+                                        + np.linalg.norm(z[2:]) * far)
+                assert got.shape == exact.shape, (a, c)
+                assert np.all(np.abs(got - exact) <= bound), (a, c)
+
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_explicit_step_matches_dense_step(self, form, left, right, alpha):
@@ -900,15 +944,17 @@ class TestRunMemory:
     @pytest.mark.parametrize("n,dt", [(_FFT_MIN_N, None), (2049, 0.1)])
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     def test_implicit_runs_take_no_fft(self, monkeypatch, form, left, right, n, dt):
-        # The stencil's FFT transform serves only the explicit apply.  The
-        # factor's tail takes an FFT a step, but needs 512 rows after the
-        # fixed point, which no grid of 512 intervals has, and at dt = 0.1
-        # no grid of 2049 has a fixed point: its three blocks are coupled
-        # by direct convolutions.
+        # The stencil's FFT transform serves only the explicit apply.  A
+        # factor of one block without a tail takes no FFT at all: a tail
+        # needs 512 rows after the fixed point, which no grid of 512
+        # intervals has.  At dt = 0.1 no grid of 2049 has a fixed point, and
+        # its three blocks are coupled, each coupling with one FFT.
         def refuse(*args, **kwargs):
             raise AssertionError("an implicit run took an FFT")
 
-        monkeypatch.setattr(np.fft, "rfft", refuse)
+        monkeypatch.setattr(operators._Stencil, "g_hat", property(refuse))
+        if n == _FFT_MIN_N:
+            monkeypatch.setattr(np.fft, "rfft", refuse)
         config = make_config(form=form, left=left, right=right, n=n, dt=dt,
                              steps=10, method=Method.IMPLICIT)
         assert len(run_simulation(config)) == len(config.snapshot_times)
