@@ -8,8 +8,8 @@ structure the elimination reaches a fixed point: from some row ``K`` on,
 every row of ``U`` repeats the one above it shifted, bit for bit (the
 finite-precision form of the convergence of a Toeplitz LU to its
 Wiener-Hopf factor).  Of the rows above ``K``, the head, only the diagonal
-triangles of blocks of 1024 rows are stored, each in BLAS packed storage:
-under ``513 (n+1)`` floats.  With 512 rows or more past ``K`` the rest,
+triangles of blocks of 512 rows are stored, each in BLAS packed storage:
+under ``257 (n+1)`` floats.  With 512 rows or more past ``K`` the rest,
 the tail, is kept in O(n) floats and solved as one causal convolution by
 FFT; otherwise the triangles run to row ``n``.
 
@@ -21,16 +21,18 @@ step takes, per block after the first, that coupling into the block's
 columns, then one packed triangular solve; with a tail, the head's
 coupling into it and its convolution; then one bidiagonal solve.  A
 coupling is one bidiagonal solve for ``z`` and its product with the
-stencil of ``M``: the 64 rows nearest the split by one direct
-convolution, and the rows above them, which reach the columns past ``a``
-only through the stencil's small entries past lag 64, by one FFT product
-with a transform of the stencil that every coupling shares, in
-O(n log n).  Up to n = 10,000 no step calls a threaded BLAS routine:
-OpenBLAS threads ``ddot``, which the dot products with column ``n`` call,
-only past 10,000 entries.  The two triangular routines, ``dtpsv`` and
-``dtbsv``, are bound once through ctypes, by address, from one of two
-sources: the OpenBLAS that numpy's wheels bundle, so no run imports
-scipy, or, where numpy's BLAS lacks them, scipy's ``cython_blas``.  For
+stencil of ``M``: its large entries, lags 1 to 64, which reach only the
+64 columns past ``a`` from the 64 rows above it, by one direct
+convolution of that triangle, and its small entries past lag 64 by one
+FFT product, at a period fitted to the coupling's window, with a
+transform of the stencil that every coupling of that period shares: in
+O(c log c) for a window ending at column ``c``.  Up to n = 10,000 no step
+calls a threaded BLAS routine: OpenBLAS threads ``ddot``, which the dot
+products with column ``n`` call, only past 10,000 entries.  The two
+triangular routines, ``dtpsv`` and ``dtbsv``, are bound once through
+ctypes, by address, from one of two sources: the OpenBLAS that numpy's
+wheels bundle, so no run imports scipy, or, where numpy's BLAS lacks
+them, scipy's ``cython_blas``.  For
 the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
 dominant Z-matrix, so the growth factor is at most 2; a pivot check still
 runs for every scheme.
@@ -49,34 +51,35 @@ from .errors import FracDiffError, SingularSystem
 from .operators import _FFT_MIN_N, _SNAPSHOT_FLOATS, _require_fits
 
 # Rows of ``U`` in each block of the factor (see _blocks).
-_BLOCK = 1024
-# The solved rows nearest a split that a coupling sums directly, over
-# every column (see _Coupling.product).  The rows above them reach the
-# split's columns only through lags past _NEAR, whose stencil entries are
-# small: they decay like k^(-1-alpha).  An FFT product's roundoff scales
-# with the largest entry it transforms: summed by FFT over every lag,
-# figure 2's last state at n = 4000 ended 2.9e-12 from a dense LU's,
-# against 1.1e-13 for a direct product, and with 8 or 32 rows summed
-# directly 5.0e-14 and 1.1e-13.  64 leaves a margin.
+_BLOCK = 512
+# The lags of the stencil that a coupling sums directly (see
+# _Coupling.product): lags 1 .. _NEAR, a _NEAR x _NEAR triangle of rows
+# above a split and columns past it.  The lags past _NEAR, whose stencil
+# entries are small (they decay like k^(-1-alpha)), go by FFT.  An FFT
+# product's roundoff scales with the largest entry it transforms: summed
+# by FFT over every lag, figure 2's last state at n = 4000 ended 2.9e-12
+# from a dense LU's, against 1.1e-13 for a direct product.  64 leaves a
+# margin.
 _NEAR = 64
 
 
 def _require_implicit_fits(n: int, states: int) -> None:
     """Reject an implicit run and its CSV emit whose memory would exceed
     physical memory: the factor ``U`` of ``I - beta B``, the diagonal
-    triangles of its blocks of ``_BLOCK`` rows, under ``513 (n+1)`` floats
+    triangles of its blocks of ``_BLOCK`` rows, under ``257 (n+1)`` floats
     (see :func:`_blocks`), plus ``states`` recorded states with their
-    bookkeeping (``_SNAPSHOT_FLOATS`` each) and under 20 (n+1) more for the
+    bookkeeping (``_SNAPSHOT_FLOATS`` each) and under 27 (n+1) more for the
     stencil, its scaled weights, rows 0 and 1 and edge column, the band of
     ``L``, the outflow, one row's work arrays while factoring, and while
     stepping the solve buffer, the coupling's scratch and products, the
-    far field's transform (:attr:`_Coupling.far_field`, about n + 2
-    floats), one coupling's FFT buffers (about 3 n) and the state a step
-    returns.  Traced beside the factor and five states' values, a run of
-    RL r/r, PS r/r or Caputo a/a without a fixed point holds 11.0-17.4
-    (n+1) more at n = 512 to 4000 (14.4-19.6 at n = 300), the most at
-    n = 1025; the couplings' FFTs add at most 1.4 (n+1) (RL r/r at
-    n = 4000: 12.8 without them, 14.1 with).
+    far field's transforms (:attr:`_Coupling.far_fields`, at most one a
+    period of :func:`_coupling_period`, under 6.4 (n+1) floats), one
+    coupling's FFT buffers (under 4 n, as its period is under 4/3 n) and
+    the state a step returns.  Traced beside the factor and five states'
+    values, a run of RL r/r, PS r/r or Caputo a/a without a fixed point
+    holds 17.1-20.3 (n+1) more at n = 512 to 5121 (15.1-20.1 at n = 300),
+    the most at n = 512, where the single row ``n`` is a block of its own
+    and keeps the coupling; the transforms take 4.4 (n+1) at n = 4097.
     The emit comes after the factor and these are freed: the ``x`` column's
     text and one state's values as Python objects take under 14 (n+1).
     The stencil brings no FFT transform: only explicit steps compute one.
@@ -90,7 +93,7 @@ def _require_implicit_fits(n: int, states: int) -> None:
     and the head's coupling into the tail."""
     full, last = divmod(n + 1, _BLOCK)
     _require_fits(f"n={n}", full * _BLOCK * (_BLOCK + 1) // 2 + last * (last + 1) // 2
-                  + 20 * (n + 1) + states * (n + 1 + _SNAPSHOT_FLOATS),
+                  + 27 * (n + 1) + states * (n + 1 + _SNAPSHOT_FLOATS),
                   f"an implicit run recording {states} states")
 
 
@@ -146,9 +149,9 @@ def _in_place_solve(lu: _Factor, x: np.ndarray):
     ``P``, by one FFT, and then row ``n``, by one dot product with the
     tail's column ``n``.  Then one ``dtbsv`` (upper, unit, one
     superdiagonal) solves ``L^T v = w``.  The call holds the column-major
-    float64 arrays it is bound to, the scratch of ``z``, once a coupling
-    ran the far field's transform and, with a tail, the transform of ``q``
-    and the tail's column ``n``.
+    float64 arrays it is bound to, the scratch of ``z``, the far field's
+    transforms that its couplings took and, with a tail, the transform of
+    ``q`` and the tail's column ``n``.
     """
     triangles, band, coupling, tail = lu
     size = x.size
@@ -220,35 +223,40 @@ class _Coupling:
     columns past it, read from the stencil in O(n) floats, all off the
     diagonal: ``g``, the stencil times ``-beta`` (``M[i, j] = g[j - i + 1]``
     for ``2 <= i`` and ``0 < j < n``), ``top``, rows 0 and 1 of ``M`` from
-    column 0, and ``edge``, column ``n``."""
+    column 0, and ``edge``, column ``n``; and ``far_fields``, the
+    transforms of the stencil's far field that :meth:`product` has taken,
+    one a period of :func:`_coupling_period`."""
 
     def __init__(self, g: np.ndarray, top: np.ndarray, edge: np.ndarray) -> None:
         self.g, self.top, self.edge = g, top, edge
+        self.far_fields: dict[int, np.ndarray] = {}
 
-    @functools.cached_property
-    def far_field(self) -> tuple[int, np.ndarray]:
-        """The period and transform of the stencil's far field,
-        ``g[2 : n - 1]`` (lags 1 .. n - 3) with the lags up to ``_NEAR``
-        zeroed, computed by the first :meth:`product` with a far field (a
-        factor of one block without a tail takes none).  No far row reaches
-        the split's columns through the zeroed lags, and their large entries
-        would set the FFT's roundoff.  The period is the least 5-smooth
-        length that holds the kernel; every split shares it."""
-        n = self.edge.size - 1
-        far = self.g[2 : n - 1].copy()
-        far[:_NEAR] = 0.0
-        period = _fast_period(far.size)
-        return period, np.fft.rfft(far, period)
+    def far_field(self, period: int) -> np.ndarray:
+        """The transform at ``period`` of the stencil's far field, its lags
+        ``1 .. min(n - 3, period)`` with those up to ``_NEAR`` zeroed,
+        computed by the first :meth:`product` that takes ``period`` and
+        kept.  The near lags' large entries would set the FFT's roundoff."""
+        far_hat = self.far_fields.get(period)
+        if far_hat is None:
+            n = self.edge.size - 1
+            far = self.g[2 : min(n - 1, period + 2)].copy()
+            far[:_NEAR] = 0.0
+            far_hat = self.far_fields[period] = np.fft.rfft(far, period)
+        return far_hat
 
     def product(self, z: np.ndarray, c: int) -> np.ndarray:
         """``z M[:a, a:c]`` for ``a = z.size``, ``2 <= a < c <= n + 1``:
         rows 0 and 1 by two row axpys, the stencil rows by a near and a far
         field, and their column ``n``, if ``c`` reaches it, by one dot
-        product.  The near field, the last ``_NEAR`` stencil rows, is one
-        direct convolution; the far field, the rows above them, one FFT
-        product with :attr:`far_field`, whose "valid" entries alias none of
-        the ones kept, since the period holds the kernel.  A split with at
-        most ``_NEAR`` stencil rows takes no FFT, and its entries are sums
+        product.  The near field, lags ``1 .. _NEAR``, reaches only the
+        first ``_NEAR`` columns from the last ``_NEAR`` rows: one direct
+        convolution of that triangle.  The far field, every lag past
+        ``_NEAR`` of every stencil row, is one FFT product with
+        :meth:`far_field` at the period of :func:`_coupling_period` for the
+        window's ``end - 3`` lags, ``end = min(c, n)``: its "valid" entries
+        alias none of the ones kept, since the period holds every lag they
+        take.  A split with at most ``_NEAR`` stencil rows is summed
+        directly over every column, with no FFT, and its entries are sums
         of ``a`` products, each within ``a u |z| |M|``; the far field adds
         an error that scales with its norms, not with each entry."""
         a, n = z.size, self.edge.size - 1
@@ -256,11 +264,15 @@ class _Coupling:
         out += z.item(1) * self.top[1, a:c]
         if 2 < a < n:
             # Entry j - a is sum_i z_i g[j - i + 1] over 2 <= i < a, the lag j - i.
-            end, start = min(c, n), max(2, a - _NEAR)
-            out[: end - a] += np.convolve(z[start:], self.g[2 : end - start + 1], "valid")
-            if start > 2:
-                period, far_hat = self.far_field
-                far = np.fft.irfft(np.fft.rfft(z[2:start], period) * far_hat, period)
+            end = min(c, n)
+            if a - 2 <= _NEAR:
+                out[: end - a] += np.convolve(z[2:], self.g[2 : end - 1], "valid")
+            else:
+                near = np.convolve(z[a - _NEAR :], self.g[2 : _NEAR + 2])
+                width = min(_NEAR, end - a)
+                out[:width] += near[_NEAR - 1 : _NEAR - 1 + width]
+                period = _coupling_period(end - 3)
+                far = np.fft.irfft(np.fft.rfft(z[2:], period) * self.far_field(period), period)
                 out[: end - a] += far[a - 3 : end - 3]
         if c > n:
             out[-1] += z[2:] @ self.edge[2:a]
@@ -304,17 +316,61 @@ def _fast_period(minimum: int) -> int:
     return best
 
 
+@functools.cache
+def _coupling_period(minimum: int) -> int:
+    """The least of 4, 5, 6 and 8 times a power of two that is at least
+    ``minimum``: a ladder of three 5-smooth periods an octave, so a
+    coupling transforms at most a third more than its window needs, while
+    the transforms of :attr:`_Coupling.far_fields`, one a period used, stay
+    under 6.4 (n+1) floats together: the periods up to the largest, at
+    most 4/3 n, sum to under 4.75 times it."""
+    step = 1 << max(0, minimum.bit_length() - 3)
+    return min(k * step for k in (4, 5, 6, 8) if k * step >= minimum)
+
+
 def _inverse_series(p: np.ndarray) -> np.ndarray:
-    """The first ``len(p)`` terms of the power series ``q = 1/p``, by exact
-    substitution: ``q_0 = 1/p_0`` and ``p_0 q_j = -(p_1 q_{j-1} + ... +
-    p_j q_0)``, one dot product a term."""
-    size, first = p.size, p.item(0)
-    # q_j is stored at size - 1 - j, so q_{j-1} .. q_0 are one contiguous run.
-    backwards = np.empty(size)
-    backwards[-1] = 1.0 / first
-    for j in range(1, size):
-        backwards[size - 1 - j] = -float(p[1 : j + 1] @ backwards[size - j :]) / first
-    return backwards[::-1]
+    """The first ``N = len(p)`` terms of the power series ``q = 1/p``, by
+    :func:`_newton_inverse`, twice.  Its FFT products' roundoff scales with
+    their largest terms, so the far terms of a ``q`` that decays (by 2e5 to
+    8e6 over a tail's ``N`` terms) would carry thousands of their own ulps.
+    The first pass gives the rate ``r``, ``r^(N-1) = |q_0 / q_(N-1)|``;
+    the second inverts the series of ``p_j r^j``, whose inverse is
+    ``q_j r^j``, far flatter, and scales it back: at n = 1000 and 4000 the
+    terms of figure 2's ``q`` then lie a median of 9 ulps from the exact
+    ones.  A ``q`` that does not decay, or whose scaled series overflows,
+    is kept from the first pass."""
+    q = _newton_inverse(p)
+    rate = abs(q[0] / q[-1]) ** (1.0 / (p.size - 1))
+    if not 1.0 < rate < math.inf:
+        return q
+    scale = rate ** np.arange(p.size, dtype=float)
+    flat = _newton_inverse(p * scale) / scale
+    return flat if np.isfinite(flat).all() else q
+
+
+def _newton_inverse(p: np.ndarray) -> np.ndarray:
+    """The first ``len(p)`` terms of the power series ``q = 1/p``, by
+    Newton's iteration on power series (H. T. Kung, Numer. Math. 1974):
+    from ``q_0 = 1/p_0``, each pass doubles the ``m`` terms known, to
+    ``m' = min(2m, len(p))``, as ``q - q (p q - 1)`` taken to ``m'`` terms.
+    Both products are FFT convolutions at one period of at least ``m'``,
+    which aliases none of the terms kept: terms ``m .. m' - 1`` of
+    ``p q`` (those below ``m`` are 1, 0, ...), then the first ``m' - m``
+    of their product with ``q``.  In O(N log N), where substitution takes
+    a dot product a term, O(N^2)."""
+    size = p.size
+    q = np.empty(size)
+    q[0] = 1.0 / p.item(0)
+    known = 1
+    while known < size:
+        grown = min(2 * known, size)
+        period = _fast_period(grown)
+        q_hat = np.fft.rfft(q[:known], period)
+        residual = np.fft.irfft(np.fft.rfft(p[:grown], period) * q_hat, period)[known:grown]
+        q[known:grown] = -np.fft.irfft(np.fft.rfft(residual, period) * q_hat,
+                                       period)[: grown - known]
+        known = grown
+    return q
 
 
 def _blocks(rows: int) -> list[tuple[int, int]]:

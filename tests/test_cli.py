@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fracdiff1d
-from fracdiff1d import operators
+from fracdiff1d import factor, operators
 from fracdiff1d import (
     BoundaryCondition,
     DerivativeForm,
@@ -352,6 +352,9 @@ class TestMain:
                       ["--t-end", "1e308", "--dt", "1e-308"]):
             assert main(["solve", "--alpha", "1.5", "--n", "20", *flags,
                          "--out", "x.csv"]) == 2
+        # A finite step count past the cap: 10**300 steps would run until killed.
+        assert main(["solve", "--alpha", "1.5", "--n", "8", "--t-end", "1", "--dt", "1e-300",
+                     "--snapshots", "0,1", "--out", "x.csv"]) == 2
         assert main(["solve", "--alpha", "1.5", "--n", "1" + "0" * 400,
                      "--out", "x.csv"]) == 2
         assert main(["figure", "2", "--dt", "nan", "--out", "x.csv"]) == 2
@@ -360,8 +363,9 @@ class TestMain:
 
     def test_only_dense_paths_are_bounded_by_memory(self, tmp_path, capsys, monkeypatch):
         # On an 8 GiB host an explicit run at n = 40000 needs a few MiB and an
-        # implicit one the 156 MiB of its factor's 1024-row triangles, while
-        # the dense (n+1)^2 matrix would take 11.9 GiB.
+        # implicit one the 78 MiB of its factor's triangles, under
+        # (_BLOCK + 1) / 2 floats a node, while the dense (n+1)^2 matrix
+        # would take 11.9 GiB.
         monkeypatch.setattr(operators, "_MEMORY_BYTES", 8 * 2**30)
         out = tmp_path / "run.csv"
         one_step = ["--alpha", "1.5", "--n", "40000", "--dt", "1e-9", "--t-end", "1e-9",
@@ -371,14 +375,15 @@ class TestMain:
         out.unlink()
         implicit = [["solve", *one_step, "--method", "implicit"],
                     ["figure", "2", "--n", "40000", "--out", str(out)]]
-        # Parsed only: the implicit runs would take seconds.  With 256 MiB
-        # they fit, with 128 MiB their triangles do not.
-        monkeypatch.setattr(operators, "_MEMORY_BYTES", 256 * 2**20)
+        # Parsed only: the implicit runs would take seconds.  With twice
+        # the bytes of their triangles they fit, with those bytes alone not.
+        triangles = 8 * 40001 * (factor._BLOCK + 1) // 2
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * triangles)
         for argv in implicit:
             assert isinstance(parse_args(argv), SolveCommand)
         matrix = ["matrix", "--alpha", "1.5", "--n", "40000", "--deriv", "rl",
                   "--left", "absorbing", "--right", "absorbing", "--out", str(out)]
-        for memory, argv in ((8 * 2**30, matrix), *((128 * 2**20, argv) for argv in implicit)):
+        for memory, argv in ((8 * 2**30, matrix), *((triangles, argv) for argv in implicit)):
             monkeypatch.setattr(operators, "_MEMORY_BYTES", memory)
             assert main(argv) == 2
             assert "physical memory" in capsys.readouterr().err

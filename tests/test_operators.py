@@ -262,7 +262,7 @@ class TestSpecValidation:
     def test_grid_beyond_memory_is_rejected(self):
         # 10**400 is not even a float.  10**6 needs only an 8 MB state but an
         # 8 TB dense matrix: build_matrix rejects it.  An implicit factor
-        # stores 1024-row triangles, 4.1 GB at n = 10**6 and 410 GB at
+        # stores 512-row triangles, 2.1 GB at n = 10**6 and 206 GB at
         # 10**8, whose 0.8 GB state fits: implicit runs reject that.
         with pytest.raises(InvalidSpec, match="physical memory"):
             spec(RL, A, A, n=10**400)

@@ -30,7 +30,7 @@ from fracdiff1d import (
     stability_limit,
     tent_profile,
 )
-from fracdiff1d import factor, operators
+from fracdiff1d import factor, operators, timestepper
 from fracdiff1d.cli import emit_timeseries_csv, main
 from fracdiff1d.operators import _FFT_MIN_N, _stencil
 from fracdiff1d.timestepper import _Stepper
@@ -177,7 +177,7 @@ class TestImplicitSolveOracle:
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_one_step_matches_dense_lu(self, form, left, right, alpha):
-        # From n = 1024 on, U is stored and solved in blocks of 1024 rows.
+        # From n = 512 on, U is stored and solved in blocks of 512 rows.
         for n in (2, 3, 8, 64, 257, 512, 1000, 1024, 2048):
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
             beta = n**alpha * 1e-3  # dt = 1e-3, c = 1
@@ -211,13 +211,15 @@ class TestImplicitSolveOracle:
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
     def test_two_head_blocks_and_a_tail_match_dense_lu(self, form, left, right):
-        # The fixed point K is 1125, 1398 and 1267: the head is two blocks,
-        # the second coupled to the first, and the tail is coupled to both.
+        # The fixed point K is 1125, 1398 and 1267: the head is two full
+        # blocks and a short third, each coupled to the ones above it, and
+        # the tail is coupled to all of them.
         n = 3000
         spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
         beta = n**1.5 * 1e-3
         lu = factor._hessenberg_lu(_stencil(spec), beta)
-        assert len(lu.triangles) == 2 and lu.tail is not None
+        head = n - lu.tail.p.size
+        assert len(lu.triangles) == -(-head // factor._BLOCK) == 3
         u = np.random.default_rng(n).random(n + 1)
         v, _ = _Stepper(_stencil(spec), beta, Method.IMPLICIT).step(u)
         system = -beta * build_matrix(spec).entries.T
@@ -262,6 +264,24 @@ class TestImplicitSolveOracle:
         tail = factor._Tail(p, np.zeros(1000), 1.0)
         with pytest.raises(SingularSystem):
             factor._tail_solve(tail, np.zeros(1001))
+
+    def test_inverse_series_matches_substitution(self):
+        # Newton's iteration against substitution, the reference:
+        # q_0 = 1/p_0 and p_0 q_j = -(p_1 q_{j-1} + ... + p_j q_0), a dot
+        # product a term.  On figure 2's tails at n = 1000 and 4000 (619 and
+        # 2536 terms, which fall by 2e5 and 5e5), within 4 u of the largest
+        # term (measured 1 u) and 1e-12 of each (measured under 430 ulps):
+        # unscaled, the smallest terms carried up to 1.3e5 ulps.
+        for n in (1000, 4000):
+            spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
+            p = factor._hessenberg_lu(_stencil(spec), n**1.5 * 1e-3).tail.p
+            reference = np.empty(p.size)
+            reference[0] = 1.0 / p[0]
+            for j in range(1, p.size):
+                reference[j] = -float(p[1 : j + 1] @ reference[j - 1 :: -1]) / p[0]
+            gap = np.abs(factor._inverse_series(p) - reference)
+            assert gap.max() <= 4 * 2.0**-52 * np.abs(reference).max(), n
+            assert np.all(gap <= 1e-12 * np.abs(reference)), n
 
     def test_tail_period_is_the_least_five_smooth_length(self):
         # A period of 2N - 1 or more aliases none of the N entries kept;
@@ -489,10 +509,10 @@ BLOCK_EDGE_SCHEMES = [(RL, R, R), (CAP, A, A), (PS, R, A)]
 def assert_triangles(triangles, U):
     """``triangles`` hold, bit for bit, the diagonal triangles of the upper
     trapezoid ``U``, the first rows of the factor, in blocks of at most
-    1024 rows: each block's rows from the diagonal up to the block's end,
-    end to end, and nothing of ``U`` right of them."""
-    rows = U.shape[0]
-    bounds = [(a, min(a + 1024, rows)) for a in range(0, rows, 1024)]
+    ``factor._BLOCK`` rows: each block's rows from the diagonal up to the
+    block's end, end to end, and nothing of ``U`` right of them."""
+    rows, block = U.shape[0], factor._BLOCK
+    bounds = [(a, min(a + block, rows)) for a in range(0, rows, block)]
     assert factor._blocks(rows) == bounds
     assert len(triangles) == len(bounds), rows
     for (a, b), triangle in zip(bounds, triangles):
@@ -520,18 +540,20 @@ class TestStencilOracle:
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_implicit_system_is_bit_identical(self, form, left, right, alpha):
         # The factor repeats, bit for bit, a row-axpy elimination of the
-        # dense I - beta B in place, of which it stores each 1024-row
-        # block's diagonal triangle: 1024 puts the last block at one row,
-        # 2049 at two.  From the elimination's fixed point K on, with 512
+        # dense I - beta B in place, of which it stores each block's
+        # diagonal triangle: n = 512 puts the last block at one row, 1025
+        # at two.  From the elimination's fixed point K on, with 512
         # rows or more after it, only the tail is kept: P, which every later
         # row repeats shifted, column n and the last pivot; the block that
         # holds K ends there.  Every scheme has a tail at n = 1000 and 2048
-        # from alpha = 1.2 and 1.5; none has one up to n = 512 or at
-        # n = 1000 from alpha = 1.8, and at n = 2048 and 2049 from it some
-        # have a head of two blocks.
+        # from alpha = 1.2 and 1.5, with a head of two blocks at n = 2048
+        # and alpha = 1.5; none has one up to n = 512 or at n = 1000 from
+        # alpha = 1.8, where the factor is two blocks, and at n = 2048 from
+        # it some have a head of three blocks.
         sizes = STENCIL_SIZES
         if (form, left, right) in BLOCK_EDGE_SCHEMES:
-            sizes += (1023, 1024, 2049)
+            block = factor._BLOCK
+            sizes += (block - 1, block, 2 * block + 1)
         for n in sizes:
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
             beta = n**alpha * 1e-3
@@ -562,18 +584,18 @@ class TestStencilOracle:
     def test_coupling_is_the_dense_product(self, form, left, right):
         # The solve reads w[:a] U[:a, a:c] as z M[:a, a:c] from the stencil:
         # rows 0 and 1 (patched for PS and Caputo), the stencil rows and
-        # column n, at the splits it takes (1024, the block edge, and K,
-        # the fixed point) and the least it could.  Each entry is a sum of
+        # column n, at the splits it takes (the block edges and K, the
+        # fixed point) and the least it could.  Each entry is a sum of
         # a products, within a rounding error of (a u) |z| |M|.
-        n = 2048
+        n, block = 2048, factor._BLOCK
         spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
         beta = n**1.5 * 1e-3
         coupling, tail = factor._hessenberg_lu(_stencil(spec), beta)[2:]
         M = -beta * build_matrix(spec).entries
         head = n - tail.p.size
-        for a in (2, 3, 1024, head):
+        for a in (2, 3, block, 2 * block, head):
             z = np.random.default_rng(a).random(a) - 0.5
-            for c in (a + 1, min(a + 1024, n), n + 1):
+            for c in (a + 1, min(a + block, n), n + 1):
                 got = coupling.product(z, c)
                 expected = z @ M[:a, a:c]
                 bound = a * 2.0**-52 * (np.abs(z) @ np.abs(M[:a, a:c]))
@@ -582,9 +604,12 @@ class TestStencilOracle:
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
     def test_coupling_is_the_exact_product_to_roundoff(self, form, left, right):
-        # Against exactly rounded sums, entry by entry, at splits that clip
-        # the near rows (a <= 66) or not, up to c < n or to column n, with
-        # rows 0 and 1 of each form.  The direct sums stay within a few
+        # Against exactly rounded sums, entry by entry, at splits of at most
+        # 64 stencil rows (a <= 66) or more, at the block edges, up to
+        # c < n, to the next block edge (a window the coupling's FFT period
+        # is fitted to), to c = 1027, whose 1024 lags fill the period of
+        # 1024, or to column n, with rows 0 and 1 of each form.
+        # The direct sums stay within a few
         # u sum_i |z_i M_ij|.  The FFT's roundoff scales with the norms of
         # what it transforms, not with each entry, so the far rows may add
         # a few u |z| |g|, g the stencil past lag 64, under 1e-4 of its
@@ -596,9 +621,12 @@ class TestStencilOracle:
         coupling = factor._hessenberg_lu(_stencil(spec), beta).coupling
         M = -beta * build_matrix(spec).entries
         far = np.linalg.norm(M[2, 64 + 3 : n])  # lags 65 .. n - 3
-        for a in (3, 40, 66, 67, 300, 1024, n - 1, n):
+        block = factor._BLOCK
+        for a in (3, 40, 66, 67, 300, block, 2 * block, n - 1, n):
             z = np.random.default_rng(a).random(a) - 0.5
-            for c in sorted(c for c in {a + 1, min(a + 100, n - 1), n + 1} if c > a):
+            edge = min((a // block + 1) * block, n + 1)
+            for c in sorted(c for c in {a + 1, min(a + 100, n - 1), edge, 1027, n + 1}
+                            if c > a):
                 got = coupling.product(z, c)
                 exact = np.array([math.fsum(z * M[:a, j]) for j in range(a, c)])
                 bound = 4 * 2.0**-52 * (np.abs(z) @ np.abs(M[:a, a:c])
@@ -873,24 +901,26 @@ class TestRunMemory:
         dataclasses.replace(config)
 
     @pytest.mark.parametrize("dt", [None, 0.1])
-    @pytest.mark.parametrize("n", [300, _FFT_MIN_N, 1025])
+    @pytest.mark.parametrize("n", [300, _FFT_MIN_N, 553])
     @pytest.mark.parametrize("form,left,right", [(PS, R, R), (CAP, A, A)])
     def test_implicit_memory_bound_covers_the_run(self, monkeypatch, form, left, right,
                                                   n, dt):
-        # 512 and 1025 lie just past powers of two, where an FFT transform
-        # would be largest for its n: the bound leaves out the stencil's, as
-        # implicit runs take none (test_implicit_runs_take_no_fft).  The
-        # bound counts the block triangles of every row.  At n = 1025, half
-        # the explicit limit leaves a tail of over 980 rows, stored in O(n)
-        # floats and an FFT a step, but the block that holds the fixed point
-        # is allocated whole before the pass finds it; dt = 0.1 has no fixed
-        # point, and the factor is two blocks.
+        # The bound leaves out the stencil's FFT transform, which implicit
+        # runs never take (test_implicit_runs_take_no_fft), and counts the
+        # couplings' transforms and the block triangles of every row.
+        # n = 512 puts row n in a block of its own.  n = 553 is the least
+        # grid whose fixed point at half the explicit limit (K = 33 and 40)
+        # leaves the 512 rows of a tail: stored in O(n) floats and an FFT a
+        # step, but the block that holds the fixed point, the first, is
+        # allocated whole before the pass finds it, so the run holds about
+        # the bound's triangles.  dt = 0.1 has no fixed point, and the
+        # factor is two blocks, coupled by one FFT.
         config = make_config(form=form, left=left, right=right, n=n, dt=dt, steps=4,
                              method=Method.IMPLICIT, snap_every=1)
         spec = config.spec
         beta = spec.c * spec.h**-spec.alpha * config.dt
         tail = factor._hessenberg_lu(_stencil(spec), beta).tail
-        assert (tail is not None) == (n == 1025 and dt is None)
+        assert (tail is not None) == (n == 553 and dt is None)
         peak = traced_peak(lambda: run_simulation(config))
         monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
         with pytest.raises(InvalidSpec, match="an implicit run recording 5 states"):
@@ -900,25 +930,27 @@ class TestRunMemory:
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
     def test_implicit_run_holds_the_block_triangles(self, form, left, right):
-        # Without a fixed point (dt = 0.1) the factor is four blocks whose
-        # diagonal triangles take under 512.5 floats a node; the whole
-        # packed U would take (n + 2) / 2 = 1537, a dense B n + 1.
+        # Without a fixed point (dt = 0.1) the factor is seven blocks whose
+        # diagonal triangles take under (_BLOCK + 1) / 2 = 256.5 floats a
+        # node; the whole packed U would take (n + 2) / 2 = 1537, a dense B
+        # n + 1.
         n = 3073
         config = make_config(form=form, left=left, right=right, n=n, dt=0.1, steps=5,
                              method=Method.IMPLICIT, snap_every=5)
         peak = traced_peak(lambda: run_simulation(config))
-        assert peak <= 8 * 540 * (n + 1), peak
+        assert peak <= 8 * (factor._BLOCK / 2 + 28) * (n + 1), peak
 
     def test_a_tail_is_not_stored_as_rows(self):
         # Figure 2 at n = 4000 keeps rows 1464 to 4000 of U as a tail of
-        # O(n) floats: the stepper peaks at 0.6 of the triangles of every
-        # row, with the block that holds row 1464 allocated whole.
-        n = 4000
+        # O(n) floats: the stepper peaks at under half the triangles of
+        # every row, with the block that holds row 1464 allocated whole.
+        n, block = 4000, factor._BLOCK
         spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
         beta = spec.c * spec.h**-spec.alpha * 1e-3
         peak = traced_peak(lambda: _Stepper(_stencil(spec), beta, Method.IMPLICIT))
-        triangles = 3 * 1024 * 1025 / 2 + (n + 1 - 3072) * (n + 2 - 3072) / 2
-        assert peak < 0.6 * 8 * triangles, peak
+        full, last = divmod(n + 1, block)
+        triangles = full * block * (block + 1) / 2 + last * (last + 1) / 2
+        assert peak < 0.5 * 8 * triangles, peak
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
@@ -944,11 +976,12 @@ class TestRunMemory:
     @pytest.mark.parametrize("n,dt", [(_FFT_MIN_N, None), (2049, 0.1)])
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     def test_implicit_runs_take_no_fft(self, monkeypatch, form, left, right, n, dt):
-        # The stencil's FFT transform serves only the explicit apply.  A
-        # factor of one block without a tail takes no FFT at all: a tail
-        # needs 512 rows after the fixed point, which no grid of 512
-        # intervals has.  At dt = 0.1 no grid of 2049 has a fixed point, and
-        # its three blocks are coupled, each coupling with one FFT.
+        # The stencil's FFT transform serves only the explicit apply.  At
+        # n = 512 the factor takes no FFT at all: a tail needs 512 rows
+        # after the fixed point, which no grid of 512 intervals has, and
+        # the block after the first holds row n alone, coupled by one dot
+        # product.  At dt = 0.1 no grid of 2049 has a fixed point, and its
+        # five blocks are coupled, each coupling with one FFT.
         def refuse(*args, **kwargs):
             raise AssertionError("an implicit run took an FFT")
 
@@ -958,3 +991,51 @@ class TestRunMemory:
         config = make_config(form=form, left=left, right=right, n=n, dt=dt,
                              steps=10, method=Method.IMPLICIT)
         assert len(run_simulation(config)) == len(config.snapshot_times)
+
+    def test_a_coupling_transforms_at_a_period_fitted_to_its_window(self, monkeypatch):
+        # Figure 2 at n = 4000: the head is blocks [0, 512), [512, 1024)
+        # and [1024, 1464), the tail rows 1464 to 4000.  The coupling of
+        # z[2:1024] into the 440 columns of the third block needs a period
+        # of 1461 lags, not the n - 3 of the whole range; the tail's coupling
+        # and the tail's own convolution do take the whole range.
+        n = 4000
+        spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
+        stepper = _Stepper(_stencil(spec), spec.c * spec.h**-spec.alpha * 1e-3,
+                           Method.IMPLICIT)
+        calls, rfft = [], np.fft.rfft
+
+        def record(a, n=None, *args, **kwargs):
+            calls.append((len(a), n))
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", record)
+        stepper.step(np.random.default_rng(n).random(n + 1))
+        couplings = {size: period for size, period in calls if size in (510, 1022, 1462)}
+        assert couplings == {510: 1024, 1022: 1536, 1462: 4096}, calls
+        assert couplings[1022] < n / 2
+
+    def test_the_couplings_transforms_fit_the_memory_bound(self, monkeypatch):
+        # Without a fixed point (dt = 0.1), n = 4097 is eight blocks and a
+        # block of two rows, coupled at windows that end at 1024, 1536, ...,
+        # 4096 and n.  Their transforms take the six periods of the ladder
+        # from 1024 to 4096, 3.5 (n+1) floats, under the 6.4 (n+1) the bound
+        # counts for them, and the run fits the bound.
+        n = 8 * factor._BLOCK + 1
+        config = make_config(form=RL, left=R, right=R, n=n, dt=0.1, steps=4,
+                             method=Method.IMPLICIT, snap_every=1)
+        factors = []
+
+        def keep(operator, beta):
+            factors.append(factor._hessenberg_lu(operator, beta))
+            return factors[-1]
+
+        monkeypatch.setattr(timestepper, "_hessenberg_lu", keep)
+        peak = traced_peak(lambda: run_simulation(config))
+        (lu,) = factors
+        assert lu.tail is None and len(lu.triangles) == 9
+        transforms = lu.coupling.far_fields
+        assert sorted(transforms) == [1024, 1536, 2048, 2560, 3072, 4096]
+        assert sum(transform.size for transform in transforms.values()) * 2 < 6.4 * (n + 1)
+        monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
+        with pytest.raises(InvalidSpec, match="an implicit run recording 5 states"):
+            dataclasses.replace(config)
