@@ -21,21 +21,19 @@ step takes, per block after the first, that coupling into the block's
 columns, then one packed triangular solve; with a tail, the head's
 coupling into it and its convolution; then one bidiagonal solve.  A
 coupling is one bidiagonal solve for ``z`` and its product with the
-stencil of ``M``: its large entries, lags 1 to 64, which reach only the
-64 columns past ``a`` from the 64 rows above it, by one direct
-convolution of that triangle, and its small entries past lag 64 by one
-FFT product, at a period fitted to the coupling's window, with a
-transform of the stencil that every coupling of that period shares: in
-O(c log c) for a window ending at column ``c``.  Up to n = 10,000 no step
-calls a threaded BLAS routine: OpenBLAS threads ``ddot``, which the dot
-products with column ``n`` call, only past 10,000 entries.  The two
-triangular routines, ``dtpsv`` and ``dtbsv``, are bound once through
-ctypes, by address, from one of two sources: the OpenBLAS that numpy's
-wheels bundle, so no run imports scipy, or, where numpy's BLAS lacks
-them, scipy's ``cython_blas``.  For
-the Riemann-Liouville and Patie-Simon schemes ``M`` is a row diagonally
-dominant Z-matrix, so the growth factor is at most 2; a pivot check still
-runs for every scheme.
+stencil of ``M``, a window of one convolution (see
+:class:`~fracdiff1d.operators._Convolution`) that every coupling shares:
+its large entries, lags 1 to 64, which reach only the 64 columns past
+``a`` from the 64 rows above it, directly, and its small entries past lag
+64 by FFT, in O(c log c) for a window ending at column ``c``.  Up to
+n = 10,000 no step calls a threaded BLAS routine: OpenBLAS threads
+``ddot``, which the dot products with column ``n`` call, only past 10,000
+entries.  The two triangular routines, ``dtpsv`` and ``dtbsv``, are bound
+once through ctypes, by address, from one of two sources: the OpenBLAS
+that numpy's wheels bundle, so no run imports scipy, or, where numpy's
+BLAS lacks them, scipy's ``cython_blas``.  For the Riemann-Liouville and
+Patie-Simon schemes ``M`` is a row diagonally dominant Z-matrix, so the
+growth factor is at most 2; a pivot check still runs for every scheme.
 """
 
 from __future__ import annotations
@@ -48,18 +46,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FracDiffError, SingularSystem
-from .operators import _FFT_MIN_N, _SNAPSHOT_FLOATS, _require_fits
+from .operators import _FFT_MIN_N, _SNAPSHOT_FLOATS, _Convolution, _period, _require_fits
 
 # Rows of ``U`` in each block of the factor (see _blocks).
 _BLOCK = 512
 # The lags of the stencil that a coupling sums directly (see
-# _Coupling.product): lags 1 .. _NEAR, a _NEAR x _NEAR triangle of rows
-# above a split and columns past it.  The lags past _NEAR, whose stencil
-# entries are small (they decay like k^(-1-alpha)), go by FFT.  An FFT
-# product's roundoff scales with the largest entry it transforms: summed
-# by FFT over every lag, figure 2's last state at n = 4000 ended 2.9e-12
-# from a dense LU's, against 1.1e-13 for a direct product.  64 leaves a
-# margin.
+# _Coupling.product): lags 1 .. _NEAR.  The lags past _NEAR, whose entries
+# decay like k^(-1-alpha), go by FFT.  Summed by FFT over every lag, figure
+# 2's last state at n = 4000 ended 2.9e-12 from a dense LU's, against
+# 1.1e-13 for a direct product.  64 leaves a margin.
 _NEAR = 64
 
 
@@ -72,14 +67,14 @@ def _require_implicit_fits(n: int, states: int) -> None:
     stencil, its scaled weights, rows 0 and 1 and edge column, the band of
     ``L``, the outflow, one row's work arrays while factoring, and while
     stepping the solve buffer, the coupling's scratch and products, the
-    far field's transforms (:attr:`_Coupling.far_fields`, at most one a
-    period of :func:`_coupling_period`, under 6.4 (n+1) floats), one
-    coupling's FFT buffers (under 4 n, as its period is under 4/3 n) and
-    the state a step returns.  Traced beside the factor and five states'
-    values, a run of RL r/r, PS r/r or Caputo a/a without a fixed point
-    holds 17.1-20.3 (n+1) more at n = 512 to 5121 (15.1-20.1 at n = 300),
-    the most at n = 512, where the single row ``n`` is a block of its own
-    and keeps the coupling; the transforms take 4.4 (n+1) at n = 4097.
+    transforms of :attr:`_Coupling.convolution` (its periods are under
+    4/3 n, so under 6.4 (n+1) floats, see :func:`_period`), one
+    coupling's FFT buffers (under 4 n) and the state a step returns.
+    Traced beside the factor and five states' values, a run of RL r/r,
+    PS r/r or Caputo a/a without a fixed point holds 17.1-20.3 (n+1) more
+    at n = 512 to 5121 (15.1-20.1 at n = 300), the most at n = 512, where
+    the single row ``n`` is a block of its own and keeps the coupling; the
+    transforms take 3.5 (n+1) at n = 4097.
     The emit comes after the factor and these are freed: the ``x`` column's
     text and one state's values as Python objects take under 14 (n+1).
     The stencil brings no FFT transform: only explicit steps compute one.
@@ -89,7 +84,7 @@ def _require_implicit_fits(n: int, states: int) -> None:
     none of the rows ``K .. n``, ``N = n - K >= 512`` rows whose triangles
     hold at least 64 N floats, and adds under 20 N (traced at most 13 N at
     n = 600 to 4000): ``P`` and the tail's column ``n``, ``q = 1/P`` with
-    its transform, one step's FFT buffers (the FFT period is under 2.5 N)
+    its transform, one step's FFT buffers (the FFT period is under 8/3 N)
     and the head's coupling into the tail."""
     full, last = divmod(n + 1, _BLOCK)
     _require_fits(f"n={n}", full * _BLOCK * (_BLOCK + 1) // 2 + last * (last + 1) // 2
@@ -223,42 +218,25 @@ class _Coupling:
     columns past it, read from the stencil in O(n) floats, all off the
     diagonal: ``g``, the stencil times ``-beta`` (``M[i, j] = g[j - i + 1]``
     for ``2 <= i`` and ``0 < j < n``), ``top``, rows 0 and 1 of ``M`` from
-    column 0, and ``edge``, column ``n``; and ``far_fields``, the
-    transforms of the stencil's far field that :meth:`product` has taken,
-    one a period of :func:`_coupling_period`."""
+    column 0, and ``edge``, column ``n``; and ``convolution``, the
+    :class:`~fracdiff1d.operators._Convolution` of the stencil rows' lags
+    ``1 .. n - 3``, the first ``_NEAR`` of them summed directly."""
 
     def __init__(self, g: np.ndarray, top: np.ndarray, edge: np.ndarray) -> None:
         self.g, self.top, self.edge = g, top, edge
-        self.far_fields: dict[int, np.ndarray] = {}
-
-    def far_field(self, period: int) -> np.ndarray:
-        """The transform at ``period`` of the stencil's far field, its lags
-        ``1 .. min(n - 3, period)`` with those up to ``_NEAR`` zeroed,
-        computed by the first :meth:`product` that takes ``period`` and
-        kept.  The near lags' large entries would set the FFT's roundoff."""
-        far_hat = self.far_fields.get(period)
-        if far_hat is None:
-            n = self.edge.size - 1
-            far = self.g[2 : min(n - 1, period + 2)].copy()
-            far[:_NEAR] = 0.0
-            far_hat = self.far_fields[period] = np.fft.rfft(far, period)
-        return far_hat
+        self.convolution = _Convolution(g[2 : edge.size - 2], _NEAR)
 
     def product(self, z: np.ndarray, c: int) -> np.ndarray:
         """``z M[:a, a:c]`` for ``a = z.size``, ``2 <= a < c <= n + 1``:
-        rows 0 and 1 by two row axpys, the stencil rows by a near and a far
-        field, and their column ``n``, if ``c`` reaches it, by one dot
-        product.  The near field, lags ``1 .. _NEAR``, reaches only the
-        first ``_NEAR`` columns from the last ``_NEAR`` rows: one direct
-        convolution of that triangle.  The far field, every lag past
-        ``_NEAR`` of every stencil row, is one FFT product with
-        :meth:`far_field` at the period of :func:`_coupling_period` for the
-        window's ``end - 3`` lags, ``end = min(c, n)``: its "valid" entries
-        alias none of the ones kept, since the period holds every lag they
-        take.  A split with at most ``_NEAR`` stencil rows is summed
-        directly over every column, with no FFT, and its entries are sums
-        of ``a`` products, each within ``a u |z| |M|``; the far field adds
-        an error that scales with its norms, not with each entry."""
+        rows 0 and 1 by two row axpys, the stencil rows by
+        :attr:`convolution`, and their column ``n``, if ``c`` reaches it,
+        by one dot product.  The window starts at the last entry of
+        ``z[2:]``, so its lags ``1 .. _NEAR`` reach only its first
+        ``_NEAR`` columns from the last ``_NEAR`` rows.  A split with at
+        most ``_NEAR`` stencil rows is summed directly over every column,
+        with no FFT, and its entries are sums of ``a`` products, each within
+        ``a u |z| |M|``; the FFT adds an error that scales with its norms,
+        not with each entry."""
         a, n = z.size, self.edge.size - 1
         out = z.item(0) * self.top[0, a:c]
         out += z.item(1) * self.top[1, a:c]
@@ -268,12 +246,7 @@ class _Coupling:
             if a - 2 <= _NEAR:
                 out[: end - a] += np.convolve(z[2:], self.g[2 : end - 1], "valid")
             else:
-                near = np.convolve(z[a - _NEAR :], self.g[2 : _NEAR + 2])
-                width = min(_NEAR, end - a)
-                out[:width] += near[_NEAR - 1 : _NEAR - 1 + width]
-                period = _coupling_period(end - 3)
-                far = np.fft.irfft(np.fft.rfft(z[2:], period) * self.far_field(period), period)
-                out[: end - a] += far[a - 3 : end - 3]
+                self.convolution.window(z[2:], a - 3, end - a, out[: end - a])
         if c > n:
             out[-1] += z[2:] @ self.edge[2:a]
         return out
@@ -281,51 +254,26 @@ class _Coupling:
 
 def _tail_solve(tail: _Tail, x: np.ndarray):
     """A call that solves the tail's rows in place in ``x``, the last
-    ``N + 1`` entries of the solve's buffer: ``x[:N]`` becomes its causal
-    convolution with ``q = 1/P``, which solves the lower triangular
-    Toeplitz system ``U[K:n, K:n]^T w = x[:N]``, and ``x[N]`` its share of
-    row ``n``.  A linear convolution of two length-``N`` sequences has
-    ``2N - 1`` terms, which an FFT period of at least that holds without
-    aliasing; only the first ``N`` are kept."""
+    ``N + 1`` entries of the solve's buffer: ``x[:N]`` becomes the first
+    ``N`` entries of its :class:`~fracdiff1d.operators._Convolution` with
+    ``q = 1/P``, which solves the lower triangular Toeplitz system
+    ``U[K:n, K:n]^T w = x[:N]``, and ``x[N]`` its share of row ``n``.  No
+    transform of ``q`` exceeds the sum of ``|q|``: one that overflows is
+    a singular system."""
     p, column, pivot = tail
     size = p.size
-    period = _fast_period(2 * size - 1)
-    with np.errstate(all="ignore"):  # an overflow fails the check below
-        q_hat = np.fft.rfft(_inverse_series(p), period)
-    if not np.isfinite(q_hat).all():
-        raise SingularSystem("implicit system matrix is numerically singular")
+    with np.errstate(all="ignore"):  # an overflow fails the check
+        q = _inverse_series(p)
+        if not np.isfinite(np.abs(q).sum()):
+            raise SingularSystem("implicit system matrix is numerically singular")
+    convolution = _Convolution(q)
     body = x[:size]
 
     def solve() -> None:
-        body[:] = np.fft.irfft(np.fft.rfft(body, period) * q_hat, period)[:size]
+        body[:] = convolution.window(body, 0, size)
         x[size] = (x.item(size) - float(body @ column)) / pivot
 
     return solve
-
-
-def _fast_period(minimum: int) -> int:
-    """The smallest ``2^a 3^b 5^c >= minimum``: numpy's FFT transforms
-    such lengths about as fast per entry as powers of two."""
-    best, fives = 1 << (minimum - 1).bit_length(), 1
-    while fives < best:
-        odd = fives
-        while odd < best:
-            best = min(best, odd << (-(-minimum // odd) - 1).bit_length())
-            odd *= 3
-        fives *= 5
-    return best
-
-
-@functools.cache
-def _coupling_period(minimum: int) -> int:
-    """The least of 4, 5, 6 and 8 times a power of two that is at least
-    ``minimum``: a ladder of three 5-smooth periods an octave, so a
-    coupling transforms at most a third more than its window needs, while
-    the transforms of :attr:`_Coupling.far_fields`, one a period used, stay
-    under 6.4 (n+1) floats together: the periods up to the largest, at
-    most 4/3 n, sum to under 4.75 times it."""
-    step = 1 << max(0, minimum.bit_length() - 3)
-    return min(k * step for k in (4, 5, 6, 8) if k * step >= minimum)
 
 
 def _inverse_series(p: np.ndarray) -> np.ndarray:
@@ -364,7 +312,7 @@ def _newton_inverse(p: np.ndarray) -> np.ndarray:
     known = 1
     while known < size:
         grown = min(2 * known, size)
-        period = _fast_period(grown)
+        period = _period(grown)
         q_hat = np.fft.rfft(q[:known], period)
         residual = np.fft.irfft(np.fft.rfft(p[:grown], period) * q_hat, period)[known:grown]
         q[known:grown] = -np.fft.irfft(np.fft.rfft(residual, period) * q_hat,

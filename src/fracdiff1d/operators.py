@@ -32,8 +32,8 @@ The case table produces one private structured form, held in O(n) memory:
 the weights of the shared stencil plus the boundary columns and the
 replaced rows.  Runs and the ``verify`` checks of ``B`` use only that
 form.  Runs take its row sums in O(n):
-explicit steps apply it by convolution (FFT from ``n = 512`` up), and
-implicit runs factor ``I - beta B`` from it (see :mod:`~fracdiff1d.factor`).
+explicit steps apply it by :class:`_Convolution` (FFT from n = 512 up),
+and implicit runs factor ``I - beta B`` from it (see :mod:`~fracdiff1d.factor`).
 :func:`build_matrix` is its dense, immutable expansion, which serves the
 ``matrix`` command and the tests, as their oracle.  A grid whose state
 vector alone would exceed physical memory is rejected for every use; one
@@ -145,17 +145,12 @@ def _require_explicit_fits(n: int, states: int) -> None:
     physical memory: ``states`` recorded states with their bookkeeping
     (``_SNAPSHOT_FLOATS`` each), the stencil with its patches and one
     step's work arrays (under 12 (n+1)), and the transform of ``g`` plus
-    one step's transform and product (three FFT periods).  The emit reuses
+    one step's transform and product (three periods of the window of
+    :meth:`_Stencil.apply`).  The emit reuses
     the last two: the ``x`` column's text and one state's values as Python
     objects take under 14 (n+1)."""
     _require_fits(f"n={n}", 12 * (n + 1) + states * (n + 1 + _SNAPSHOT_FLOATS)
-                  + 3 * _fft_period(n), f"an explicit run recording {states} states")
-
-
-def _fft_period(n: int) -> int:
-    """The FFT length of the explicit apply: the power of two above 2n
-    (see :meth:`_Stencil.apply`)."""
-    return 1 << (2 * n).bit_length()
+                  + 3 * _period(2 * n + 1), f"an explicit run recording {states} states")
 
 
 class BoundaryCondition(enum.Enum):
@@ -227,6 +222,63 @@ class IterationMatrix:
 _FFT_MIN_N = 512
 
 
+@functools.cache
+def _period(minimum: int) -> int:
+    """The least of 4, 5, 6 and 8 times a power of two that is at least
+    ``minimum``: three 5-smooth periods an octave, which numpy's FFT
+    transforms about as fast per entry as powers of two.  A period is at
+    most 4/3 of its minimum, and the periods up to any ``P`` sum to under
+    4.75 ``P``, so the transforms of :class:`_Convolution`, one a period
+    used, take under 4.75 times its largest period in floats."""
+    step = 1 << max(0, minimum.bit_length() - 3)
+    return min(k * step for k in (4, 5, 6, 8) if k * step >= minimum)
+
+
+class _Convolution:
+    """Windows of the linear convolution ``x * kernel`` of a fixed
+    ``kernel``, entry ``m`` the sum of ``x[i] kernel[m - i]``: its first
+    ``near`` lags directly, the rest by one FFT product at a period ``P``
+    of :func:`_period`, with the transform of ``kernel[:P]``, its first
+    ``near`` entries zeroed, that :attr:`transforms` keeps for each period
+    used.  An FFT product's roundoff scales with the largest entry it
+    transforms, so lags with large entries go in ``near``.
+
+    The window ``[first, end)`` reads only ``x[:end]`` and ``kernel[:end]``
+    and is alias-free at ``P = _period(max(end, x.size + min(kernel.size,
+    end) - 1 - first))``: entry ``m < P`` of the circular convolution of
+    ``x[:P]`` and ``kernel[:P]`` adds to entry ``m`` of the linear one its
+    entries ``m + P``, ``m + 2P``, ..., zero from ``x.size +
+    min(kernel.size, P) - 1`` on, so for every ``m >= first`` when
+    ``kernel.size <= end`` or ``first >= x.size - 1``.  :meth:`window`
+    refuses any other window.
+    """
+
+    def __init__(self, kernel: np.ndarray, near: int = 0) -> None:
+        self.kernel, self.near = kernel, near
+        self.transforms: dict[int, np.ndarray] = {}
+
+    def window(self, x: np.ndarray, first: int, count: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Entries ``[first, first + count)`` of ``x * kernel``, fresh, or
+        added to ``out``, the near lags' share first, and ``out``
+        returned."""
+        kernel, near, end = self.kernel, self.near, first + count
+        if first < x.size - 1 and kernel.size > end:
+            raise ValueError(f"the window [{first}, {end}) would alias")
+        period = _period(max(end, x.size + min(kernel.size, end) - 1 - first))
+        if period not in self.transforms:
+            lags = kernel[:period].copy()
+            lags[:near] = 0.0
+            self.transforms[period] = np.fft.rfft(lags, period)
+        if near:
+            start = max(first - near + 1, 0)
+            direct = np.convolve(x[start:end], kernel[:near])[first - start : end - start]
+            out = np.zeros(count) if out is None else out
+            out[: direct.size] += direct
+        far = np.fft.irfft(np.fft.rfft(x, period) * self.transforms[period], period)[first:end]
+        return far if out is None else np.add(out, far, out=out)
+
+
 class _Stencil:
     """``B`` in O(n) memory: the shared Grünwald stencil plus the boundary
     patches of one case.
@@ -243,14 +295,15 @@ class _Stencil:
         self.pad = np.zeros(n - 1 + len(head))
 
     @functools.cached_property
-    def g_hat(self) -> np.ndarray:
-        """The transform of ``g``, computed by the first FFT :meth:`apply`
-        (implicit runs never take one)."""
-        return np.fft.rfft(self.g, _fft_period(self.n))
+    def convolution(self) -> _Convolution:
+        """The convolution with ``g`` of :meth:`apply` from ``_FFT_MIN_N``
+        up (implicit runs never take it)."""
+        return _Convolution(self.g)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """``u B``: the stencil rows convolve ``u`` with ``g``, in O(n log n)
-        by FFT from ``_FFT_MIN_N`` up; the patches add O(n) dot products."""
+        by :attr:`convolution` from ``_FFT_MIN_N`` up; the patches add O(n)
+        dot products."""
         n, rows = self.n, len(self.head)
         # Entry j of u B, 0 < j < n, is entry j + 1 of the convolution of u
         # with g, and so entry n + j of that of a = (0 * (n - 1), u, 0) with
@@ -262,10 +315,7 @@ class _Stencil:
         if n < _FFT_MIN_N:
             out = np.convolve(a, self.g, "valid")
         else:
-            # a * g is nonzero up to entry 3n - 1; a period above 2n holds
-            # all of a and aliases none of the entries n+1 .. 2n-1.
-            period = _fft_period(n)
-            out = np.fft.irfft(np.fft.rfft(a, period) * self.g_hat, period)[n : 2 * n + 1]
+            out = self.convolution.window(a, n, n + 1)
         if rows:
             out[1:n] += u[:rows] @ self.head
         out[::n] = u @ self.edges

@@ -302,3 +302,75 @@ class TestSpecValidation:
         B = build_matrix(spec(RL, R, R, n=8))
         with pytest.raises(ValueError):
             B.entries[0, 0] = 1.0
+
+
+class TestConvolution:
+    @staticmethod
+    def assert_window(x, kernel, near, first, count):
+        # Against np.convolve in extended precision, at the mixed bound of
+        # test_coupling_is_the_exact_product_to_roundoff: a few u of the
+        # absolute sums, plus, for the lags past ``near``, which go by FFT,
+        # a few u |x| |kernel[near:]|, whose roundoff scales with norms.
+        got = operators._Convolution(kernel, near).window(x, first, count)
+        window = slice(first, first + count)
+        exact = np.convolve(x.astype(np.longdouble), kernel.astype(np.longdouble))[window]
+        bound = 4 * 2.0**-52 * (np.convolve(np.abs(x), np.abs(kernel))[window]
+                                + np.linalg.norm(x) * np.linalg.norm(kernel[near:]))
+        assert got.shape == (count,), (x.size, kernel.size, first, count)
+        assert np.all(np.abs(got - exact) <= bound), (x.size, kernel.size, first, count)
+
+    @pytest.mark.parametrize("n", [2, 600, 1000, 1024])
+    def test_the_explicit_window(self, n):
+        # (0 * (n - 1), u, 0) convolved with g, entries n .. 2n, as
+        # _Stencil.apply takes them; at n = 2 the period is its minimum, 5.
+        g = grunwald_weights(1.5, n).values
+        x = np.concatenate((np.zeros(n - 1), np.random.default_rng(n).random(n + 1)))
+        self.assert_window(x, g, 0, n, n + 1)
+
+    @pytest.mark.parametrize("size", [3, 619, 1000])
+    def test_the_causal_window(self, size):
+        # The first N entries of x * q for N-entry x and q, as the tail's
+        # solve takes them; at N = 3 the period is its minimum, 5.
+        rng = np.random.default_rng(size)
+        q = rng.random(size) * 0.9 ** np.arange(size)
+        self.assert_window(rng.random(size) - 0.5, q, 0, 0, size)
+
+    @pytest.mark.parametrize("size", [100, 1021])
+    def test_the_coupling_windows(self, size):
+        # Windows from the last entry of x, as _Coupling.product takes them,
+        # with the stencil's first 64 lags summed directly.  At 100 entries
+        # the window of 29 ends at 128, a period equal to its minimum.
+        g = grunwald_weights(1.5, 1500).values[2:1499]
+        x = np.random.default_rng(size).random(size) - 0.5
+        for count in range(1, 41):
+            self.assert_window(x, g, 64, size - 1, count)
+
+    def test_a_window_at_a_period_equal_to_its_minimum(self):
+        # 100 entries of x and 60 of the kernel reach entry 158; the window
+        # [31, 60) needs a period of 158 - 31 + 1 = 128, one of the ladder's.
+        rng = np.random.default_rng(128)
+        assert operators._period(128) == 128
+        self.assert_window(rng.random(100) - 0.5, rng.random(60), 0, 31, 29)
+
+    def test_a_window_that_would_alias_is_refused(self):
+        # Neither starting at the last entry of x nor past the kernel's end.
+        convolution = operators._Convolution(np.ones(100))
+        with pytest.raises(ValueError, match="alias"):
+            convolution.window(np.ones(100), 10, 10)
+
+    def test_period_is_the_least_rung_of_the_ladder(self):
+        # Periods are 4, 5, 6 or 8 times a power of two, all 5-smooth, at
+        # most 4/3 of the minimum; figure 2's tails, N = 619 and 2536,
+        # transform at 1280 and 5120 (a period of 2N - 1 or more aliases
+        # none of their N entries).
+        ladder = sorted({k << shift for k in (4, 5, 6, 8) for shift in range(12)})
+        for minimum in range(1, 6001):
+            period = operators._period(minimum)
+            assert period == next(m for m in ladder if m >= minimum), minimum
+            assert period <= max(4, 4 * minimum / 3), minimum
+            for prime in (2, 3, 5):
+                while period % prime == 0:
+                    period //= prime
+            assert period == 1, minimum
+        assert operators._period(2 * 619 - 1) == 1280
+        assert operators._period(2 * 2536 - 1) == 5120

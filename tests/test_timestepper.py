@@ -283,22 +283,6 @@ class TestImplicitSolveOracle:
             assert gap.max() <= 4 * 2.0**-52 * np.abs(reference).max(), n
             assert np.all(gap <= 1e-12 * np.abs(reference)), n
 
-    def test_tail_period_is_the_least_five_smooth_length(self):
-        # A period of 2N - 1 or more aliases none of the N entries kept;
-        # figure 2's tails, N = 619 and 2536, take 1250 and 5120.
-        def smooth(m):
-            for prime in (2, 3, 5):
-                while m % prime == 0:
-                    m //= prime
-            return m == 1
-
-        expected = [m for m in range(1, 6000) if smooth(m)]
-        for minimum in range(1, 5200):
-            assert factor._fast_period(minimum) == next(
-                m for m in expected if m >= minimum), minimum
-        assert factor._fast_period(2 * 619 - 1) == 1250
-        assert factor._fast_period(2 * 2536 - 1) == 5120
-
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
     def test_steps_import_nothing(self, monkeypatch, form, left, right):
         # The BLAS pair is imported once, when the system is factored: `verify
@@ -883,7 +867,9 @@ class TestRunMemory:
         peak = traced_peak(lambda: run_simulation(config))
         assert peak < 2**20, peak  # one dense matrix: 8 (n+1)^2 = 32 MiB
 
-    @pytest.mark.parametrize("n", [300, _FFT_MIN_N, 5000])
+    # At n = 2048 the apply's period is 5120, where a power of two above 2n
+    # would be 8192.
+    @pytest.mark.parametrize("n", [300, _FFT_MIN_N, 2048, 5000])
     @pytest.mark.parametrize("form,left,right", [(PS, R, R), (CAP, A, A)])
     def test_explicit_memory_bound_covers_the_run(self, monkeypatch, tmp_path,
                                                   form, left, right, n):
@@ -906,8 +892,10 @@ class TestRunMemory:
     def test_implicit_memory_bound_covers_the_run(self, monkeypatch, form, left, right,
                                                   n, dt):
         # The bound leaves out the stencil's FFT transform, which implicit
-        # runs never take (test_implicit_runs_take_no_fft), and counts the
-        # couplings' transforms and the block triangles of every row.
+        # runs never take
+        # (test_implicit_runs_never_take_the_explicit_convolution), and
+        # counts the couplings' transforms and the block triangles of every
+        # row.
         # n = 512 puts row n in a block of its own.  n = 553 is the least
         # grid whose fixed point at half the explicit limit (K = 33 and 40)
         # leaves the 512 rows of a tail: stored in O(n) floats and an FFT a
@@ -975,8 +963,9 @@ class TestRunMemory:
 
     @pytest.mark.parametrize("n,dt", [(_FFT_MIN_N, None), (2049, 0.1)])
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
-    def test_implicit_runs_take_no_fft(self, monkeypatch, form, left, right, n, dt):
-        # The stencil's FFT transform serves only the explicit apply.  At
+    def test_implicit_runs_never_take_the_explicit_convolution(self, monkeypatch, form,
+                                                              left, right, n, dt):
+        # The stencil's convolution serves only the explicit apply.  At
         # n = 512 the factor takes no FFT at all: a tail needs 512 rows
         # after the fixed point, which no grid of 512 intervals has, and
         # the block after the first holds row n alone, coupled by one dot
@@ -985,7 +974,7 @@ class TestRunMemory:
         def refuse(*args, **kwargs):
             raise AssertionError("an implicit run took an FFT")
 
-        monkeypatch.setattr(operators._Stencil, "g_hat", property(refuse))
+        monkeypatch.setattr(operators._Stencil, "convolution", property(refuse))
         if n == _FFT_MIN_N:
             monkeypatch.setattr(np.fft, "rfft", refuse)
         config = make_config(form=form, left=left, right=right, n=n, dt=dt,
@@ -1033,7 +1022,7 @@ class TestRunMemory:
         peak = traced_peak(lambda: run_simulation(config))
         (lu,) = factors
         assert lu.tail is None and len(lu.triangles) == 9
-        transforms = lu.coupling.far_fields
+        transforms = lu.coupling.convolution.transforms
         assert sorted(transforms) == [1024, 1536, 2048, 2560, 3072, 4096]
         assert sum(transform.size for transform in transforms.values()) * 2 < 6.4 * (n + 1)
         monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
