@@ -3,15 +3,16 @@ r"""The factor of the implicit system and its in-place solve.
 Every ``B`` is upper Hessenberg, so :math:`M = I - \beta B = L U` is
 factored without pivoting: ``L`` is unit lower bidiagonal (one multiplier
 per row) and ``U`` upper triangular.  The factor is built one row of ``B``
-at a time, in O(n^2) and one pass.  Below the interior's Toeplitz
-structure the elimination reaches a fixed point: from some row ``K`` on,
-every row of ``U`` repeats the one above it shifted, bit for bit (the
-finite-precision form of the convergence of a Toeplitz LU to its
-Wiener-Hopf factor).  Of the rows above ``K``, the head, only the diagonal
-triangles of blocks of 512 rows are stored, each in BLAS packed storage:
-under ``257 (n+1)`` floats.  With 512 rows or more past ``K`` the rest,
-the tail, is kept in O(n) floats and solved as one causal convolution by
-FFT; otherwise the triangles run to row ``n``.
+at a time, each by one row operation that carries column ``n``, in O(n^2)
+and one pass.  Below the interior's Toeplitz structure the elimination
+reaches a fixed point: from some row ``K`` on, every row of ``U`` repeats
+the one above it shifted, bit for bit (the finite-precision form of the
+convergence of a Toeplitz LU to its Wiener-Hopf factor).  Of the rows
+above ``K``, the head, only the diagonal triangles of blocks of 512 rows
+are stored, each in BLAS packed storage: under ``257 (n+1)`` floats.  With
+512 rows or more past ``K`` the rest, the tail, is kept in O(n) floats and
+solved as one causal convolution by FFT; otherwise the triangles run to
+row ``n``.
 
 The rest of ``U`` is not stored: ``L`` is bidiagonal, so the rows above
 any split ``a`` are ``U[:a] = L_a^{-1} M[:a]``, ``L_a`` the leading
@@ -65,16 +66,17 @@ def _require_implicit_fits(n: int, states: int) -> None:
     (see :func:`_blocks`), plus ``states`` recorded states with their
     bookkeeping (``_SNAPSHOT_FLOATS`` each) and under 27 (n+1) more for the
     stencil, its scaled weights, rows 0 and 1 and edge column, the band of
-    ``L``, the outflow, one row's work arrays while factoring, and while
-    stepping the solve buffer, the coupling's scratch and products, the
+    ``L``, the outflow, one row's work arrays while factoring (two rows,
+    a copy of the scaled weights and a zero row), and while stepping the
+    solve buffer, the coupling's scratch and products, the
     transforms of :attr:`_Coupling.convolution` (its periods are under
     4/3 n, so under 6.4 (n+1) floats, see :func:`_period`), one
     coupling's FFT buffers (under 4 n) and the state a step returns.
     Traced beside the factor and five states' values, a run of RL r/r,
-    PS r/r or Caputo a/a without a fixed point holds 17.1-20.3 (n+1) more
-    at n = 512 to 5121 (15.1-20.1 at n = 300), the most at n = 512, where
-    the single row ``n`` is a block of its own and keeps the coupling; the
-    transforms take 3.5 (n+1) at n = 4097.
+    PS r/r or Caputo a/a without a fixed point holds 16.1-19.9 (n+1) more
+    at n = 512 to 5121 (12.6-15.6 at n = 300 and 400; factoring, 9.4-11.2),
+    the most at n = 512 and 513, where a last block of one or two rows keeps
+    the coupling; the transforms take 3.5 (n+1) at n = 4097.
     The emit comes after the factor and these are freed: the ``x`` column's
     text and one state's values as Python objects take under 14 (n+1).
     The stencil brings no FFT transform: only explicit steps compute one.
@@ -376,81 +378,74 @@ def _hessenberg_lu(operator, beta: float) -> _Factor:
     once and kept as the :class:`_Coupling`; the elimination reads ``M``
     from them alone.  ``B`` is upper Hessenberg, so row ``k`` of ``U`` is
     row ``k`` of ``M`` less the multiplier ``m_{k,k-1} / u_{k-1,k-1}`` times
-    row ``k - 1`` of ``U``: one row axpy into one of two buffers, which the
-    row after next overwrites.  Rows 0 and 1 come from the coupling's
-    ``top``, each later row from the stencil (``m_kj = g_{j-k+1}``), and
-    the diagonal and column ``n`` are computed as scalars.  Each row's part
-    in its block's triangle (see :func:`_blocks`) is written as it is
-    eliminated.  The first row ``K >= 3`` whose stencil part
-    ``P = U[K, K:n]`` equals ``U[K-1, K-1:n-1]`` bit for bit, with at least
-    ``_FFT_MIN_N`` rows after it, is the elimination's fixed point: past it
-    every row and multiplier repeats, shifted, since each is computed by
-    the same floating-point operations on the same inputs.  There the pass
-    stops, the block that holds ``K`` is repacked to end at row ``K`` and
-    the rest is returned as a :class:`_Tail`; without one the triangles run
-    to row ``n`` and the tail is ``None``.  A non-finite factor or a zero
-    pivot raises :class:`SingularSystem`.
+    row ``k - 1`` of ``U``.  Every row ``k = 0 .. n``, column ``n`` last, is
+    one subtraction into one of two buffers, which the row after next
+    overwrites: ``M[k, k:] - I[k, k:]`` less the multiplier times
+    ``U[k-1, k:]``, then its diagonal again, with the 1 added first.  Row 0
+    reads a zero row with multiplier 0.  Rows 0 and 1 come from the
+    coupling's ``top``, each later row from a copy of the stencil
+    (``m_kj = g_{j-k+1}``) whose entry ``n - k + 1``, which no later row
+    reads, first takes ``M[k, n]``.  Each row's part in its block's
+    triangle (see :func:`_blocks`) is written as it is eliminated.  The
+    first row ``K >= 3`` whose stencil part ``P = U[K, K:n]`` equals
+    ``U[K-1, K-1:n-1]`` bit for bit, with at least ``_FFT_MIN_N`` rows
+    after it, is the elimination's fixed point: past it every row and
+    multiplier repeats, shifted, since each is computed by the same
+    floating-point operations on the same inputs.  There the pass stops,
+    the block that holds ``K`` is repacked to end at row ``K`` and the
+    rest, column ``n`` carried on from ``U[K-1, n]``, is returned as a
+    :class:`_Tail`; without one the triangles run to row ``n`` and the
+    tail is ``None``.  A non-finite factor or a zero pivot raises
+    :class:`SingularSystem`.
     """
     n = operator.n
     size = n + 1
     band = np.zeros((2, size), order="F")
     multipliers = band[0]
     triangles, tail = [], None
-    buffers = np.empty(n), np.empty(n)
+    buffers = np.empty(size), np.empty(size)
     with np.errstate(all="ignore"):  # an overflow fails the health check
         g, edge = operator.g * -beta, operator.edges[:, 1] * -beta
         top = np.stack((operator.row(0), operator.row(1))) * -beta
         coupling = _Coupling(g, top, edge)
-        sub, diagonal_of_stencil = g.item(0), g.item(1) + 1.0
-        multiplier = corner = 0.0
+        stencil = g.copy()
+        above, multiplier = np.zeros(size + 1), 0.0
         try:
-            for k in range(n):
-                row = buffers[k % 2][: n - k]
-                if k == 0:
-                    row[:] = top[0, :n]
-                    row[0] = top.item(0, 0) + 1.0
+            for k in range(size):
+                row = buffers[k % 2][: size - k]
+                if k < 2:
+                    source = top[k, k:]
                 else:
+                    # Entry n - k + 1, which no later row reads, is column n.
+                    source = stencil[1 : size - k + 1]
+                    source[-1] = edge.item(k)
+                if k:
                     # A zero pivot raises ZeroDivisionError: these are Python floats.
-                    if k == 1:
-                        multiplier = top.item(1, 0) / above.item(0)
-                        diagonal, source = top.item(1, 1) + 1.0, top[1, 1:n]
-                    else:
-                        multiplier = sub / above.item(0)
-                        diagonal, source = diagonal_of_stencil, g[1 : n - k + 1]
-                    np.subtract(source, multiplier * above[1:], out=row)
-                    row[0] = diagonal - multiplier * above.item(1)
+                    multiplier = (g.item(0) if k > 1 else top.item(1, 0)) / above.item(0)
+                np.subtract(source, multiplier * above[1:], out=row)
+                row[0] = (source.item(0) + 1.0) - multiplier * above.item(1)
                 # Pivots settle first; only an equal pivot earns the whole compare.
                 if (3 <= k <= n - _FFT_MIN_N and row.item(0) == above.item(0)
-                        and row.tobytes() == above[: n - k].tobytes()):
+                        and row[:-1].tobytes() == above[: n - k].tobytes()):
                     if k % _BLOCK:
                         _shorten(triangle, k - k % _BLOCK, b, k)
                     multipliers[k:] = multiplier
-                    column = np.empty(n - k)
+                    column, corner = np.empty(n - k), above.item(-1)
                     for j in range(k, n):
                         column[j - k] = corner = edge.item(j) - multiplier * corner
-                    pivot = (edge.item(n) + 1.0) - multiplier * corner
-                    tail = _Tail(row.copy(), column, pivot)
+                    tail = _Tail(row[:-1].copy(), column,
+                                 (edge.item(n) + 1.0) - multiplier * corner)
                     break
                 multipliers[k] = multiplier
-                corner = edge.item(k) - multiplier * corner
                 if k % _BLOCK == 0:
                     b = min(k + _BLOCK, size)
                     triangle = np.empty((b - k) * (b - k + 1) // 2)
                     triangles.append(triangle)
                     start = 0
-                if b < size:
-                    triangle[start : start + b - k] = row[: b - k]
-                else:
-                    triangle[start : start + n - k] = row
-                    triangle[start + n - k] = corner
+                triangle[start : start + b - k] = row[: b - k]
                 start += b - k
                 above = row
-            else:
-                if n % _BLOCK == 0:  # row n is a block of its own
-                    triangle = np.empty(1)
-                    triangles.append(triangle)
-                multipliers[n] = multiplier = g.item(0) / row.item(0)
-                triangle[-1] = pivot = (edge.item(n) + 1.0) - multiplier * corner
+            pivot = row.item(0) if tail is None else tail.pivot
         except ZeroDivisionError:
             pivot = 0.0
         # min and max propagate NaN and, unlike isfinite, need no mask of

@@ -242,8 +242,8 @@ class SolverConfig:
         if not math.isfinite(self.t_end / self.dt):
             raise InvalidSpec(f"t_end / dt must be finite, got {self.t_end / self.dt}")
         if self.steps > _MAX_STEPS:
-            raise InvalidSpec(f"t_end / dt asks for {self.t_end / self.dt:.6g} steps, "
-                              f"more than the {_MAX_STEPS:.0e} a run may take")
+            raise InvalidSpec(f"t_end / dt asks for {self.steps:.10g} steps, "
+                              f"more than the {_MAX_STEPS} a run may take")
         times = self.snapshot_times
         if not all(0.0 <= t <= self.t_end for t in times):
             raise InvalidSpec("snapshot times must lie within [0, t_end]")

@@ -355,6 +355,11 @@ class TestMain:
         # A finite step count past the cap: 10**300 steps would run until killed.
         assert main(["solve", "--alpha", "1.5", "--n", "8", "--t-end", "1", "--dt", "1e-300",
                      "--snapshots", "0,1", "--out", "x.csv"]) == 2
+        # One step past the cap, 10**9 + 1 steps of dt = 0.5.
+        assert main(["solve", "--alpha", "1.5", "--n", "8", "--method", "implicit",
+                     "--dt", "0.5", "--t-end", repr(0.5 * (10**9 + 1)),
+                     "--snapshots", "0", "--out", "x.csv"]) == 2
+        assert "asks for 1000000001 steps" in capsys.readouterr().err
         assert main(["solve", "--alpha", "1.5", "--n", "1" + "0" * 400,
                      "--out", "x.csv"]) == 2
         assert main(["figure", "2", "--dt", "nan", "--out", "x.csv"]) == 2

@@ -178,36 +178,40 @@ class TestImplicitSolveOracle:
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_one_step_matches_dense_lu(self, form, left, right, alpha):
         # From n = 512 on, U is stored and solved in blocks of 512 rows.
-        for n in (2, 3, 8, 64, 257, 512, 1000, 1024, 2048):
+        cases = [(n, n**alpha * 1e-3)  # dt = 1e-3, c = 1
+                 for n in (2, 3, 8, 64, 257, 512, 1000, 1024, 2048)]
+        if (form, left, right, alpha) == (RL, R, R, 1.5):
+            cases.append(FIXED_POINT_ON_A_BLOCK_EDGE)
+        for n, beta in cases:
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
-            beta = n**alpha * 1e-3  # dt = 1e-3, c = 1
             u = np.random.default_rng(n).random(n + 1)
             v, _ = _Stepper(_stencil(spec), beta, Method.IMPLICIT).step(u)
             system = np.eye(n + 1) - beta * build_matrix(spec).entries.T
             backward = np.abs(system @ v - u).max() / (
                 np.abs(system).sum(axis=1).max() * np.abs(v).max())
             assert backward <= 1e-15, (n, backward)
-            if n <= 1000:
+            if n < 2048:
                 expected = lu_solve(lu_factor(system), u)
                 error = np.abs(v - expected).max() / np.abs(expected).max()
                 assert error <= 1e-12, (n, error)
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
     def test_blocks_without_a_tail_match_dense_lu(self, form, left, right):
-        # dt = 0.1 leaves no fixed point: four blocks, each coupled to the
-        # solved rows above it through the stencil, up to row n.
-        n = 3073
-        spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
-        beta = n**1.5 * 0.1
-        stepper = _Stepper(_stencil(spec), beta, Method.IMPLICIT)
-        assert factor._hessenberg_lu(_stencil(spec), beta).tail is None
-        u = np.random.default_rng(n).random(n + 1)
-        v, _ = stepper.step(u)
-        system = -beta * build_matrix(spec).entries.T
-        system.flat[:: n + 2] += 1.0
-        backward = np.abs(system @ v - u).max() / (
-            np.abs(system).sum(axis=1).max() * np.abs(v).max())
-        assert backward <= 1e-15, backward
+        # dt = 0.1 leaves no fixed point: three or seven blocks, each
+        # coupled to the solved rows above it through the stencil, up to
+        # row n, which at n = 1024 is a block of its own.
+        for n in (1024, 3073):
+            spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+            beta = n**1.5 * 0.1
+            stepper = _Stepper(_stencil(spec), beta, Method.IMPLICIT)
+            assert factor._hessenberg_lu(_stencil(spec), beta).tail is None
+            u = np.random.default_rng(n).random(n + 1)
+            v, _ = stepper.step(u)
+            system = -beta * build_matrix(spec).entries.T
+            system.flat[:: n + 2] += 1.0
+            backward = np.abs(system @ v - u).max() / (
+                np.abs(system).sum(axis=1).max() * np.abs(v).max())
+            assert backward <= 1e-15, (n, backward)
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
     def test_two_head_blocks_and_a_tail_match_dense_lu(self, form, left, right):
@@ -488,6 +492,9 @@ def bit_equal(a, b) -> bool:
 # The schemes whose factor and solve are checked across block edges too: a
 # reflecting patch on both columns, two patched rows, a patched row.
 BLOCK_EDGE_SCHEMES = [(RL, R, R), (CAP, A, A), (PS, R, A)]
+# (n, beta) at which RL r/r, alpha = 1.5, reaches its fixed point at
+# K = 512, a block edge, where the block that holds K is not shortened.
+FIXED_POINT_ON_A_BLOCK_EDGE = 1100, 50.875
 
 
 def assert_triangles(triangles, U):
@@ -526,21 +533,25 @@ class TestStencilOracle:
         # The factor repeats, bit for bit, a row-axpy elimination of the
         # dense I - beta B in place, of which it stores each block's
         # diagonal triangle: n = 512 puts the last block at one row, 1025
-        # at two.  From the elimination's fixed point K on, with 512
-        # rows or more after it, only the tail is kept: P, which every later
-        # row repeats shifted, column n and the last pivot; the block that
-        # holds K ends there.  Every scheme has a tail at n = 1000 and 2048
-        # from alpha = 1.2 and 1.5, with a head of two blocks at n = 2048
-        # and alpha = 1.5; none has one up to n = 512 or at n = 1000 from
-        # alpha = 1.8, where the factor is two blocks, and at n = 2048 from
-        # it some have a head of three blocks.
-        sizes = STENCIL_SIZES
+        # at two, and 1024 at dt = 0.1, without a fixed point, puts row n
+        # alone in a block after two coupled ones.  From the elimination's
+        # fixed point K on, with 512 rows or more after it, only the tail
+        # is kept: P, which every later row repeats shifted, column n and
+        # the last pivot; the block that holds K ends there, or is whole
+        # when K is a block edge.  Every scheme has a tail at n = 1000 and
+        # 2048 from alpha = 1.2 and 1.5, with a head of two blocks at
+        # n = 2048 and alpha = 1.5; none has one up to n = 512 or at
+        # n = 1000 from alpha = 1.8, where the factor is two blocks, and at
+        # n = 2048 from it some have a head of three blocks.
+        cases = [(n, n**alpha * 1e-3) for n in STENCIL_SIZES]
+        block = factor._BLOCK
         if (form, left, right) in BLOCK_EDGE_SCHEMES:
-            block = factor._BLOCK
-            sizes += (block - 1, block, 2 * block + 1)
-        for n in sizes:
+            cases += [(n, n**alpha * 1e-3) for n in (block - 1, block, 2 * block + 1)]
+            cases.append((2 * block, (2 * block) ** alpha * 0.1))
+        if (form, left, right, alpha) == (RL, R, R, 1.5):
+            cases.append(FIXED_POINT_ON_A_BLOCK_EDGE)
+        for n, beta in cases:
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
-            beta = n**alpha * 1e-3
             triangles, band, _, tail = factor._hessenberg_lu(_stencil(spec), beta)
             U = -beta * build_matrix(spec).entries
             U.flat[:: n + 2] += 1.0
@@ -548,10 +559,12 @@ class TestStencilOracle:
             for k in range(1, n + 1):
                 multipliers[k] = U[k, k - 1] / U[k - 1, k - 1]
                 U[k, k:] -= multipliers[k] * U[k - 1, k:]
-            if n <= _FFT_MIN_N or (n == 1000 and alpha == 1.8):
+            if n <= _FFT_MIN_N or (n == 1000 and alpha == 1.8) or n == 2 * block:
                 assert tail is None, n
             elif n in (1000, 2048) and alpha < 1.8:
                 assert tail is not None, n
+            elif (n, beta) == FIXED_POINT_ON_A_BLOCK_EDGE:
+                assert tail is not None and (n - tail.p.size) % block == 0, n
             if tail is None:
                 assert_triangles(triangles, U)
             else:
@@ -748,6 +761,31 @@ class TestConfigValidation:
             make_config(dt=1e-3, steps=10, snapshot_times=(0.0, float("nan")))
         with pytest.raises(InvalidSpec):
             dataclasses.replace(make_config(dt=1e-3, steps=10), t_end=float("inf"))
+
+    def test_step_cap_admits_its_count_and_refuses_one_more(self):
+        # dt = 0.5 divides both horizons exactly.  Neither config is run.
+        config = make_config(dt=0.5, steps=1, snapshot_times=(0.0,))
+        admitted = dataclasses.replace(config, t_end=0.5 * timestepper._MAX_STEPS)
+        assert admitted.steps == timestepper._MAX_STEPS == 10**9
+        with pytest.raises(InvalidSpec, match="asks for 1000000001 steps, "
+                                              "more than the 1000000000 "):
+            dataclasses.replace(config, t_end=0.5 * (timestepper._MAX_STEPS + 1))
+
+    def test_steps_is_the_count_the_run_takes(self, monkeypatch):
+        # t_end = 10.5 dt: the run steps to the first step at or after it.
+        steppers = []
+
+        class Counted(_Stepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                steppers.append(self)
+
+        monkeypatch.setattr(timestepper, "_Stepper", Counted)
+        config = dataclasses.replace(make_config(dt=1e-3, steps=10, snapshot_times=(0.0,)),
+                                     t_end=0.0105, snapshot_times=(0.0, 0.0105))
+        series = run_simulation(config)
+        assert [stepper.steps for stepper in steppers] == [config.steps] == [11]
+        assert series.times[-1] == 11 * 1e-3
 
 
 class TestRunSimulation:
