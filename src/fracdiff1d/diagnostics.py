@@ -91,13 +91,18 @@ class NegativityResult(NamedTuple):
 
 
 def negativity_scan(series: TimeSeries) -> NegativityResult:
-    """Global minimum over all snapshots, with its first location."""
+    """Global minimum over all snapshots, with its first location: the
+    first snapshot that holds it, and its first node there.
+
+    Takes one minimum per snapshot, so it needs O(snapshots) extra memory
+    and copies no state.
+    """
     if len(series) == 0:
         raise EmptySeries("time series holds no snapshots")
-    stacked = np.stack([snap.values for snap in series.snapshots])
-    flat = int(np.argmin(stacked))
-    t_idx, node = divmod(flat, stacked.shape[1])
-    return NegativityResult(float(stacked[t_idx, node]), t_idx, node)
+    lows = [float(snap.values.min()) for snap in series.snapshots]
+    t_idx = int(np.argmin(lows))
+    node = int(np.argmin(series.snapshots[t_idx].values))
+    return NegativityResult(lows[t_idx], t_idx, node)
 
 
 def _l1_norms(series: TimeSeries) -> np.ndarray:
@@ -109,7 +114,10 @@ def decay_rate(series: TimeSeries) -> float:
     """Least-squares slope of ``log L1-norm`` versus time.
 
     Fits the last half of the snapshots (at least 3) to skip the transient;
-    the long-time behaviour is the asymptotic one.
+    the long-time behaviour is the asymptotic one.  The slope comes in
+    closed form from centred sums, ``tc @ (y - mean y) / (tc @ tc)`` with
+    ``tc = t - mean t``: no LAPACK call, O(snapshots) extra memory.  A
+    window whose times do not vary has no slope: :class:`DegenerateInput`.
     """
     norms = _l1_norms(series)
     if len(norms) < 3:
@@ -119,7 +127,12 @@ def decay_rate(series: TimeSeries) -> float:
     if np.any(window <= 0.0):
         raise DegenerateInput("L1 norms hit zero inside the fit window")
     t = np.asarray(series.times[start:])
-    return float(np.polyfit(t, np.log(window), 1)[0])
+    # Not tc @ tc == 0: the mean of three 0.1s is not 0.1.
+    if t.min() == t.max():
+        raise DegenerateInput("snapshot times in the fit window do not vary")
+    tc = t - t.mean()
+    y = np.log(window)
+    return float(tc @ (y - y.mean()) / (tc @ tc))
 
 
 def boundary_flux_check(series: TimeSeries) -> tuple[float, float]:

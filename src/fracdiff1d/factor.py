@@ -146,9 +146,10 @@ def _in_place_solve(lu: _Factor, x: np.ndarray):
     ``P``, by one FFT, and then row ``n``, by one dot product with the
     tail's column ``n``.  Then one ``dtbsv`` (upper, unit, one
     superdiagonal) solves ``L^T v = w``.  The call holds the column-major
-    float64 arrays it is bound to, the scratch of ``z``, the far field's
-    transforms that its couplings took and, with a tail, the transform of
-    ``q`` and the tail's column ``n``.
+    float64 arrays it is bound to, the scratch of ``z``, the transforms of
+    :attr:`_Coupling.convolution` that its couplings took (see
+    :attr:`~fracdiff1d.operators._Convolution.transforms`) and, with a
+    tail, the transform of ``q`` and the tail's column ``n``.
     """
     triangles, band, coupling, tail = lu
     size = x.size

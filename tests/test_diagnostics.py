@@ -46,6 +46,21 @@ def series_from_values(spec, times, value_arrays):
                       mass_trace=masses, absorbed_cumulative=tuple(0.0 for _ in times))
 
 
+def stacked_argmin(values):
+    """``negativity_scan`` by one ``argmin`` over the stacked states."""
+    stacked = np.stack(values)
+    t_idx, node = divmod(int(np.argmin(stacked)), stacked.shape[1])
+    return float(stacked[t_idx, node]), t_idx, node
+
+
+def polyfit_rate(series):
+    """``decay_rate`` by ``np.polyfit``, on the same window."""
+    h = 1.0 / series.spec.n
+    norms = np.array([h * np.abs(s.values).sum() for s in series.snapshots])
+    start = min(len(norms) // 2, len(norms) - 3)
+    return float(np.polyfit(series.times[start:], np.log(norms[start:]), 1)[0])
+
+
 def run_scheme(form, left, right, *, n=128, dt=1e-3, steps=500, every=25,
                ic=None, method=Method.IMPLICIT):
     spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
@@ -131,6 +146,27 @@ class TestNegativityScan:
         with pytest.raises(EmptySeries):
             negativity_scan(series)
 
+    @pytest.mark.parametrize("values, expected", [
+        # A tie across snapshots: the first snapshot holding the minimum.
+        ([np.ones(5), [0.0, 1.0, -0.5, 1.0, 0.0], [0.0, -0.5, 1.0, 1.0, 0.0]], (-0.5, 1, 2)),
+        # A tie within a snapshot: its first node.
+        ([np.zeros(5), [0.0, 1.0, -0.5, 1.0, -0.5]], (-0.5, 1, 2)),
+    ])
+    def test_ties_report_the_first_location(self, values, expected):
+        spec = SchemeSpec(RL, A, A, 1.5, 1.0, 4)
+        values = [np.asarray(v) for v in values]
+        series = series_from_values(spec, tuple(0.1 * k for k in range(len(values))), values)
+        assert negativity_scan(series) == expected == stacked_argmin(values)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_stacked_argmin(self, seed):
+        # Small integers make ties across and within snapshots common.
+        rng = np.random.default_rng(seed)
+        spec = SchemeSpec(RL, A, A, 1.5, 1.0, 6)
+        values = list(rng.integers(-3, 4, size=(5, 7)).astype(float))
+        series = series_from_values(spec, tuple(0.1 * k for k in range(5)), values)
+        assert negativity_scan(series) == stacked_argmin(values)
+
     def test_cfl_respecting_run_stays_nonnegative(self):
         from fracdiff1d import stability_limit
 
@@ -154,6 +190,16 @@ class TestDecayRate:
         with pytest.raises(DegenerateInput):
             decay_rate(series)
 
+    # The mean of three 0.1s is not 0.1, so their centred sum of squares
+    # is 5.8e-34, not 0.
+    @pytest.mark.parametrize("time", [0.5, 0.1])
+    def test_times_that_do_not_vary_are_rejected(self, time):
+        spec = SchemeSpec(RL, A, A, 1.5, 1.0, 8)
+        values = [k * np.ones(9) for k in (1.0, 2.0, 3.0)]
+        series = series_from_values(spec, (time, time, time), values)
+        with pytest.raises(DegenerateInput):
+            decay_rate(series)
+
     def test_zero_norms_are_rejected(self):
         spec = SchemeSpec(RL, A, A, 1.5, 1.0, 8)
         times = (0.0, 0.1, 0.2, 0.3)
@@ -169,6 +215,26 @@ class TestDecayRate:
     def test_reflecting_run_does_not(self):
         series = run_scheme(RL, R, R, steps=1000, every=50)
         assert abs(decay_rate(series)) < 1e-6
+
+    # The decay suite's runs at the desk scale.
+    @pytest.mark.parametrize("left, right", [(A, A), (A, R), (R, A), (R, R)])
+    def test_matches_polyfit_on_the_decay_suite(self, left, right):
+        series = run_scheme(RL, left, right, steps=1000, every=50)
+        expected = polyfit_rate(series)
+        assert abs(decay_rate(series) - expected) <= 1e-12 * (1.0 + abs(expected))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_polyfit_on_noisy_data(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = SchemeSpec(RL, A, A, 1.5, 1.0, 8)
+        size = int(rng.integers(3, 30))
+        # Far from zero, with repeats, to stress the centring.
+        times = tuple(np.sort(rng.choice(np.arange(40), size)) * 0.25 + 1e3 * seed)
+        logs = rng.normal(0.0, 5.0) * np.asarray(times) + rng.normal(0.0, 0.1, size)
+        series = series_from_values(
+            spec, times, [math.exp(y - logs.max()) * np.ones(9) for y in logs])
+        expected = polyfit_rate(series)
+        assert abs(decay_rate(series) - expected) <= 1e-12 * (1.0 + abs(expected))
 
 
 class TestBoundaryFlux:

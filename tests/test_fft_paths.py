@@ -12,20 +12,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 FFT_MODULES = {"fft", "fftpack"}
 
 
-def fft_scopes(path: Path) -> set[str]:
-    """The outermost class or function of ``path`` around each use of an
-    FFT module (``np.fft``, ``scipy.fft``, ...), ``"<module>"`` at the top
-    level."""
+def use_scopes(path: Path, names: set[str]) -> set[str]:
+    """The outermost class or function of ``path`` around each use of one
+    of ``names``, as an attribute (``np.fft``) or in an import (``from
+    scipy import fft``), ``"<module>"`` at the top level."""
     found = set()
 
     def visit(node: ast.AST, scope: str) -> None:
-        if isinstance(node, ast.Attribute) and node.attr in FFT_MODULES:
+        if isinstance(node, ast.Attribute) and node.attr in names:
             found.add(scope)
         elif isinstance(node, ast.Import | ast.ImportFrom):
             modules = [alias.name for alias in node.names]
             if isinstance(node, ast.ImportFrom):
                 modules += [node.module or ""]
-            if any(FFT_MODULES & set(module.split(".")) for module in modules):
+            if any(names & set(module.split(".")) for module in modules):
                 found.add(scope)
         for child in ast.iter_child_nodes(node):
             inner = scope
@@ -39,7 +39,8 @@ def fft_scopes(path: Path) -> set[str]:
 
 
 def test_ffts_are_taken_only_by_the_convolution_helper_and_newtons_iteration():
-    uses = {(path.name, scope) for path in SRC.rglob("*.py") for scope in fft_scopes(path)}
+    uses = {(path.name, scope)
+            for path in SRC.rglob("*.py") for scope in use_scopes(path, FFT_MODULES)}
     assert uses == {("operators.py", "_Convolution"), ("factor.py", "_newton_inverse")}
 
 
@@ -49,4 +50,4 @@ def test_the_guard_sees_every_form_of_fft_use(tmp_path):
                       "from scipy import fft\n"
                       "def f(x):\n    return np.fft.rfft(x)\n"
                       "class C:\n    def g(self):\n        from numpy.fft import irfft\n")
-    assert fft_scopes(source) == {"<module>", "f", "C"}
+    assert use_scopes(source, FFT_MODULES) == {"<module>", "f", "C"}
