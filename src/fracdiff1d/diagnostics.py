@@ -11,8 +11,9 @@ and one convention keeps the forms comparable.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -92,17 +93,27 @@ class NegativityResult(NamedTuple):
 
 def negativity_scan(series: TimeSeries) -> NegativityResult:
     """Global minimum over all snapshots, with its first location: the
-    first snapshot that holds it, and its first node there.
+    first snapshot that holds it, and its first node there (see
+    :func:`_first_minimum`)."""
+    return _first_minimum(snap.values for snap in series.snapshots)
 
-    Takes one minimum per snapshot, so it needs O(snapshots) extra memory
-    and copies no state.
-    """
-    if len(series) == 0:
+
+def _first_minimum(states: Iterable[np.ndarray]) -> NegativityResult:
+    """Global minimum over ``states``, read once in order, with its first
+    location: the index of the first state that holds it, and its first
+    node there, as one ``argmin`` over the stacked states has it, a NaN
+    lowest.  Keeps no state: O(1) extra memory, so it reads a run's
+    stream as well as its snapshots.  No state: :class:`EmptySeries`."""
+    best = None
+    for t_idx, u in enumerate(states):
+        low = float(u.min())
+        if best is None or not low >= best.value:
+            best = NegativityResult(low, t_idx, int(u.argmin()))
+            if math.isnan(low):
+                break
+    if best is None:
         raise EmptySeries("time series holds no snapshots")
-    lows = [float(snap.values.min()) for snap in series.snapshots]
-    t_idx = int(np.argmin(lows))
-    node = int(np.argmin(series.snapshots[t_idx].values))
-    return NegativityResult(lows[t_idx], t_idx, node)
+    return best
 
 
 def _l1_norms(series: TimeSeries) -> np.ndarray:

@@ -26,13 +26,15 @@ stencil of ``M``, a window of one convolution (see
 :class:`~fracdiff1d.operators._Convolution`) that every coupling shares:
 its large entries, lags 1 to 64, which reach only the 64 columns past
 ``a`` from the 64 rows above it, directly, and its small entries past lag
-64 by FFT, in O(c log c) for a window ending at column ``c``.  Up to
-n = 10,000 no step calls a threaded BLAS routine: OpenBLAS threads
-``ddot``, which the dot products with column ``n`` call, only past 10,000
-entries.  The two triangular routines, ``dtpsv`` and ``dtbsv``, are bound
-once through ctypes, by address, from one of two sources: the OpenBLAS
-that numpy's wheels bundle, so no run imports scipy, or, where numpy's
-BLAS lacks them, scipy's ``cython_blas``.  For the Riemann-Liouville and
+64 by FFT, in O(c log c) for a window ending at column ``c``.  No step
+calls a threaded BLAS reduction, so no output's bits depend on the thread
+count: OpenBLAS threads ``ddot`` past 10,000 entries, and the dot
+products with column ``n`` sum chunks of at most 8192 (see
+:func:`~fracdiff1d.operators._dot`).  The two triangular routines,
+``dtpsv`` and ``dtbsv``, are bound once through ctypes, by address, from
+one of two sources: the OpenBLAS that numpy's wheels bundle, so no run
+imports scipy, or, where numpy's BLAS lacks them, scipy's
+``cython_blas``.  For the Riemann-Liouville and
 Patie-Simon schemes ``M`` is a row diagonally dominant Z-matrix, so the
 growth factor is at most 2; a pivot check still runs for every scheme.
 """
@@ -47,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FracDiffError, SingularSystem
-from .operators import _FFT_MIN_N, _SNAPSHOT_FLOATS, _Convolution, _period, _require_fits
+from .operators import _FFT_MIN_N, _SNAPSHOT_FLOATS, _Convolution, _dot, _period, _require_fits
 
 # Rows of ``U`` in each block of the factor (see _blocks).
 _BLOCK = 512
@@ -251,7 +253,7 @@ class _Coupling:
             else:
                 self.convolution.window(z[2:], a - 3, end - a, out[: end - a])
         if c > n:
-            out[-1] += z[2:] @ self.edge[2:a]
+            out[-1] += _dot(z[2:], self.edge[2:a])
         return out
 
 
@@ -274,7 +276,7 @@ def _tail_solve(tail: _Tail, x: np.ndarray):
 
     def solve() -> None:
         body[:] = convolution.window(body, 0, size)
-        x[size] = (x.item(size) - float(body @ column)) / pivot
+        x[size] = (x.item(size) - _dot(body, column)) / pivot
 
     return solve
 

@@ -234,6 +234,26 @@ def _period(minimum: int) -> int:
     return min(k * step for k in (4, 5, 6, 8) if k * step >= minimum)
 
 
+# The most entries one BLAS dot product of a step sums: OpenBLAS threads
+# ``ddot`` past 10,000 entries, and a threaded sum's order, so its bits,
+# depends on the thread count.
+_DOT_CHUNK = 8192
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``x @ y`` for two vectors, as the partial sums of ``dot`` over
+    chunks of at most ``_DOT_CHUNK`` entries, added in order: its bits do
+    not depend on the BLAS thread count.  Vectors of at most
+    ``_DOT_CHUNK`` entries take one ``dot``, the same ``ddot`` as
+    ``x @ y`` in half its call overhead."""
+    if x.size <= _DOT_CHUNK:
+        return float(x.dot(y))
+    total = 0.0
+    for start in range(0, x.size, _DOT_CHUNK):
+        total += float(x[start : start + _DOT_CHUNK].dot(y[start : start + _DOT_CHUNK]))
+    return total
+
+
 class _Convolution:
     """Windows of the linear convolution ``x * kernel`` of a fixed
     ``kernel``, entry ``m`` the sum of ``x[i] kernel[m - i]``: its first
@@ -316,6 +336,9 @@ class _Stencil:
             out = np.convolve(a, self.g, "valid")
         else:
             out = self.convolution.window(a, n, n + 1)
+        # Matrix-vector products, not dot products: OpenBLAS's threaded
+        # dgemv gives each thread whole entries of the product, so their
+        # bits do not depend on the thread count (see _dot).
         if rows:
             out[1:n] += u[:rows] @ self.head
         out[::n] = u @ self.edges

@@ -14,7 +14,10 @@ stencil form of ``B``, ``beta`` and the method: it holds ``beta``, the
 outflow vector (from the stencil's row sums), and either the stencil's
 apply (explicit) or the single factorization of ``M`` that every step
 reuses (implicit).  Each step returns the new state and the mass absorbed
-during it.
+during it.  One loop steps every run, as a stream of its states that
+keeps only the current one: :func:`run_simulation` records the snapshots
+from it, and the per-step checks of :mod:`~fracdiff1d.verify` read every
+state and keep none, in O(n) memory, not O(steps n).
 
 A run keeps two independently computed accounts: the retained mass
 :math:`M_k = h \sum_j u_j` measured from the state, and the cumulative
@@ -23,8 +26,8 @@ negated row sums of ``B``.  For the Riemann-Liouville and Patie-Simon schemes th
 must reconcile: ``mass + absorbed == initial mass`` up to roundoff.
 
 A NaN or inf anywhere in the state makes both accounts non-finite, so
-checking the per-step increment and each snapshot mass catches a blown-up
-run in O(1): it raises :class:`~fracdiff1d.errors.StabilityViolation`
+checking the per-step increment and the mass of each state read catches
+a blown-up run in O(1): it raises :class:`~fracdiff1d.errors.StabilityViolation`
 naming the step (the CLI reports it on one ``error:`` line, exit code 1,
 and writes no file).
 """
@@ -37,6 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -51,6 +55,7 @@ from .operators import (
     BoundaryCondition,
     IterationMatrix,
     SchemeSpec,
+    _dot,
     _read_whole,
     _require_explicit_fits,
     _stencil,
@@ -347,7 +352,7 @@ class _Stepper:
             np.copyto(self.state, u)
             self.solve()
             u = booked = self.state.copy()
-        increment = self.beta * self.h * float(booked @ self.outflow)
+        increment = self.beta * self.h * _dot(booked, self.outflow)
         self.steps += 1
         if not math.isfinite(increment):
             raise _non_finite(self.steps)
@@ -419,53 +424,75 @@ def _step_of(t: float, dt: float) -> int:
     return max(0, math.ceil(t / dt - 1e-9))
 
 
-def run_simulation(config: SolverConfig) -> TimeSeries:
-    """Advance the scheme to ``t_end``, recording snapshots and the ledger.
+def _steps(config: SolverConfig) -> Iterator[tuple[int, np.ndarray, float]]:
+    """The run of ``config`` as a stream: ``(k, u, absorbed)`` for step 0
+    and after each step ``k`` to ``config.steps``, the state ``u`` (a fresh
+    array, which later steps leave alone) and the cumulative absorbed mass.
 
-    The operator is built in O(n) memory and (for implicit runs) factored
-    once, one row at a time.
-    Snapshots are taken at the first completed step with
-    ``t >= requested``; the actual times are recorded.  Absorbing boundary
-    nodes are zeroed in the initial data, the only place mass can reach
-    them; their zero columns of ``B`` keep them at zero.  A state
-    that turns non-finite raises :class:`StabilityViolation` before any
-    later snapshot is recorded.
+    The one time loop of the package.  It keeps no state but the current
+    one, whatever its consumer keeps.  Absorbing boundary nodes are zeroed
+    in the initial data, the only place mass can reach them; their zero
+    columns of ``B`` keep them at zero.  A step whose increment is not
+    finite raises :class:`StabilityViolation` (see :meth:`_Stepper.step`);
+    a consumer checks the states it reads with :func:`_mass`.  The stream
+    runs with numpy's overflow and invalid-value warnings off, and so does
+    its consumer between steps: the checks report a blown-up state.
     """
     spec = config.spec
-    n, h, dt = spec.n, spec.h, config.dt
+    n = spec.n
     absorbing = [node for node, side in ((0, spec.left), (n, spec.right))
                  if side is BoundaryCondition.ABSORBING]
     # Sampled before the factor exists: a profile's read is bounded alone.
     u = config.initial.sample(n).values.copy()
     u[absorbing] = 0.0
     stepper = _Stepper(_stencil(spec), config.beta, config.method)
+    absorbed = 0.0
+    # Overflow is reported by the non-finite checks, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        yield 0, u, absorbed
+        for k in range(1, config.steps + 1):
+            u, increment = stepper.step(u)
+            absorbed += increment
+            yield k, u, absorbed
 
+
+def _mass(u: np.ndarray, h: float, step: int) -> float:
+    """The retained mass ``h * sum(u)`` of the state at ``step``, the
+    check on every state a consumer of :func:`_steps` reads: one that is
+    not finite raises :class:`StabilityViolation`."""
+    mass = h * float(u.sum())
+    if not math.isfinite(mass):
+        raise _non_finite(step)
+    return mass
+
+
+def run_simulation(config: SolverConfig) -> TimeSeries:
+    """Advance the scheme to ``t_end``, recording snapshots and the ledger.
+
+    The operator is built in O(n) memory and (for implicit runs) factored
+    once, one row at a time; the steps are those of the run's stream
+    (:func:`_steps`), of which only the snapshots are kept.
+    Snapshots are taken at the first completed step with
+    ``t >= requested``; the actual times are recorded.  A state
+    that turns non-finite raises :class:`StabilityViolation` before any
+    later snapshot is recorded.
+    """
+    n, h, dt = config.spec.n, config.spec.h, config.dt
     snap_steps = [_step_of(t, dt) for t in config.snapshot_times]
-    total_steps = config.steps
 
     times: list[float] = []
     snapshots: list[GridFunction] = []
     mass_trace: list[float] = []
     absorbed_trace: list[float] = []
-    absorbed = 0.0
     next_snap = 0
 
-    # Overflow is reported by the non-finite guard, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(total_steps + 1):
-            while next_snap < len(snap_steps) and snap_steps[next_snap] == k:
-                mass = h * float(u.sum())
-                if not math.isfinite(mass):
-                    raise _non_finite(k)
-                times.append(k * dt)
-                snapshots.append(GridFunction(n, u))
-                mass_trace.append(mass)
-                absorbed_trace.append(absorbed)
-                next_snap += 1
-            if k == total_steps:
-                break
-            u, increment = stepper.step(u)
-            absorbed += increment
+    for k, u, absorbed in _steps(config):
+        while next_snap < len(snap_steps) and snap_steps[next_snap] == k:
+            mass_trace.append(_mass(u, h, k))
+            times.append(k * dt)
+            snapshots.append(GridFunction(n, u))
+            absorbed_trace.append(absorbed)
+            next_snap += 1
 
     return TimeSeries(
         config=config,

@@ -6,7 +6,11 @@ the ledger, positivity under the CFL bound, the steady states, absorbing
 decay and Caputo negativity.  Each reports one pass/fail line per check.
 The matrices suite reads ``B`` from the O(n) stencil, as runs do;
 :func:`~fracdiff1d.operators.build_matrix`, its dense expansion, serves
-the ``matrix`` command and the tests.
+the ``matrix`` command and the tests.  The checks that hold at every
+step, mass drift and ledger closure, the minimum, and the comparison of
+two runs, read each run's stream of steps (:func:`_stream`) and keep no
+state: O(n) memory, not O(steps n).  The steady, decay and Caputo suites
+record snapshots.
 
 A suite is a function of a scale, the protocol of its grids and runs; its
 bounds are the same at every scale.  There are two scales:
@@ -23,11 +27,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .diagnostics import (
+    _first_minimum,
     _l1_norms,
     decay_rate,
     l1_distance_interior,
@@ -47,6 +52,8 @@ from .timestepper import (
     Method,
     SolverConfig,
     TimeSeries,
+    _mass,
+    _steps,
     run_simulation,
     stability_limit,
 )
@@ -103,19 +110,33 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def _run(form, left, right, *, n, dt, steps, every=1, method=Method.IMPLICIT,
-         ic=None) -> TimeSeries:
+def _config(form, left, right, *, n, dt, steps, every=None, method=Method.IMPLICIT,
+            ic=None) -> SolverConfig:
+    """A suite's run: a snapshot every ``every`` steps, or none."""
     spec = SchemeSpec(form=form, left=left, right=right, alpha=1.5, c=1.0, n=n)
-    config = SolverConfig(
+    return SolverConfig(
         spec=spec,
         dt=dt,
         t_end=steps * dt,
         method=method,
-        snapshot_times=tuple(k * dt for k in range(0, steps + 1, every)),
+        snapshot_times=() if every is None else tuple(
+            k * dt for k in range(0, steps + 1, every)),
         initial=ic or InitialCondition.tent(),
         allow_unstable=False,
     )
-    return run_simulation(config)
+
+
+def _run(form, left, right, *, every, **run) -> TimeSeries:
+    return run_simulation(_config(form, left, right, every=every, **run))
+
+
+def _stream(form, left, right, **run) -> Iterator[tuple[np.ndarray, float, float]]:
+    """Every state of a suite's run with its mass and absorbed total,
+    ``(u, mass, absorbed)``, as :func:`_run` would record them with a
+    snapshot at every step, none kept."""
+    config = _config(form, left, right, **run)
+    for k, u, absorbed in _steps(config):
+        yield u, _mass(u, config.spec.h, k), absorbed
 
 
 def _explicit_dt(n: int) -> float:
@@ -176,40 +197,44 @@ def _suite_matrices(scale: _Scale) -> list[CheckResult]:
     if scale.twin_steps is not None:
         gap = 0.0
         for method, dt in ((Method.EXPLICIT, _explicit_dt(scale.n)), (Method.IMPLICIT, 1e-3)):
-            ps, rl = (_run(form, _A, _A, n=scale.n, dt=dt, steps=scale.twin_steps, method=method)
-                      for form in (_PS, _RL))
-            gap = max([gap] + [float(np.abs(a.values - b.values).max())
-                               for a, b in zip(ps.snapshots, rl.snapshots)])
+            ps, rl = (_stream(form, _A, _A, n=scale.n, dt=dt, steps=scale.twin_steps,
+                              method=method) for form in (_PS, _RL))
+            for (a, _, _), (b, _, _) in zip(ps, rl):
+                gap = max(gap, float(np.abs(a - b).max()))
         out.append(_check("left-absorbing-runs-agree", gap <= 1e-12,
                           f"max snapshot gap={gap:.2e}"))
     return out
 
 
 def _suite_conservation(scale: _Scale) -> list[CheckResult]:
+    """Mass drift and ledger closure at every step."""
     out = []
     for form in (_RL, _PS):
         for method, dt in ((Method.EXPLICIT, _explicit_dt(scale.n)), (Method.IMPLICIT, 1e-3)):
-            series = _run(form, _R, _R, n=scale.n, dt=dt, steps=scale.steps, method=method)
-            mass0 = series.mass_trace[0]
-            drift = max(abs(m - mass0) for m in series.mass_trace)
+            masses = (mass for _, mass, _ in _stream(form, _R, _R, n=scale.n, dt=dt,
+                                                    steps=scale.steps, method=method))
+            mass0 = next(masses)
+            drift = max((abs(m - mass0) for m in masses), default=0.0)
             out.append(_check(f"mass-constant {form.value} {method.value}",
                               drift <= 1e-9 and abs(mass0 - 1.0) <= 1e-3,
                               f"drift={drift:.2e} initial={mass0:.6f}"))
-    series = _run(_RL, _A, _A, n=scale.n, dt=1e-3, steps=scale.steps)
-    closure = max(abs(m + a - series.mass_trace[0])
-                  for m, a in zip(series.mass_trace, series.absorbed_cumulative))
+    ledger = _stream(_RL, _A, _A, n=scale.n, dt=1e-3, steps=scale.steps)
+    _, mass0, _ = next(ledger)
+    closure = max((abs(m + a - mass0) for _, m, a in ledger), default=0.0)
     out.append(_check("ledger-closure rl absorbing", closure <= 1e-9, f"gap={closure:.2e}"))
     return out
 
 
 def _suite_positivity(scale: _Scale) -> list[CheckResult]:
+    """The minimum at every step."""
     out = []
     for form, left, right in _FORMS_BCS:
         if form is DerivativeForm.CAPUTO:
             continue
-        series = _run(form, left, right, n=scale.n, dt=_explicit_dt(scale.n),
-                      steps=scale.steps, method=Method.EXPLICIT)
-        low = negativity_scan(series).value
+        states = (u for u, _, _ in _stream(form, left, right, n=scale.n,
+                                           dt=_explicit_dt(scale.n), steps=scale.steps,
+                                           method=Method.EXPLICIT))
+        low = _first_minimum(states).value
         out.append(_check(f"min {form.value} {left.value[0]}{right.value[0]}",
                           low >= -1e-12, f"min={low:.2e}"))
     return out

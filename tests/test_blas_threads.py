@@ -1,0 +1,126 @@
+"""No step's bits depend on the BLAS thread count.
+
+OpenBLAS threads ``ddot`` past 10,000 entries, and a threaded sum adds in
+another order.  Every vector dot product of a step goes through
+``operators._dot``, which sums chunks of at most 8192 entries; the
+products of ``_Stencil.apply`` are matrix-vector products, whose threads
+each take whole entries.  The runs below reach past 10,000 entries: the
+ledger's dot at n = 12000 and the tail's at n = 16384 (N = 10,454)."""
+
+import ast
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import fracdiff1d
+from fracdiff1d.operators import _DOT_CHUNK, _dot
+
+SRC = Path(fracdiff1d.__file__).parent
+# Names that reach BLAS's dot or matrix products, beside the @ operator.
+PRODUCT_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def product_scopes(path: Path) -> set[str]:
+    """The enclosing classes and functions, joined by dots, of each ``@``
+    and each use of one of ``PRODUCT_NAMES`` in ``path``, ``"<module>"``
+    at the top level."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if (isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Attribute) and node.attr in PRODUCT_NAMES
+                or isinstance(node, ast.Name) and node.id in PRODUCT_NAMES
+                or isinstance(node, ast.alias) and node.name in PRODUCT_NAMES):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_vector_products_go_through_the_chunked_dot():
+    uses = {(path.name, scope)
+            for path in SRC.glob("*.py") for scope in product_scopes(path)}
+    assert uses == {
+        ("operators.py", "_dot"),
+        # Matrix-vector products (see the module docstring).
+        ("operators.py", "_Stencil.apply"),
+        # The dense one-step shims and the decay fit: no run's step.
+        ("timestepper.py", "_Dense.apply"),
+        ("diagnostics.py", "decay_rate"),
+    }
+
+
+def test_the_guard_sees_every_form_of_product(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text("def f(x, y):\n    return x @ y\n"
+                      "class C:\n    def g(self, x):\n        x @= x\n"
+                      "    def h(self, x):\n        return np.dot(x, x)\n"
+                      "from numpy import inner\n"
+                      "def k(x):\n    return x.dot(x) + np.einsum('i,i', x, x)\n"
+                      "def clean(x):\n    return x * x\n")
+    assert product_scopes(source) == {"f", "C.g", "C.h", "<module>", "k"}
+
+
+def test_the_chunked_dot_adds_its_chunks_in_order():
+    rng = np.random.default_rng(5)
+    for size in (1, _DOT_CHUNK, _DOT_CHUNK + 1, 3 * _DOT_CHUNK + 17):
+        x, y = rng.random(size) - 0.5, rng.random(size) - 0.5
+        total = 0.0
+        for a in range(0, size, _DOT_CHUNK):
+            total += float(np.dot(x[a : a + _DOT_CHUNK], y[a : a + _DOT_CHUNK]))
+        assert _dot(x, y).hex() == total.hex()
+        # One chunk is x @ y itself.
+        if size <= _DOT_CHUNK:
+            assert _dot(x, y).hex() == float(x @ y).hex()
+
+
+# Figure 2's scheme (RL r/r, alpha = 1.5, tent) at n = 16384 for two
+# implicit steps, and two RL a/a runs at n = 12000: 20 implicit steps at
+# dt = 1e-3, 20 explicit steps at half the stability limit.
+RUNS = {
+    "figure-2": ["--deriv", "rl", "--left", "reflecting", "--right", "reflecting",
+                 "--n", "16384", "--t-end", "0.002", "--snapshots", "0,0.001,0.002"],
+    "implicit": ["--n", "12000", "--t-end", "0.02", "--snapshots", "0,0.01,0.02"],
+    "explicit": ["--n", "12000", "--method", "explicit", "--dt", "2.5e-7",
+                 "--t-end", "5e-6", "--snapshots", "0,2.5e-6,5e-6"],
+}
+_RUN_ALL = """
+import sys
+from fracdiff1d.cli import main
+runs, out = {runs!r}, sys.argv[1]
+for name, argv in runs.items():
+    assert main(["solve", "--alpha", "1.5", *argv, "--out", f"{{out}}/{{name}}.csv"]) == 0
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = str(SRC.parent)
+    processes = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        processes.append(subprocess.Popen(
+            [sys.executable, "-c", _RUN_ALL.format(runs=RUNS), str(out)], env=env,
+            stderr=subprocess.PIPE, text=True))
+    for process in processes:
+        _, err = process.communicate(timeout=300)
+        assert process.returncode == 0, err
+
+    def digest(path: Path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    for name in RUNS:
+        for suffix in (".csv", ".csv.meta.json"):
+            one, two = (tmp_path / str(threads) / f"{name}{suffix}" for threads in (1, 2))
+            assert digest(one) == digest(two), f"{name}{suffix}"

@@ -167,6 +167,16 @@ class TestNegativityScan:
         series = series_from_values(spec, tuple(0.1 * k for k in range(5)), values)
         assert negativity_scan(series) == stacked_argmin(values)
 
+    def test_a_nan_is_the_minimum_as_argmin_has_it(self):
+        # The first NaN of the first snapshot holding one, even before a
+        # lower number.
+        spec = SchemeSpec(RL, A, A, 1.5, 1.0, 4)
+        values = [np.ones(5), np.array([0.0, -1.0, np.nan, np.nan, 0.0]),
+                  np.full(5, -5.0), np.full(5, np.nan)]
+        series = series_from_values(spec, (0.0, 0.1, 0.2, 0.3), values)
+        value, t_idx, node = negativity_scan(series)
+        assert math.isnan(value) and (t_idx, node) == stacked_argmin(values)[1:] == (1, 2)
+
     def test_cfl_respecting_run_stays_nonnegative(self):
         from fracdiff1d import stability_limit
 
