@@ -41,7 +41,6 @@ from .timestepper import (
     TimeSeries,
     run_simulation,
 )
-from .verify import SUITE_NAMES, run_suite
 
 __all__ = [
     "FIGURE_PROTOCOLS",
@@ -341,6 +340,8 @@ def _command(args: argparse.Namespace) -> CliCommand:
         _require_fits(f"m={args.m}", 4 * (args.m + 1), "the m + 1 weights")
         return WeightsCommand(order=args.order, m=args.m, out=args.out)
     if args.command == "verify":
+        from .verify import SUITE_NAMES
+
         if args.suite not in SUITE_NAMES:
             raise UsageError(
                 f"unknown suite {args.suite!r}; pick one of {', '.join(SUITE_NAMES)}"
@@ -415,6 +416,16 @@ def emit_weights_csv(weights: GrunwaldWeights, path: Path) -> None:
     with Path(path).open("w") as out:
         out.write("i,g\n")
         out.writelines(f"{i},{v:.16e}\n" for i, v in enumerate(map(float, weights.values)))
+
+
+def run_suite(name: str) -> list:
+    """:func:`fracdiff1d.verify.run_suite`, whose module (and with it the
+    diagnostics) loads on the first call, so no other command compiles it.
+    ``run_command`` calls it through this module, where
+    ``perfbench/traced.py`` wraps it."""
+    from . import verify
+
+    return verify.run_suite(name)
 
 
 def run_command(cmd: CliCommand, stdout=None) -> int:

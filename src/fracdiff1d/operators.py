@@ -336,12 +336,13 @@ class _Stencil:
             out = np.convolve(a, self.g, "valid")
         else:
             out = self.convolution.window(a, n, n + 1)
-        # Matrix-vector products, not dot products: OpenBLAS's threaded
-        # dgemv gives each thread whole entries of the product, so their
-        # bits do not depend on the thread count (see _dot).
+        # Matrix-vector products (ndarray.dot, half the call overhead of
+        # @), not vector dot products: OpenBLAS's threaded dgemv gives each
+        # thread whole entries of the product, so their bits do not depend
+        # on the thread count (see _dot).
         if rows:
-            out[1:n] += u[:rows] @ self.head
-        out[::n] = u @ self.edges
+            out[1:n] += u[:rows].dot(self.head)
+        out[::n] = u.dot(self.edges)
         return out
 
     def row_sums(self) -> np.ndarray:

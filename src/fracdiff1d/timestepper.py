@@ -38,6 +38,7 @@ import enum
 import functools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -156,7 +157,8 @@ class InitialCondition:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "InitialCondition":
-        return cls(Profile.FROM_FILE, Path(path))
+        # An empty string names no file: Path("") is the working directory.
+        return cls(Profile.FROM_FILE, Path(path) if path else None)
 
     @classmethod
     def parse(cls, label: str) -> "InitialCondition":
@@ -190,7 +192,10 @@ class InitialCondition:
         text = _read_whole(self.path, 20)
         try:
             lines = (match.group() for match in _LINE.finditer(text))
-            values = np.atleast_1d(np.loadtxt(lines, dtype=float))
+            # A file without values is the size mismatch below, not a warning.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.atleast_1d(np.loadtxt(lines, dtype=float))
         except ValueError as exc:
             raise InvalidSpec(f"{self.path} is not a list of numbers: {exc}") from None
         if values.ndim > 1:

@@ -348,7 +348,7 @@ class TestMain:
             assert main(["weights", "--order", order, "--m", m, "--out", "w.csv"]) == 2
         # The last two overflow beta and the step count t_end / dt.
         for flags in (["--dt", "nan"], ["--t-end", "inf"], ["--snapshots", "0,nan"],
-                      ["--c", "nan"], ["--ic", "bogus"], ["--c", "1e308"],
+                      ["--c", "nan"], ["--ic", "bogus"], ["--ic", "file:"], ["--c", "1e308"],
                       ["--t-end", "1e308", "--dt", "1e-308"]):
             assert main(["solve", "--alpha", "1.5", "--n", "20", *flags,
                          "--out", "x.csv"]) == 2
@@ -631,6 +631,19 @@ class TestMain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.txt"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [None, "", " \n\t\n", "# no values\n#\n"])
+    def test_a_profile_without_values_ends_with_one_error_line(self, tmp_path, capsys, text):
+        # None reads the null device.
+        profile = Path(os.devnull) if text is None else tmp_path / "profile.txt"
+        if text is not None:
+            profile.write_text(text)
+        out = tmp_path / "run.csv"
+        assert main(["solve", "--alpha", "1.5", "--n", "4", "--ic", f"file:{profile}",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {profile} holds 0 values, grid needs 5\n"
+        assert not out.exists()
+
     def test_weights_command_writes_file(self, tmp_path):
         out = tmp_path / "w.csv"
         assert main(["weights", "--order", "0.5", "--m", "3", "--out", str(out)]) == 0
@@ -770,3 +783,34 @@ def test_no_command_loads_scipy(tmp_path):
     codes, loaded = json.loads(result.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
     assert loaded == []
+
+
+def test_a_run_loads_neither_verify_nor_the_diagnostics(tmp_path):
+    # solve and figure never call them, so a launch does not compile them;
+    # verify still runs, and a star import still binds every public name.
+    src = str(Path(fracdiff1d.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = str(tmp_path / "out.csv")
+    runs = [["solve", "--alpha", "1.5", "--n", "16", "--method", method, "--t-end", "0.01",
+             "--out", out] for method in ("explicit", "implicit")]
+    runs.append(["figure", "2", "--n", "16", "--out", out])
+    code = (
+        "import json, sys\n"
+        "from fracdiff1d.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "loaded = [m for m in ('fracdiff1d.verify', 'fracdiff1d.diagnostics')\n"
+        "          if m in sys.modules]\n"
+        "import fracdiff1d\n"
+        "names = {}\n"
+        "exec('from fracdiff1d import *', names)\n"
+        "unbound = [name for name in fracdiff1d.__all__ if name not in names]\n"
+        "codes.append(main(['verify', 'identities']))\n"
+        "print(json.dumps([codes, loaded, unbound]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    codes, loaded, unbound = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0] * 4
+    assert loaded == []
+    assert unbound == []

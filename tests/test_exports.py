@@ -36,6 +36,17 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def test_the_package_exports_its_modules_names():
+    # The diagnostics' names load on first access (fracdiff1d.__getattr__).
+    from fracdiff1d import diagnostics, errors, grunwald, operators, timestepper
+
+    assert fracdiff1d.__all__ == (diagnostics.__all__ + errors.__all__ + grunwald.__all__
+                                  + operators.__all__ + timestepper.__all__)
+    assert fracdiff1d.decay_rate is diagnostics.decay_rate
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fracdiff1d.no_such_name
+
+
 def test_every_public_name_is_used_beyond_the_tests():
     # A use is a name or an attribute in the code of src/ (the package's
     # __init__.py aside), demos/ or perfbench/: a definition, an __all__

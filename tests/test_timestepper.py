@@ -165,6 +165,57 @@ class TestSteps:
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
+def stencil_residual(stencil, beta, u, v):
+    """``u - v M`` for ``M = I - beta B``, in long double from the stencil
+    alone: the sum of ``_Stencil.apply``'s direct branch, ``np.convolve``
+    and the boundary patches, in O(n) memory."""
+    n, rows = stencil.n, len(stencil.head)
+    v = v.astype(np.longdouble)
+    a = np.concatenate((np.zeros(n - 1 + rows, np.longdouble), v[rows:], (0.0,)))
+    vb = np.convolve(a, stencil.g.astype(np.longdouble), "valid")
+    if rows:
+        vb[1:n] += v[:rows] @ stencil.head.astype(np.longdouble)
+    vb[::n] = v @ stencil.edges.astype(np.longdouble)
+    return u - (v - beta * vb)
+
+
+def stencil_norm(stencil, beta) -> float:
+    """``1 + beta ||B||_1`` in O(n) from the stencil: at least ``||M||_1``,
+    the largest column sum of ``|M|``, and equal to it where ``B``'s
+    diagonal is not positive (Riemann-Liouville)."""
+    n, g = stencil.n, np.abs(stencil.g)
+    sums = np.empty(n + 1)
+    # Column 0 < j < n meets g_0 .. g_{j+1}, but in head row i, whose entry
+    # replaces g_{j-i+1}.
+    sums[1:n] = np.cumsum(g)[2:]
+    for i, row in enumerate(stencil.head):
+        sums[1:n] += np.abs(row) - g[2 - i : n + 1 - i]
+    sums[::n] = np.abs(stencil.edges).sum(axis=0)
+    return 1.0 + beta * float(sums.max())
+
+
+class TestStencilResidual:
+    """The dense-free oracle of the large-n gate below, against the dense
+    matrix."""
+
+    @pytest.mark.parametrize("form,left,right", SUPPORTED)
+    def test_residual_and_norm_are_those_of_the_dense_matrix(self, form, left, right):
+        for n in (2, 3, 64):
+            spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+            beta = n**1.5 * 1e-3
+            M = np.eye(n + 1) - beta * build_matrix(spec).entries.astype(np.longdouble)
+            rng = np.random.default_rng(n)
+            u, v = rng.random(n + 1), rng.random(n + 1)
+            norm = stencil_norm(_stencil(spec), beta)
+            dense = u - v.astype(np.longdouble) @ M
+            gap = np.abs(stencil_residual(_stencil(spec), beta, u, v) - dense).max()
+            assert gap <= 1e-18 * norm * np.abs(v).max(), (n, gap)
+            exact = float(np.abs(M).sum(axis=0).max())
+            assert norm >= exact * (1 - 1e-15)
+            if form is RL:
+                assert norm == pytest.approx(exact, rel=1e-15)
+
+
 class TestImplicitSolveOracle:
     """One implicit step of the run path against a dense, partially pivoted
     LU of ``I - beta B^T``.  Only single steps are gated: over many steps
@@ -231,6 +282,26 @@ class TestImplicitSolveOracle:
         backward = np.abs(system @ v - u).max() / (
             np.abs(system).sum(axis=1).max() * np.abs(v).max())
         assert backward <= 1e-15, backward
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than a double here")
+    @pytest.mark.parametrize("dt,tail", [(1e-3, 10454), (0.1, None)])
+    def test_one_step_at_n_16384_is_backward_stable(self, dt, tail):
+        # Figure 2's scheme where no dense matrix fits a test: a tail of
+        # N = 10,454 rows, whose column-n dot sums two chunks (dt = 1e-3),
+        # and no fixed point, so 33 blocks whose couplings reach row n
+        # (dt = 0.1).  Backward errors measured: 1.3e-17 and 3.2e-17.
+        n = 16384
+        spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
+        beta = n**1.5 * dt
+        stencil = _stencil(spec)
+        lu = factor._hessenberg_lu(stencil, beta)
+        assert (lu.tail and lu.tail.p.size) == tail
+        u = np.random.default_rng(n).random(n + 1)
+        v, _ = _Stepper(stencil, beta, Method.IMPLICIT).step(u)
+        backward = float(np.abs(stencil_residual(stencil, beta, u, v)).max()) / (
+            stencil_norm(stencil, beta) * np.abs(v).max())
+        assert backward <= 1e-16, backward
 
     def test_figure_two_run_matches_dense_lu(self):
         # Figure 2's 500 steps at n = 1000, whose factor keeps rows 381 to
@@ -730,6 +801,11 @@ class TestInitialConditions:
         from fracdiff1d.timestepper import Profile
         with pytest.raises(InvalidSpec):
             InitialCondition(Profile.FROM_FILE)
+        # Path("") would name the working directory.
+        with pytest.raises(InvalidSpec, match="needs a path"):
+            InitialCondition.from_file("")
+        with pytest.raises(InvalidSpec, match="needs a path"):
+            InitialCondition.parse("file:")
 
 
 class TestConfigValidation:
