@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import enum
-import itertools
 import json
 import math
 import re
@@ -23,11 +22,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
+from .emit import emit_matrix_csv, emit_timeseries_csv, emit_weights_csv
 from .errors import FracDiffError, UsageError
-from .grunwald import DerivativeForm, GrunwaldWeights, grunwald_weights
+from .grunwald import DerivativeForm, grunwald_weights
 from .operators import (
     BoundaryCondition,
-    IterationMatrix,
     SchemeSpec,
     _read_whole,
     _require_dense_fits,
@@ -38,7 +37,6 @@ from .timestepper import (
     InitialCondition,
     Method,
     SolverConfig,
-    TimeSeries,
     run_simulation,
 )
 
@@ -363,59 +361,6 @@ def _command(args: argparse.Namespace) -> CliCommand:
             "ic": ic, "snapshots": snapshots, "t_end": snapshots[-1],
         })
     raise UsageError(f"unknown command {args.command!r}")
-
-
-def emit_timeseries_csv(series: TimeSeries, path: Path) -> None:
-    """Write long-format ``t,x,u`` rows (snapshot-major) plus a meta sidecar.
-
-    The sidecar ``<path>.meta.json`` carries the run's recipe (its
-    :class:`SolverConfig`), the mass trace, the absorption ledger, and the
-    actual snapshot times.
-    """
-    config, spec = series.config, series.spec
-    x_strs = [f"{j / spec.n:.16e}" for j in range(spec.n + 1)]
-    rows = (f"{t_str},{x},{v:.16e}\n"
-            for t_str, snap in zip(map("{:.16e}".format, series.times), series.snapshots)
-            for x, v in zip(x_strs, snap.values.tolist()))
-    with Path(path).open("w") as out:
-        out.write("t,x,u\n")
-        # 1024 rows per write, a snapshot's worth at n = 1000: as fast as
-        # whole snapshots, while the text in memory stays a constant
-        # (the fixed allowance of the memory checks in operators).
-        while chunk := "".join(itertools.islice(rows, 1024)):
-            out.write(chunk)
-    meta = {
-        "alpha": spec.alpha,
-        "c": spec.c,
-        "n": spec.n,
-        "deriv": spec.form.value,
-        "left": spec.left.value,
-        "right": spec.right.value,
-        "dt": config.dt,
-        "t_end": config.t_end,
-        "ic": config.initial.label(),
-        "method": config.method.value,
-        "mass_trace": list(series.mass_trace),
-        "absorbed_cumulative": list(series.absorbed_cumulative),
-        "requested_snapshot_times": list(config.snapshot_times),
-        "actual_snapshot_times": list(series.times),
-    }
-    Path(f"{path}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-
-
-def emit_matrix_csv(matrix: IterationMatrix, path: Path) -> None:
-    """One matrix row per line, full-precision scientific notation, written
-    one row at a time."""
-    with Path(path).open("w") as out:
-        out.writelines(",".join(f"{v:.16e}" for v in row.tolist()) + "\n"
-                       for row in matrix.entries)
-
-
-def emit_weights_csv(weights: GrunwaldWeights, path: Path) -> None:
-    """``i,g`` rows for the weight prefix, written one row at a time."""
-    with Path(path).open("w") as out:
-        out.write("i,g\n")
-        out.writelines(f"{i},{v:.16e}\n" for i, v in enumerate(map(float, weights.values)))
 
 
 def run_suite(name: str) -> list:

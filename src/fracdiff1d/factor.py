@@ -79,8 +79,9 @@ def _require_implicit_fits(n: int, states: int) -> None:
     at n = 512 to 5121 (12.6-15.6 at n = 300 and 400; factoring, 9.4-11.2),
     the most at n = 512 and 513, where a last block of one or two rows keeps
     the coupling; the transforms take 3.5 (n+1) at n = 4097.
-    The emit comes after the factor and these are freed: the ``x`` column's
-    text and one state's values as Python objects take under 14 (n+1).
+    The emit comes after the factor and these are freed: its templates,
+    which hold the ``x`` column's text, take under 5 (n+1), and the block
+    in flight is part of the fixed allowance.
     The stencil brings no FFT transform: only explicit steps compute one.
     The factor is counted as if the elimination had no fixed point ``K``
     (see :func:`_hessenberg_lu`), which allocates the block that holds

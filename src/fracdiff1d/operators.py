@@ -82,11 +82,14 @@ _MEMORY_BYTES = _physical_memory()
 
 
 # Floats that every run and command holds beside the arrays its check
-# counts: the CSV chunk in flight (1024 rows, under 32 floats a row for the
-# row strings, the joined chunk, its encoded bytes and the file's buffers;
-# see cli.emit_timeseries_csv), numpy's ufunc buffer (8192 floats) and what
-# the argument parse leaves.  Sized from traced peaks of the commands.
-_OVERHEAD_FLOATS = 2**15 + 2**13
+# counts: what the argument parse leaves, plus either numpy's ufunc buffer
+# (8192 floats, taken by an operation that casts, as the weights'
+# recursion divides integers) or one CSV block in flight (at most 256
+# rows, their values and text under 56 KiB; see emit._CsvWriter).  Sized
+# from traced peaks of the commands: they exceed their counted arrays by
+# up to 8.6 thousand floats, the most with the buffer, and twice the peak
+# of an explicit run at n = 512 admits it only below 9.6 thousand.
+_OVERHEAD_FLOATS = 2**13 + 2**10
 
 # Floats each recorded state costs beside its n + 1 values: its time, mass
 # and ledger entries as Python floats in tuples, its GridFunction and array
@@ -146,9 +149,9 @@ def _require_explicit_fits(n: int, states: int) -> None:
     (``_SNAPSHOT_FLOATS`` each), the stencil with its patches and one
     step's work arrays (under 12 (n+1)), and the transform of ``g`` plus
     one step's transform and product (three periods of the window of
-    :meth:`_Stencil.apply`).  The emit reuses
-    the last two: the ``x`` column's text and one state's values as Python
-    objects take under 14 (n+1)."""
+    :meth:`_Stencil.apply`).  The emit reuses the last two: its templates,
+    which hold the ``x`` column's text, take under 5 (n+1), and the block
+    in flight is part of the fixed allowance."""
     _require_fits(f"n={n}", 12 * (n + 1) + states * (n + 1 + _SNAPSHOT_FLOATS)
                   + 3 * _period(2 * n + 1), f"an explicit run recording {states} states")
 
@@ -310,9 +313,15 @@ class _Stencil:
     """
 
     def __init__(self, g: np.ndarray, head: np.ndarray, edges: np.ndarray) -> None:
-        self.n = n = len(g) - 1
+        self.n = len(g) - 1
         self.g, self.head, self.edges = g, head, edges
-        self.pad = np.zeros(n - 1 + len(head))
+
+    @functools.cached_property
+    def _padded(self) -> np.ndarray:
+        """:meth:`apply`'s work array ``(0 * (n - 1 + rows), u[rows:], 0)``,
+        whose zeros it keeps and whose ``u`` it writes each step (implicit
+        runs never allocate it)."""
+        return np.zeros(2 * self.n + 1)
 
     @functools.cached_property
     def convolution(self) -> _Convolution:
@@ -331,7 +340,8 @@ class _Stencil:
         # dropping) the head rows keeps one sum order for all cases, so
         # schemes that differ only in rows without mass step bit for bit
         # alike.
-        a = np.concatenate((self.pad, u[rows:], (0.0,)))
+        a = self._padded
+        a[n - 1 + rows : 2 * n] = u[rows:]
         if n < _FFT_MIN_N:
             out = np.convolve(a, self.g, "valid")
         else:

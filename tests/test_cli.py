@@ -42,6 +42,9 @@ from fracdiff1d.cli import (
     main,
     parse_args,
 )
+from fracdiff1d.emit import _CsvWriter
+from fracdiff1d.grunwald import GrunwaldWeights
+from fracdiff1d.operators import IterationMatrix
 
 FIGURE2_ARGV = [
     "solve", "--alpha", "1.5", "--c", "1", "--n", "1000", "--deriv", "rl",
@@ -325,6 +328,81 @@ class TestEmission:
         assert lines[0] == "i,g"
         parsed = [float(line.split(",")[1]) for line in lines[1:]]
         assert parsed == [1.0, -1.5, 0.375]
+
+
+# The per-row f-string formatting that the CSV writer replaced, kept as the
+# reference for its bytes.
+def f_string_timeseries(series) -> bytes:
+    n = series.spec.n
+    rows = ["t,x,u\n"]
+    for t, snap in zip(series.times, series.snapshots):
+        rows += (f"{t:.16e},{j / n:.16e},{v:.16e}\n"
+                 for j, v in enumerate(snap.values.tolist()))
+    return "".join(rows).encode()
+
+
+def f_string_matrix(matrix) -> bytes:
+    return "".join(",".join(f"{v:.16e}" for v in row.tolist()) + "\n"
+                   for row in matrix.entries).encode()
+
+
+def f_string_weights(weights) -> bytes:
+    return ("i,g\n" + "".join(f"{i},{v:.16e}\n"
+                              for i, v in enumerate(map(float, weights.values)))).encode()
+
+
+# Negative values, both zeros, subnormals, and three-digit exponents at
+# both ends of the range.
+EDGE_VALUES = (-1.5, 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+               1e100, -3.7e250, 1.7976931348623157e308, 1e-100, -4.2e-300, 1 / 3)
+
+
+def edge_values(size: int, seed: int) -> np.ndarray:
+    """``size`` values of every sign and exponent, ``EDGE_VALUES`` first
+    and, reversed, last."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-320, 300, size)
+    k = min(size, len(EDGE_VALUES))
+    values[:k] = EDGE_VALUES[:k]
+    values[size - k :] = EDGE_VALUES[::-1][:k]
+    return values
+
+
+# Row counts below, at and above one and two blocks of the writer.
+BLOCK_EDGES = [_CsvWriter.ROWS - 1, _CsvWriter.ROWS, _CsvWriter.ROWS + 1,
+               2 * _CsvWriter.ROWS]
+
+
+class TestCsvWriter:
+    """Every CSV of the package is byte for byte its per-row f-string text."""
+
+    @pytest.mark.parametrize("nodes", [3, *BLOCK_EDGES])
+    def test_timeseries(self, tmp_path, nodes):
+        n = nodes - 1
+        spec = SchemeSpec(DerivativeForm.RIEMANN_LIOUVILLE, BoundaryCondition.ABSORBING,
+                          BoundaryCondition.ABSORBING, 1.5, 1.0, n)
+        times = (0.0, 1e-300, 0.05)
+        series = TimeSeries(
+            config=recipe(spec, times), times=times,
+            snapshots=tuple(GridFunction(n, edge_values(nodes, k)) for k in range(3)),
+            mass_trace=(1.0,) * 3, absorbed_cumulative=(0.0,) * 3)
+        out = tmp_path / "run.csv"
+        emit_timeseries_csv(series, out)
+        assert out.read_bytes() == f_string_timeseries(series)
+
+    @pytest.mark.parametrize("rows", [3, *BLOCK_EDGES[:3]])
+    def test_matrix(self, tmp_path, rows):
+        matrix = IterationMatrix(rows - 1, edge_values(rows * rows, rows).reshape(rows, rows))
+        out = tmp_path / "b.csv"
+        emit_matrix_csv(matrix, out)
+        assert out.read_bytes() == f_string_matrix(matrix)
+
+    @pytest.mark.parametrize("rows", [1, *BLOCK_EDGES, 3 * _CsvWriter.ROWS + 5])
+    def test_weights(self, tmp_path, rows):
+        weights = GrunwaldWeights(1.5, edge_values(rows, rows))
+        out = tmp_path / "w.csv"
+        emit_weights_csv(weights, out)
+        assert out.read_bytes() == f_string_weights(weights)
 
 
 def traced_peak(call) -> int:
