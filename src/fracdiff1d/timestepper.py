@@ -67,8 +67,6 @@ __all__ = [
     "Method",
     "SolverConfig",
     "TimeSeries",
-    "explicit_step",
-    "implicit_step",
     "run_simulation",
     "sine_bump_profile",
     "stability_limit",
@@ -409,7 +407,8 @@ class _Dense:
 
 
 def explicit_step(u: GridFunction, matrix: IterationMatrix, beta: float) -> GridFunction:
-    """One explicit Euler update ``u + beta * (u B)``."""
+    """One explicit Euler update ``u + beta * (u B)``.  Not exported:
+    ``perfbench/traced.py`` times it."""
     return GridFunction(u.n, _Stepper(_Dense(matrix), beta, Method.EXPLICIT).step(u.values)[0])
 
 
@@ -417,7 +416,7 @@ def implicit_step(u: GridFunction, matrix: IterationMatrix, beta: float) -> Grid
     """One implicit Euler update, solving ``(I - beta B^T) v = u``.
 
     Factors the system on every call; :func:`run_simulation` factors once
-    per run instead.
+    per run instead.  Not exported: ``perfbench/traced.py`` times it.
     """
     return GridFunction(u.n, _Stepper(_Dense(matrix), beta, Method.IMPLICIT).step(u.values)[0])
 
@@ -439,9 +438,9 @@ def _steps(config: SolverConfig) -> Iterator[tuple[int, np.ndarray, float]]:
     in the initial data, the only place mass can reach them; their zero
     columns of ``B`` keep them at zero.  A step whose increment is not
     finite raises :class:`StabilityViolation` (see :meth:`_Stepper.step`);
-    a consumer checks the states it reads with :func:`_mass`.  The stream
-    runs with numpy's overflow and invalid-value warnings off, and so does
-    its consumer between steps: the checks report a blown-up state.
+    a consumer checks the states it reads with :func:`_mass`.  It holds no
+    numpy error state across a yield, so streams may be read interleaved:
+    what drives one turns overflow and invalid warnings off around it.
     """
     spec = config.spec
     n = spec.n
@@ -452,13 +451,11 @@ def _steps(config: SolverConfig) -> Iterator[tuple[int, np.ndarray, float]]:
     u[absorbing] = 0.0
     stepper = _Stepper(_stencil(spec), config.beta, config.method)
     absorbed = 0.0
-    # Overflow is reported by the non-finite checks, not by numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        yield 0, u, absorbed
-        for k in range(1, config.steps + 1):
-            u, increment = stepper.step(u)
-            absorbed += increment
-            yield k, u, absorbed
+    yield 0, u, absorbed
+    for k in range(1, config.steps + 1):
+        u, increment = stepper.step(u)
+        absorbed += increment
+        yield k, u, absorbed
 
 
 def _mass(u: np.ndarray, h: float, step: int) -> float:
@@ -491,13 +488,15 @@ def run_simulation(config: SolverConfig) -> TimeSeries:
     absorbed_trace: list[float] = []
     next_snap = 0
 
-    for k, u, absorbed in _steps(config):
-        while next_snap < len(snap_steps) and snap_steps[next_snap] == k:
-            mass_trace.append(_mass(u, h, k))
-            times.append(k * dt)
-            snapshots.append(GridFunction(n, u))
-            absorbed_trace.append(absorbed)
-            next_snap += 1
+    # Overflow is reported by the non-finite checks, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, u, absorbed in _steps(config):
+            while next_snap < len(snap_steps) and snap_steps[next_snap] == k:
+                mass_trace.append(_mass(u, h, k))
+                times.append(k * dt)
+                snapshots.append(GridFunction(n, u))
+                absorbed_trace.append(absorbed)
+                next_snap += 1
 
     return TimeSeries(
         config=config,

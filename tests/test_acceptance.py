@@ -15,8 +15,6 @@ import numpy as np
 import pytest
 
 from fracdiff1d import (
-    BoundaryCondition,
-    DerivativeForm,
     GridFunction,
     InitialCondition,
     Method,
@@ -29,10 +27,7 @@ from fracdiff1d import (
 )
 from fracdiff1d.cli import main
 from fracdiff1d.verify import _ACCEPTANCE, SUITE_NAMES, run_suite
-
-RL = DerivativeForm.RIEMANN_LIOUVILLE
-A = BoundaryCondition.ABSORBING
-R = BoundaryCondition.REFLECTING
+from support import RL, A, R
 
 
 def _report(label: str, passed: bool, detail: str) -> None:

@@ -16,40 +16,23 @@ from pathlib import Path
 
 import numpy as np
 
-import fracdiff1d
 from fracdiff1d.operators import _DOT_CHUNK, _dot
+from support import SRC, scopes, scopes_in_src
 
-SRC = Path(fracdiff1d.__file__).parent
 # Names that reach BLAS's dot or matrix products, beside the @ operator.
 PRODUCT_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
 
 
-def product_scopes(path: Path) -> set[str]:
-    """The enclosing classes and functions, joined by dots, of each ``@``
-    and each use of one of ``PRODUCT_NAMES`` in ``path``, ``"<module>"``
-    at the top level."""
-    found = set()
-
-    def visit(node: ast.AST, scope: str) -> None:
-        if (isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.MatMult)
-                or isinstance(node, ast.Attribute) and node.attr in PRODUCT_NAMES
-                or isinstance(node, ast.Name) and node.id in PRODUCT_NAMES
-                or isinstance(node, ast.alias) and node.name in PRODUCT_NAMES):
-            found.add(scope)
-        for child in ast.iter_child_nodes(node):
-            inner = scope
-            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
-                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
-            visit(child, inner)
-
-    visit(ast.parse(path.read_text()), "<module>")
-    return found
+def is_product(node: ast.AST) -> bool:
+    """An ``@``, or a use of one of ``PRODUCT_NAMES``."""
+    return (isinstance(node, ast.BinOp | ast.AugAssign) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in PRODUCT_NAMES
+            or isinstance(node, ast.Name) and node.id in PRODUCT_NAMES
+            or isinstance(node, ast.alias) and node.name in PRODUCT_NAMES)
 
 
 def test_vector_products_go_through_the_chunked_dot():
-    uses = {(path.name, scope)
-            for path in SRC.glob("*.py") for scope in product_scopes(path)}
-    assert uses == {
+    assert scopes_in_src(is_product) == {
         ("operators.py", "_dot"),
         # Matrix-vector products (see the module docstring).
         ("operators.py", "_Stencil.apply"),
@@ -59,15 +42,14 @@ def test_vector_products_go_through_the_chunked_dot():
     }
 
 
-def test_the_guard_sees_every_form_of_product(tmp_path):
-    source = tmp_path / "sample.py"
-    source.write_text("def f(x, y):\n    return x @ y\n"
-                      "class C:\n    def g(self, x):\n        x @= x\n"
-                      "    def h(self, x):\n        return np.dot(x, x)\n"
-                      "from numpy import inner\n"
-                      "def k(x):\n    return x.dot(x) + np.einsum('i,i', x, x)\n"
-                      "def clean(x):\n    return x * x\n")
-    assert product_scopes(source) == {"f", "C.g", "C.h", "<module>", "k"}
+def test_the_guard_sees_every_form_of_product():
+    source = ("def f(x, y):\n    return x @ y\n"
+              "class C:\n    def g(self, x):\n        x @= x\n"
+              "    def h(self, x):\n        return np.dot(x, x)\n"
+              "from numpy import inner\n"
+              "def k(x):\n    return x.dot(x) + np.einsum('i,i', x, x)\n"
+              "def clean(x):\n    return x * x\n")
+    assert scopes(source, is_product) == {"f", "C.g", "C.h", "<module>", "k"}
 
 
 def test_the_chunked_dot_adds_its_chunks_in_order():
@@ -103,7 +85,7 @@ for name, argv in runs.items():
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    src = str(SRC.parent)
+    src = str(SRC)
     processes = []
     for threads in (1, 2):
         out = tmp_path / str(threads)

@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 import fracdiff1d
 from fracdiff1d import factor, operators
 from fracdiff1d import (
-    BoundaryCondition,
-    DerivativeForm,
     GridFunction,
     InitialCondition,
     Method,
@@ -45,6 +43,7 @@ from fracdiff1d.cli import (
 from fracdiff1d.emit import _CsvWriter
 from fracdiff1d.grunwald import GrunwaldWeights
 from fracdiff1d.operators import IterationMatrix
+from support import PS, RL, A, R, traced_peak
 
 FIGURE2_ARGV = [
     "solve", "--alpha", "1.5", "--c", "1", "--n", "1000", "--deriv", "rl",
@@ -83,9 +82,9 @@ class TestParse:
         cmd = parse_args(FIGURE2_ARGV)
         assert isinstance(cmd, SolveCommand)
         config = cmd.config
-        assert config.spec.form is DerivativeForm.RIEMANN_LIOUVILLE
-        assert config.spec.left is BoundaryCondition.REFLECTING
-        assert config.spec.right is BoundaryCondition.REFLECTING
+        assert config.spec.form is RL
+        assert config.spec.left is R
+        assert config.spec.right is R
         assert config.spec.alpha == 1.5
         assert config.spec.c == 1.0
         assert config.spec.n == 1000
@@ -179,7 +178,7 @@ class TestParse:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(config))
         cmd = parse_args(["solve", "--config", str(path)])
-        assert cmd.config.spec.form is DerivativeForm.PATIE_SIMON
+        assert cmd.config.spec.form is PS
         assert cmd.config.spec.n == 64
         overridden = parse_args(["solve", "--config", str(path), "--n", "32"])
         assert overridden.config.spec.n == 32
@@ -252,9 +251,7 @@ def recipe(spec, times):
 
 class TestEmission:
     def zero_series(self):
-        spec = SchemeSpec(DerivativeForm.RIEMANN_LIOUVILLE,
-                          BoundaryCondition.ABSORBING, BoundaryCondition.ABSORBING,
-                          1.5, 1.0, 2)
+        spec = SchemeSpec(RL, A, A, 1.5, 1.0, 2)
         snap = GridFunction(2, np.zeros(3))
         return TimeSeries(config=recipe(spec, (0.0,)), times=(0.0,),
                           snapshots=(snap,), mass_trace=(0.0,),
@@ -280,9 +277,7 @@ class TestEmission:
         assert (meta["dt"], meta["ic"], meta["method"]) == (1e-3, "tent", "implicit")
 
     def test_roundtrip_is_bit_exact(self, tmp_path):
-        spec = SchemeSpec(DerivativeForm.RIEMANN_LIOUVILLE,
-                          BoundaryCondition.REFLECTING, BoundaryCondition.REFLECTING,
-                          1.5, 1.0, 64)
+        spec = SchemeSpec(RL, R, R, 1.5, 1.0, 64)
         config = SolverConfig(spec=spec, dt=1e-3, t_end=0.02, method=Method.IMPLICIT,
                               snapshot_times=(0.0, 0.01, 0.02),
                               initial=InitialCondition.tent())
@@ -299,8 +294,7 @@ class TestEmission:
 
     def test_emit_memory_does_not_grow_with_snapshots(self, tmp_path):
         n = 2000
-        spec = SchemeSpec(DerivativeForm.RIEMANN_LIOUVILLE, BoundaryCondition.REFLECTING,
-                          BoundaryCondition.REFLECTING, 1.5, 1.0, n)
+        spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
         snap = GridFunction(n, np.random.default_rng(0).random(n + 1))
 
         def emit_peak(count):
@@ -313,8 +307,7 @@ class TestEmission:
         assert emit_peak(50) <= 2 * emit_peak(2)
 
     def test_matrix_csv_roundtrip(self, tmp_path):
-        spec = SchemeSpec(DerivativeForm.PATIE_SIMON, BoundaryCondition.REFLECTING,
-                          BoundaryCondition.REFLECTING, 1.5, 1.0, 8)
+        spec = SchemeSpec(PS, R, R, 1.5, 1.0, 8)
         matrix = build_matrix(spec)
         out = tmp_path / "b.csv"
         emit_matrix_csv(matrix, out)
@@ -379,8 +372,7 @@ class TestCsvWriter:
     @pytest.mark.parametrize("nodes", [3, *BLOCK_EDGES])
     def test_timeseries(self, tmp_path, nodes):
         n = nodes - 1
-        spec = SchemeSpec(DerivativeForm.RIEMANN_LIOUVILLE, BoundaryCondition.ABSORBING,
-                          BoundaryCondition.ABSORBING, 1.5, 1.0, n)
+        spec = SchemeSpec(RL, A, A, 1.5, 1.0, n)
         times = (0.0, 1e-300, 0.05)
         series = TimeSeries(
             config=recipe(spec, times), times=times,
@@ -403,16 +395,6 @@ class TestCsvWriter:
         out = tmp_path / "w.csv"
         emit_weights_csv(weights, out)
         assert out.read_bytes() == f_string_weights(weights)
-
-
-def traced_peak(call) -> int:
-    """Peak bytes traced while ``call`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestMain:

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from fracdiff1d import (
-    BoundaryCondition,
     DegenerateInput,
-    DerivativeForm,
     DimensionMismatch,
     EmptySeries,
     GridFunction,
@@ -27,12 +25,7 @@ from fracdiff1d import (
     steady_state_reference,
     tent_profile,
 )
-
-RL = DerivativeForm.RIEMANN_LIOUVILLE
-PS = DerivativeForm.PATIE_SIMON
-CAP = DerivativeForm.CAPUTO
-A = BoundaryCondition.ABSORBING
-R = BoundaryCondition.REFLECTING
+from support import CAP, PS, RL, A, R
 
 
 def series_from_values(spec, times, value_arrays):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracdiff1d import (
-    DerivativeForm,
     DimensionMismatch,
     GridFunction,
     GrunwaldWeights,
@@ -25,6 +24,7 @@ from fracdiff1d import (
     weight_sum_gap,
     weight_tail_gap,
 )
+from support import CAP, PS, RL
 
 ALPHAS = (1.2, 1.5, 1.8)
 
@@ -232,7 +232,7 @@ class TestCaputo:
 class TestFluxProfile:
     def test_zero_concentration_has_zero_flux(self):
         u = GridFunction(32, np.zeros(33))
-        for form in (DerivativeForm.RIEMANN_LIOUVILLE, DerivativeForm.PATIE_SIMON):
+        for form in (RL, PS):
             q = flux_profile(u, 1.5, 1.0, form)
             assert np.all(q.values == 0.0)
 
@@ -241,8 +241,7 @@ class TestFluxProfile:
         alpha = 1.5
         rel_errs = []
         for n in (256, 512):
-            q = flux_profile(GridFunction(n, np.ones(n + 1)), alpha, 1.0,
-                             DerivativeForm.RIEMANN_LIOUVILLE)
+            q = flux_profile(GridFunction(n, np.ones(n + 1)), alpha, 1.0, RL)
             x = np.arange(1, n + 1) / n
             ref = -(x ** (1.0 - alpha)) / math.gamma(2.0 - alpha)
             rel = np.abs((q.values[1:] - ref) / ref)[n // 8 :]
@@ -252,8 +251,7 @@ class TestFluxProfile:
 
     def test_constant_concentration_ps_flux_vanishes_exactly(self):
         # The Caputo-flux correction cancels the cumulative weight sums.
-        q = flux_profile(GridFunction(200, np.ones(201)), 1.5, 2.0,
-                         DerivativeForm.PATIE_SIMON)
+        q = flux_profile(GridFunction(200, np.ones(201)), 1.5, 2.0, PS)
         assert float(np.abs(q.values).max()) < 1e-11
 
     def test_sampled_steady_state_flux_improves(self):
@@ -264,21 +262,18 @@ class TestFluxProfile:
             x = np.arange(n + 1) / n
             u = np.zeros(n + 1)
             u[1:] = 0.5 * x[1:] ** -0.5
-            q = flux_profile(GridFunction(n, u), 1.5, 1.0,
-                             DerivativeForm.RIEMANN_LIOUVILLE)
+            q = flux_profile(GridFunction(n, u), 1.5, 1.0, RL)
             maxima.append(float(np.abs(q.values[n // 8 :]).max()))
         assert maxima[1] < maxima[0]
         assert maxima[2] < maxima[1]
 
     def test_caputo_form_has_no_flux(self):
         with pytest.raises(UnsupportedForm):
-            flux_profile(GridFunction(8, np.zeros(9)), 1.5, 1.0,
-                         DerivativeForm.CAPUTO)
+            flux_profile(GridFunction(8, np.zeros(9)), 1.5, 1.0, CAP)
 
     def test_rejects_nonpositive_diffusivity(self):
         with pytest.raises(InvalidSpec):
-            flux_profile(GridFunction(8, np.zeros(9)), 1.5, 0.0,
-                         DerivativeForm.RIEMANN_LIOUVILLE)
+            flux_profile(GridFunction(8, np.zeros(9)), 1.5, 0.0, RL)
 
 
 class TestValueArrays:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from fracdiff1d import (
-    BoundaryCondition,
-    DerivativeForm,
     GridFunction,
     InitialCondition,
     InvalidSpec,
@@ -21,17 +19,10 @@ from fracdiff1d import (
 )
 from fracdiff1d import operators, verify
 from fracdiff1d.operators import _stencil
-
-RL = DerivativeForm.RIEMANN_LIOUVILLE
-PS = DerivativeForm.PATIE_SIMON
-CAP = DerivativeForm.CAPUTO
-A = BoundaryCondition.ABSORBING
-R = BoundaryCondition.REFLECTING
+from support import CAP, PS, RL, SUPPORTED, A, R
 
 ALPHAS = (1.2, 1.5, 1.8)
 SIZES = (2, 8, 64)
-SUPPORTED = [(form, left, right) for form in (RL, PS)
-             for left in (A, R) for right in (A, R)] + [(CAP, A, A)]
 
 
 def spec(form, left, right, alpha=1.5, n=2, c=1.0):

@@ -3,15 +3,12 @@ import ctypes
 import dataclasses
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from fracdiff1d import (
-    BoundaryCondition,
-    DerivativeForm,
     DimensionMismatch,
     GridFunction,
     InitialCondition,
@@ -23,26 +20,30 @@ from fracdiff1d import (
     SolverConfig,
     StabilityViolation,
     build_matrix,
-    explicit_step,
-    implicit_step,
     run_simulation,
-    sine_bump_profile,
     stability_limit,
     tent_profile,
 )
 from fracdiff1d import factor, operators, timestepper
 from fracdiff1d.cli import emit_timeseries_csv, main
 from fracdiff1d.operators import _FFT_MIN_N, _stencil
-from fracdiff1d.timestepper import _Stepper
+from fracdiff1d.timestepper import _Stepper, explicit_step, implicit_step
 from fracdiff1d.verify import run_suite
-
-RL = DerivativeForm.RIEMANN_LIOUVILLE
-PS = DerivativeForm.PATIE_SIMON
-CAP = DerivativeForm.CAPUTO
-A = BoundaryCondition.ABSORBING
-R = BoundaryCondition.REFLECTING
-SUPPORTED = [(form, left, right) for form in (RL, PS)
-             for left in (A, R) for right in (A, R)] + [(CAP, A, A)]
+from support import (
+    CAP,
+    LONG_DOUBLE_IS_WIDER,
+    PS,
+    RL,
+    SUPPORTED,
+    A,
+    R,
+    compensated_residual,
+    dense_backward_error,
+    long_double_residual,
+    stencil_norm,
+    stencil_residual,
+    traced_peak,
+)
 
 
 def make_config(form=RL, left=R, right=R, alpha=1.5, c=1.0, n=64, dt=None,
@@ -165,109 +166,6 @@ class TestSteps:
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
-def long_double_residual(stencil, beta, u, v):
-    """``u - v M`` for ``M = I - beta B``, in long double from the stencil
-    alone: the sum of ``_Stencil.apply``'s direct branch, ``np.convolve``
-    and the boundary patches, in O(n) memory."""
-    n, rows = stencil.n, len(stencil.head)
-    v = v.astype(np.longdouble)
-    a = np.concatenate((np.zeros(n - 1 + rows, np.longdouble), v[rows:], (0.0,)))
-    vb = np.convolve(a, stencil.g.astype(np.longdouble), "valid")
-    if rows:
-        vb[1:n] += v[:rows] @ stencil.head.astype(np.longdouble)
-    vb[::n] = v @ stencil.edges.astype(np.longdouble)
-    return u - (v - beta * vb)
-
-
-# Error-free transformations of double-precision arithmetic, elementwise on
-# arrays or floats (T. Ogita, S. M. Rump & S. Oishi, "Accurate sum and dot
-# product", SIAM J. Sci. Comput. 26, 2005).
-def two_sum(a, b):
-    """``(s, e)``: ``s = fl(a + b)`` and ``a + b = s + e`` exactly (Knuth)."""
-    s = a + b
-    z = s - a
-    return s, (a - (s - z)) + (b - z)
-
-
-def split(a):
-    """``(hi, lo)``: ``a = hi + lo`` exactly, halves of 26 bits (Dekker)."""
-    c = 134217729.0 * a  # 2**27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def two_product(a, b, a_split=None):
-    """``(p, e)``: ``p = fl(a b)`` and ``a b = p + e`` exactly (Dekker),
-    with ``a``'s halves from ``a_split`` when given."""
-    p = a * b
-    (ah, al), (bh, bl) = a_split or split(a), split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def dot2(x, y) -> tuple[float, float]:
-    """``x @ y`` as if summed in twice the working precision: an unevaluated
-    pair ``(s, c)`` (Algorithm Dot2)."""
-    products, errors = two_product(x, y)
-    s, c = 0.0, float(errors.sum())
-    for p in products.tolist():
-        s, q = two_sum(s, p)
-        c += q
-    return s, c
-
-
-def compensated_residual(stencil, beta, u, v):
-    """:func:`long_double_residual` in double precision: every entry of
-    ``v B`` a compensated dot product, kept as a pair ``(s, c)``, and ``u - v
-    + beta (s + c)`` formed by the same transformations.  Each interior
-    column sums ``g`` one lag at a time, vectorized over the columns, so
-    O(n) memory and O(n^2) time: about 1 s at n = 16384."""
-    n, rows, g = stencil.n, len(stencil.head), stencil.g
-    s, c = np.zeros(n + 1), np.zeros(n + 1)
-
-    def accumulate(first, x, y, x_split=None):
-        # Add the products x y into entries first, first + 1, ...
-        p, e = two_product(x, y, x_split)
-        window = slice(first, first + p.size)
-        s[window], q = two_sum(s[window], p)
-        c[window] += q + e
-
-    # Interior column 0 < j < n meets lag d = j - i + 1 of row i >= rows.
-    halves = split(v)
-    for d in range(n + 1):
-        start, stop = max(rows, 2 - d), min(n, n - d) + 1
-        if start < stop:
-            accumulate(start + d - 1, v[start:stop], g[d],
-                       (halves[0][start:stop], halves[1][start:stop]))
-    for i, head in enumerate(stencil.head):
-        accumulate(1, head, v[i])
-    for j, column in ((0, stencil.edges[:, 0]), (n, stencil.edges[:, 1])):
-        s[j], c[j] = dot2(v, column)
-    difference, e1 = two_sum(u, -v)
-    product, e2 = two_product(s, beta)
-    residual, e3 = two_sum(difference, product)
-    return residual + (e3 + e1 + e2 + beta * c)
-
-
-# Where long double is no wider than a double, the compensated residual.
-LONG_DOUBLE_IS_WIDER = np.finfo(np.longdouble).eps < np.finfo(float).eps
-stencil_residual = long_double_residual if LONG_DOUBLE_IS_WIDER else compensated_residual
-
-
-def stencil_norm(stencil, beta) -> float:
-    """``1 + beta ||B||_1`` in O(n) from the stencil: at least ``||M||_1``,
-    the largest column sum of ``|M|``, and equal to it where ``B``'s
-    diagonal is not positive (Riemann-Liouville)."""
-    n, g = stencil.n, np.abs(stencil.g)
-    sums = np.empty(n + 1)
-    # Column 0 < j < n meets g_0 .. g_{j+1}, but in head row i, whose entry
-    # replaces g_{j-i+1}.
-    sums[1:n] = np.cumsum(g)[2:]
-    for i, row in enumerate(stencil.head):
-        sums[1:n] += np.abs(row) - g[2 - i : n + 1 - i]
-    sums[::n] = np.abs(stencil.edges).sum(axis=0)
-    return 1.0 + beta * float(sums.max())
-
-
 class TestStencilResidual:
     """The dense-free oracle of the large-n gate below, against the dense
     matrix."""
@@ -332,8 +230,7 @@ class TestImplicitSolveOracle:
             u = np.random.default_rng(n).random(n + 1)
             v, _ = _Stepper(_stencil(spec), beta, Method.IMPLICIT).step(u)
             system = np.eye(n + 1) - beta * build_matrix(spec).entries.T
-            backward = np.abs(system @ v - u).max() / (
-                np.abs(system).sum(axis=1).max() * np.abs(v).max())
+            backward = dense_backward_error(system, u, v)
             assert backward <= 1e-15, (n, backward)
             if n < 2048:
                 expected = lu_solve(lu_factor(system), u)
@@ -354,8 +251,7 @@ class TestImplicitSolveOracle:
             v, _ = stepper.step(u)
             system = -beta * build_matrix(spec).entries.T
             system.flat[:: n + 2] += 1.0
-            backward = np.abs(system @ v - u).max() / (
-                np.abs(system).sum(axis=1).max() * np.abs(v).max())
+            backward = dense_backward_error(system, u, v)
             assert backward <= 1e-15, (n, backward)
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
@@ -373,8 +269,7 @@ class TestImplicitSolveOracle:
         v, _ = _Stepper(_stencil(spec), beta, Method.IMPLICIT).step(u)
         system = -beta * build_matrix(spec).entries.T
         system.flat[:: n + 2] += 1.0
-        backward = np.abs(system @ v - u).max() / (
-            np.abs(system).sum(axis=1).max() * np.abs(v).max())
+        backward = dense_backward_error(system, u, v)
         assert backward <= 1e-15, backward
 
     @pytest.mark.parametrize("dt,tail", [(1e-3, 10454), (0.1, None)])
@@ -1054,16 +949,6 @@ class TestRunSimulation:
             runs.append(run_simulation(config))
         for a, b in zip(runs[0].snapshots, runs[1].snapshots):
             assert np.array_equal(a.values, b.values)
-
-
-def traced_peak(call) -> int:
-    """Peak bytes traced while ``call`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestRunMemory:
