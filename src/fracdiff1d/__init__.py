@@ -5,34 +5,32 @@ derivatives, iteration matrices for absorbing/reflecting boundary
 conditions, explicit/implicit Euler stepping with a mass ledger, and
 diagnostics for conservation, positivity, steady states, flux, and decay.
 
-The diagnostics load on first use of one of their names: a run never calls
-them, so ``import fracdiff1d`` and the CLI's ``solve`` do not compile them.
+Every name loads on first use (PEP 562), so ``import fracdiff1d`` loads no
+numpy and the command line's module can choose how numpy's BLAS starts.
 """
 
-from .errors import *
-from .grunwald import *
-from .operators import *
-from .timestepper import *
+import importlib
 
 __version__ = "0.1.0"
 
-# diagnostics.__all__, which tests/test_exports.py holds equal to this list.
-_DIAGNOSTICS = ["NegativityResult", "SteadyStateKind", "SteadyStateReference",
-                "boundary_flux_check", "decay_rate", "l1_distance_interior",
-                "negativity_scan", "steady_state_reference"]
-
-__all__ = (_DIAGNOSTICS + errors.__all__ + grunwald.__all__
-           + operators.__all__ + timestepper.__all__)
+# The exporting modules, each importing only those before it: a lookup loads no more.
+_MODULES = ("errors", "grunwald", "operators", "timestepper", "diagnostics")
 
 
 def __getattr__(name: str):
-    """The ``diagnostics`` module and its names, imported on first access
-    (PEP 562); any other missing name is an ``AttributeError``, so
-    ``from fracdiff1d import verify`` still finds the submodule."""
-    if name != "diagnostics" and name not in _DIAGNOSTICS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    diagnostics = importlib.import_module(".diagnostics", __name__)
-    globals().update((key, getattr(diagnostics, key)) for key in _DIAGNOSTICS)
-    return diagnostics if name == "diagnostics" else globals()[name]
+    """A submodule, a public name of ``_MODULES`` or ``__all__``, imported once."""
+    if name == "__all__":
+        value = [key for module in _MODULES[-1:] + _MODULES[:-1]  # diagnostics first
+                 for key in __getattr__(module).__all__]
+    else:
+        try:
+            value = importlib.import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":  # a missing dependency
+                raise
+            owner = next((m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
+            if owner is None:
+                raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+            value = getattr(owner, name)
+    globals()[name] = value
+    return value

@@ -4,6 +4,7 @@ a traced peak.  Not a test module: pytest collects nothing here, and the
 test modules import it by name."""
 
 import ast
+import os
 import tracemalloc
 from pathlib import Path
 from typing import Callable
@@ -22,6 +23,13 @@ SUPPORTED = [(form, left, right) for form in (RL, PS)
              for left in (A, R) for right in (A, R)] + [(CAP, A, A)]
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(**variables: str) -> dict[str, str]:
+    """This process's environment with ``variables`` set and ``src`` first
+    on ``PYTHONPATH``: for a fresh interpreter that imports the package."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, **variables, "PYTHONPATH": path}
 
 
 def traced_peak(call) -> int:

@@ -5,19 +5,24 @@ another order.  Every vector dot product of a step goes through
 ``operators._dot``, which sums chunks of at most 8192 entries; the
 products of ``_Stencil.apply`` are matrix-vector products, whose threads
 each take whole entries.  The runs below reach past 10,000 entries: the
-ledger's dot at n = 12000 and the tail's at n = 16384 (N = 10,454)."""
+ledger's dot at n = 12000 and the tail's at n = 16384 (N = 10,454).
+
+No command needs a second thread, so the command line starts OpenBLAS on
+one, unless a thread variable in its environment says otherwise."""
 
 import ast
 import hashlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fracdiff1d.operators import _DOT_CHUNK, _dot
-from support import SRC, scopes, scopes_in_src
+from support import child_env, scopes, scopes_in_src
 
 # Names that reach BLAS's dot or matrix products, beside the @ operator.
 PRODUCT_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
@@ -85,15 +90,13 @@ for name, argv in runs.items():
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    src = str(SRC)
     processes = []
     for threads in (1, 2):
         out = tmp_path / str(threads)
         out.mkdir()
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         processes.append(subprocess.Popen(
-            [sys.executable, "-c", _RUN_ALL.format(runs=RUNS), str(out)], env=env,
+            [sys.executable, "-c", _RUN_ALL.format(runs=RUNS), str(out)],
+            env=child_env(OPENBLAS_NUM_THREADS=str(threads)),
             stderr=subprocess.PIPE, text=True))
     for process in processes:
         _, err = process.communicate(timeout=300)
@@ -106,3 +109,38 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         for suffix in (".csv", ".csv.meta.json"):
             one, two = (tmp_path / str(threads) / f"{name}{suffix}" for threads in (1, 2))
             assert digest(one) == digest(two), f"{name}{suffix}"
+
+
+# The thread count of each OpenBLAS loaded, read through ctypes as
+# perfbench/traced.py reads it, after importing the command line.
+_CLI_THREADS = """
+import ctypes, json
+import fracdiff1d.cli
+with open("/proc/self/maps") as maps:
+    libs = sorted({line.split()[-1] for line in maps
+                   if "openblas" in line and ".so" in line})
+counts = []
+for path in libs:
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            counts.append(getattr(lib, symbol)())
+            break
+print(json.dumps(counts))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_the_command_line_starts_openblas_on_one_thread_unless_told():
+    base = {key: value for key, value in child_env().items()
+            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    # OpenBLAS runs no more threads than the process has processors.
+    two = min(2, len(os.sched_getaffinity(0)))
+    for extra, expected in (({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, two)):
+        result = subprocess.run([sys.executable, "-c", _CLI_THREADS], env={**base, **extra},
+                                capture_output=True, text=True, check=True)
+        counts = json.loads(result.stdout)
+        if not counts:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert counts == [expected] * len(counts), extra

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import fracdiff1d
 from fracdiff1d import factor, operators
 from fracdiff1d import (
     GridFunction,
@@ -43,7 +42,7 @@ from fracdiff1d.cli import (
 from fracdiff1d.emit import _CsvWriter
 from fracdiff1d.grunwald import GrunwaldWeights
 from fracdiff1d.operators import IterationMatrix
-from support import PS, RL, A, R, traced_peak
+from support import PS, RL, A, R, child_env, traced_peak
 
 FIGURE2_ARGV = [
     "solve", "--alpha", "1.5", "--c", "1", "--n", "1000", "--deriv", "rl",
@@ -663,6 +662,24 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--snapshots", ""], None),
+        (["--snapshots", ","], None),
+        ([], {"snapshots": []}),
+        ([], {"snapshots": ""}),
+    ])
+    def test_an_empty_snapshot_list_exits_two_and_runs_nothing(self, tmp_path, capsys,
+                                                                flags, config):
+        # A run that records no snapshot would write a CSV of its header alone.
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            flags = ["--config", str(path)]
+        out = tmp_path / "run.csv"
+        assert main(["solve", "--alpha", "1.5", "--n", "8", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: empty snapshot list")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     def test_blown_up_explicit_run_exits_one_and_writes_nothing(self, tmp_path, capsys):
         # dt = 0.5 is far above the CFL limit at n = 20; the state overflows
@@ -811,9 +828,7 @@ class TestMain:
 def test_no_command_loads_scipy(tmp_path):
     # Implicit steps call numpy's bundled OpenBLAS, so scipy serves only the
     # tests: no command, implicit runs and `verify all` included, imports it.
-    src = str(Path(fracdiff1d.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = child_env()
     profile = tmp_path / "profile.txt"
     profile.write_text("".join(f"{v:.16e}\n" for v in np.linspace(0.0, 1.0, 65)))
     out = str(tmp_path / "out.csv")
@@ -848,9 +863,7 @@ def test_no_command_loads_scipy(tmp_path):
 def test_a_run_loads_neither_verify_nor_the_diagnostics(tmp_path):
     # solve and figure never call them, so a launch does not compile them;
     # verify still runs, and a star import still binds every public name.
-    src = str(Path(fracdiff1d.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = child_env()
     out = str(tmp_path / "out.csv")
     runs = [["solve", "--alpha", "1.5", "--n", "16", "--method", method, "--t-end", "0.01",
              "--out", out] for method in ("explicit", "implicit")]

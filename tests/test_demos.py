@@ -1,11 +1,10 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import fracdiff1d
+from support import child_env
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
@@ -16,9 +15,7 @@ def test_all_four_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs_cleanly(demo, tmp_path):
-    src = str(Path(fracdiff1d.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = child_env()
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

@@ -5,7 +5,10 @@ shape it uses."""
 import ast
 import dataclasses
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from fracdiff1d.timestepper import (
     run_simulation,
     tent_profile,
 )
+from support import child_env
 
 MODULES = ["fracdiff1d"] + [f"fracdiff1d.{info.name}"
                             for info in pkgutil.iter_modules(fracdiff1d.__path__)]
@@ -37,7 +41,7 @@ def test_every_exported_name_resolves(name):
 
 
 def test_the_package_exports_its_modules_names():
-    # The diagnostics' names load on first access (fracdiff1d.__getattr__).
+    # Every name loads on first access (fracdiff1d.__getattr__), __all__ too.
     from fracdiff1d import diagnostics, errors, grunwald, operators, timestepper
 
     assert fracdiff1d.__all__ == (diagnostics.__all__ + errors.__all__ + grunwald.__all__
@@ -45,6 +49,36 @@ def test_the_package_exports_its_modules_names():
     assert fracdiff1d.decay_rate is diagnostics.decay_rate
     with pytest.raises(AttributeError, match="no_such_name"):
         fracdiff1d.no_such_name
+    for module in (diagnostics, errors, grunwald, operators, timestepper):
+        for name in module.__all__:
+            assert getattr(fracdiff1d, name) is getattr(module, name), name
+
+
+def test_a_star_import_binds_exactly_the_public_names():
+    names = {}
+    exec("from fracdiff1d import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == sorted(fracdiff1d.__all__)
+
+
+# Run in a fresh interpreter, where nothing of the package is loaded yet.
+_FRESH_IMPORT = """
+import json, sys
+import fracdiff1d
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("fracdiff1d."))
+from fracdiff1d import verify
+print(json.dumps([loaded, fracdiff1d.verify is verify,
+                  fracdiff1d.diagnostics.__name__, fracdiff1d.UsageError.__module__]))
+"""
+
+
+def test_importing_the_package_loads_nothing_until_a_name_is_used():
+    result = subprocess.run([sys.executable, "-c", _FRESH_IMPORT], env=child_env(),
+                            capture_output=True, text=True, check=True)
+    loaded, verify_bound, diagnostics, usage_error = json.loads(result.stdout)
+    assert loaded == []
+    assert verify_bound
+    assert diagnostics == "fracdiff1d.diagnostics"
+    assert usage_error == "fracdiff1d.errors"
 
 
 def test_every_public_name_is_used_beyond_the_tests():

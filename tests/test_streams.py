@@ -8,15 +8,12 @@ lines the recorded protocol gave, and their memory to O(n) in the step
 count."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import fracdiff1d
 from fracdiff1d import (
     InitialCondition,
     Method,
@@ -37,7 +34,7 @@ from fracdiff1d.verify import (
     _run,
     run_suite,
 )
-from support import CAP, PS, RL, A, R
+from support import CAP, PS, RL, A, R, child_env
 
 SCALES = {"desk": _DESK, "acceptance": _ACCEPTANCE}
 
@@ -179,9 +176,7 @@ def acceptance_suites():
     """A call giving the lines and peak RSS of :data:`_SUITES_AT` at 1 or 2
     times the acceptance steps.  Both processes start before the module's
     first test, so they run beside its tests until one is read."""
-    src = str(Path(fracdiff1d.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = child_env()
     processes = {multiple: subprocess.Popen(
         [sys.executable, "-c", _SUITES_AT, str(multiple)], env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for multiple in (1, 2)}
