@@ -22,6 +22,8 @@ def __getattr__(name: str):
     if name == "__all__":
         value = [key for module in _MODULES[-1:] + _MODULES[:-1]  # diagnostics first
                  for key in __getattr__(module).__all__]
+    elif name.startswith("_"):  # what tools probe for, e.g. __wrapped__: nothing to import
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     else:
         try:
             value = importlib.import_module(f".{name}", __name__)

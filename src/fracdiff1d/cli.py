@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import os
 
-# No command calls a threaded BLAS routine (every dot goes through operators._dot;
-# dtpsv and dtbsv run on one thread), yet a second OpenBLAS thread spins after
-# start-up, taking time from the main one.  OpenBLAS reads these three in turn.
-if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+# Run as a program (python -m fracdiff1d.cli, or the fracdiff1d entry through
+# fracdiff1d._launch), not when imported: no command calls a threaded BLAS
+# routine (every dot goes through operators._dot; dtpsv and dtbsv run on one
+# thread), yet a second OpenBLAS thread spins after start-up, taking time from
+# the main one.  OpenBLAS reads these three in turn, so a caller's choice wins.
+if __name__ == "__main__" and not (
+        {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 # The package's modules first: after the standard library's, they raised peak RSS 0.1-0.2 MiB.

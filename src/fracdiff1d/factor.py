@@ -8,35 +8,34 @@ and one pass.  Below the interior's Toeplitz structure the elimination
 reaches a fixed point: from some row ``K`` on, every row of ``U`` repeats
 the one above it shifted, bit for bit (the finite-precision form of the
 convergence of a Toeplitz LU to its Wiener-Hopf factor).  Of the rows
-above ``K``, the head, only the diagonal triangles of blocks of 512 rows
-are stored, each in BLAS packed storage: under ``257 (n+1)`` floats.  With
-512 rows or more past ``K`` the rest, the tail, is kept in O(n) floats and
-solved as one causal convolution by FFT; otherwise the triangles run to
-row ``n``.
+above ``K``, the head, only diagonal triangles are stored, each in BLAS
+packed storage: the first block of 512 rows whole, so a head of at most
+512 rows is one triangle, and each later block of 512 rows as two
+triangles of 256, beside one row of 256 floats, its seed: under
+``129 (n+1) + 2^16`` floats.  With 512 rows or more past ``K`` the rest,
+the tail, is kept in O(n) floats and solved as one causal convolution by
+FFT; otherwise the triangles run to row ``n``.
 
-The rest of ``U`` is not stored: ``L`` is bidiagonal, so the rows above
-any split ``a`` are ``U[:a] = L_a^{-1} M[:a]``, ``L_a`` the leading
-``a x a`` block of ``L``, and a solved ``w[:a]`` reaches the columns past
-``a`` as ``w[:a] U[:a, a:] = z M[:a, a:]`` with ``z L_a = w[:a]``.  Each
-step takes, per block after the first, that coupling into the block's
-columns, then one packed triangular solve; with a tail, the head's
-coupling into it and its convolution; then one bidiagonal solve.  A
-coupling is one bidiagonal solve for ``z`` and its product with the
-stencil of ``M``, a window of one convolution (see
-:class:`~fracdiff1d.operators._Convolution`) that every coupling shares:
-its large entries, lags 1 to 64, which reach only the 64 columns past
-``a`` from the 64 rows above it, directly, and its small entries past lag
-64 by FFT, in O(c log c) for a window ending at column ``c``.  No step
-calls a threaded BLAS reduction, so no output's bits depend on the thread
-count: OpenBLAS threads ``ddot`` past 10,000 entries, and the dot
-products with column ``n`` sum chunks of at most 8192 (see
-:func:`~fracdiff1d.operators._dot`).  The two triangular routines,
-``dtpsv`` and ``dtbsv``, are bound once through ctypes, by address, from
-one of two sources: the OpenBLAS that numpy's wheels bundle, so no run
-imports scipy, or, where numpy's BLAS lacks them, scipy's
-``cython_blas``.  For the Riemann-Liouville and
-Patie-Simon schemes ``M`` is a row diagonally dominant Z-matrix, so the
-growth factor is at most 2; a pivot check still runs for every scheme.
+The rest of ``U`` is not stored: the rows above a split are read from the
+stencil of ``M`` (see :mod:`fracdiff1d.coupling`).  Within a block
+``[a, t)`` split at ``s = a + 256``, ``U[a:s] = L_loc^{-1} (M[a:s] -
+m_a e_0 U[a-1])``, with ``L_loc = L[a:s, a:s]`` and ``m_a`` row ``a``'s
+multiplier: the first half reaches the second through the stencil and
+the seed ``U[a-1, s:t]``, the row the elimination holds when it reaches
+row ``a``.  Each step takes, per block after the first, the coupling of
+the rows above into the block's columns, then per half one packed
+triangular solve, the second after its first half's coupling; with a
+tail, the head's coupling into it and its convolution; then one
+bidiagonal solve.  No step calls a threaded BLAS reduction, so no
+output's bits depend on the thread count: OpenBLAS threads ``ddot`` past
+10,000 entries, and every dot product of a step sums chunks of at most
+8192 (see :func:`~fracdiff1d.operators._dot`).  The two triangular
+routines, ``dtpsv`` and ``dtbsv``, are bound once through ctypes, by
+address, from one of two sources: the OpenBLAS that numpy's wheels
+bundle, so no run imports scipy, or, where numpy's BLAS lacks them,
+scipy's ``cython_blas``.  For the Riemann-Liouville and Patie-Simon
+schemes ``M`` is a row diagonally dominant Z-matrix, so the growth factor
+is at most 2; a pivot check still runs for every scheme.
 """
 
 from __future__ import annotations
@@ -48,52 +47,55 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .coupling import _couple, _Coupling
 from .errors import FracDiffError, SingularSystem
 from .operators import _FFT_MIN_N, _SNAPSHOT_FLOATS, _Convolution, _dot, _period, _require_fits
 
-# Rows of ``U`` in each block of the factor (see _blocks).
+# Rows of ``U`` in each block of the factor, and in each triangle of a
+# block after the first (see _blocks).
 _BLOCK = 512
-# The lags of the stencil that a coupling sums directly (see
-# _Coupling.product): lags 1 .. _NEAR.  The lags past _NEAR, whose entries
-# decay like k^(-1-alpha), go by FFT.  Summed by FFT over every lag, figure
-# 2's last state at n = 4000 ended 2.9e-12 from a dense LU's, against
-# 1.1e-13 for a direct product.  64 leaves a margin.
-_NEAR = 64
+_HALF = _BLOCK // 2
 
 
 def _require_implicit_fits(n: int, states: int) -> None:
     """Reject an implicit run and its CSV emit whose memory would exceed
-    physical memory: the factor ``U`` of ``I - beta B``, the diagonal
-    triangles of its blocks of ``_BLOCK`` rows, under ``257 (n+1)`` floats
-    (see :func:`_blocks`), plus ``states`` recorded states with their
-    bookkeeping (``_SNAPSHOT_FLOATS`` each) and under 27 (n+1) more for the
-    stencil, its scaled weights, rows 0 and 1 and edge column, the band of
-    ``L``, the outflow, one row's work arrays while factoring (two rows,
-    a copy of the scaled weights and a zero row), and while stepping the
-    solve buffer, the coupling's scratch and products, the
-    transforms of :attr:`_Coupling.convolution` (its periods are under
-    4/3 n, so under 6.4 (n+1) floats, see :func:`_period`), one
-    coupling's FFT buffers (under 4 n) and the state a step returns.
+    physical memory: the factor ``U`` of ``I - beta B``, the triangles of
+    :func:`_blocks` with the seed of each second half, under
+    ``129 (n+1) + 2^16`` floats (129 a row past the first block, whose
+    triangle takes ``2^16`` more), and the transform of period ``_BLOCK``
+    that the seeded couplings share, counted as ``512``, or one triangle of
+    every row, ``(n+1)(n+2)/2`` floats, if that is less; plus ``states``
+    recorded states with their bookkeeping (``_SNAPSHOT_FLOATS`` each) and
+    under 27 (n+1) more for the stencil, its scaled weights, rows 0 and 1
+    and edge column, the band of ``L``, the outflow, one row's work arrays
+    while factoring (two rows, a copy of the scaled weights and a zero row),
+    and while stepping the solve buffer, the couplings' scratch and
+    products, the bound calls, the transforms of
+    :attr:`_Coupling.convolution` (its periods are under 4/3 n, so under
+    6.4 (n+1) floats, see :func:`_period`), one coupling's FFT buffers
+    (under 4 n) and the state a step returns.
     Traced beside the factor and five states' values, a run of RL r/r,
-    PS r/r or Caputo a/a without a fixed point holds 16.1-19.9 (n+1) more
-    at n = 512 to 5121 (12.6-15.6 at n = 300 and 400; factoring, 9.4-11.2),
-    the most at n = 512 and 513, where a last block of one or two rows keeps
-    the coupling; the transforms take 3.5 (n+1) at n = 4097.
+    PS r/r or Caputo a/a without a fixed point holds 16.5-19.8 (n+1) more
+    at n = 512 to 5121 (11.8-15.4 at n = 300 and 400; factoring, 9.4-11.2),
+    the most at n = 5121, where the calls bound for 20 triangles and 19
+    couplings take 1.5 (n+1) more than for 11 triangles and 10 couplings
+    with blocks of ``_BLOCK`` rows; the transforms take 3.6 (n+1) at
+    n = 4097.
     The emit comes after the factor and these are freed: its templates,
     which hold the ``x`` column's text, take under 5 (n+1), and the block
     in flight is part of the fixed allowance.
     The stencil brings no FFT transform: only explicit steps compute one.
     The factor is counted as if the elimination had no fixed point ``K``
-    (see :func:`_hessenberg_lu`), which allocates the block that holds
+    (see :func:`_hessenberg_lu`), which allocates the triangle that holds
     ``K`` whole before it finds ``K``.  A factor with a tail then stores
     none of the rows ``K .. n``, ``N = n - K >= 512`` rows whose triangles
-    hold at least 64 N floats, and adds under 20 N (traced at most 13 N at
+    hold at least 96 N floats, and adds under 20 N (traced at most 13 N at
     n = 600 to 4000): ``P`` and the tail's column ``n``, ``q = 1/P`` with
     its transform, one step's FFT buffers (the FFT period is under 8/3 N)
     and the head's coupling into the tail."""
-    full, last = divmod(n + 1, _BLOCK)
-    _require_fits(f"n={n}", full * _BLOCK * (_BLOCK + 1) // 2 + last * (last + 1) // 2
-                  + 27 * (n + 1) + states * (n + 1 + _SNAPSHOT_FLOATS),
+    rows = n + 1
+    _require_fits(f"n={n}", min(rows * (rows + 1) // 2, 129 * rows + 2**16 + _BLOCK)
+                  + 27 * rows + states * (rows + _SNAPSHOT_FLOATS),
                   f"an implicit run recording {states} states")
 
 
@@ -139,27 +141,32 @@ def _in_place_solve(lu: _Factor, x: np.ndarray):
     """A call that overwrites ``x`` (``u`` in, ``v`` out) with the solution
     of ``v L U = u``, for the factor ``lu`` of :func:`_hessenberg_lu`.
 
-    For each block ``[a, b)`` of :func:`_blocks`, in order: but for the
-    first, the coupling of the solved ``w[:a]`` into ``x[a:b]`` (see
-    :func:`_couple`; the last block without a tail reaches row ``n``), then
-    ``dtpsv`` (lower, non-unit) on its triangle and ``x[a:b]``, in place.
-    With a tail (see :class:`_Tail`), the head's coupling into ``x[K:]``,
-    then its rows ``K .. n - 1``, one lower triangular Toeplitz solve,
-    ``x[K:n]`` convolved with ``q = 1/P``, the inverse power series of
-    ``P``, by one FFT, and then row ``n``, by one dot product with the
-    tail's column ``n``.  Then one ``dtbsv`` (upper, unit, one
-    superdiagonal) solves ``L^T v = w``.  The call holds the column-major
-    float64 arrays it is bound to, the scratch of ``z``, the transforms of
-    :attr:`_Coupling.convolution` that its couplings took (see
+    For each triangle ``[a, b)`` of :func:`_blocks`, in order: before the
+    first half of each block ``[a, t)`` after the first, the coupling of
+    the solved ``w[:a]`` into ``x[a:t]``, both halves (see
+    :meth:`_Coupling.product`; the last block without a tail reaches row
+    ``n``), and before a second half ``[s, t)`` the coupling of its first
+    half, ``w[a:s]``, into ``x[s:t]`` through the block's seed (see
+    :meth:`_Coupling.seeded`); then ``dtpsv`` (lower, non-unit) on the
+    triangle and ``x[a:b]``, in place.  Each coupling is one call of
+    :func:`_couple`.  With a tail (see :class:`_Tail`), the head's coupling
+    into ``x[K:]``, then its rows ``K .. n - 1``, one lower triangular
+    Toeplitz solve, ``x[K:n]`` convolved with ``q = 1/P``, the inverse
+    power series of ``P``, by one FFT, and then row ``n``, by one dot
+    product with the tail's column ``n``.  Then one ``dtbsv`` (upper, unit,
+    one superdiagonal) solves ``L^T v = w``.  The call holds the
+    column-major float64 arrays it is bound to, the scratch of ``z`` and
+    ``y``, the transforms of :attr:`_Coupling.convolution` that its
+    couplings took (see
     :attr:`~fracdiff1d.operators._Convolution.transforms`) and, with a
     tail, the transform of ``q`` and the tail's column ``n``.
     """
-    triangles, band, coupling, tail = lu
+    triangles, seeds, band, coupling, tail = lu
     size = x.size
     head = size if tail is None else size - 1 - tail.p.size
     blocks = _blocks(head)
     # BLAS reads and writes through raw addresses: a wrong array would
-    # corrupt memory, not raise.
+    # corrupt memory, not raise.  (numpy alone reads the seeds.)
     shapes = [(triangle, ((b - a) * (b - a + 1) // 2,))
               for triangle, (a, b) in zip(triangles, blocks)]
     if len(triangles) != len(blocks) or any(
@@ -175,19 +182,28 @@ def _in_place_solve(lu: _Factor, x: np.ndarray):
     lower, no, upper = (_address(options[i:]) for i in range(3))
     one, two = (_address(counts[k:]) for k in (1, 2))
 
-    def bidiagonal(y):  # a call that overwrites y with v, L_a^T v = y, a = y.size
+    def bidiagonal(y, a=0):  # a call that overwrites y with v, v L[a:b, a:b] = y
         return functools.partial(tbsv, upper, no, upper, _address(counts[y.size :]), one,
-                                 _address(band), two, _address(y), one)
+                                 _address(band[:, a:]), two, _address(y), one)
 
-    z = np.empty(head if tail is not None else blocks[-1][0])
+    z = np.empty(head if tail is not None else (head - 1) // _BLOCK * _BLOCK)
+    y, seeds = np.empty(_HALF if seeds else 0), iter(seeds)
     calls = []
     for (a, b), triangle in zip(blocks, triangles):
-        if a:
-            calls.append(_couple(coupling, bidiagonal(z[:a]), x, z[:a], b))
+        if a % _BLOCK:  # a second half, coupled to the first through its seed
+            first = a - _HALF
+            seeded = functools.partial(coupling.seeded, s=a, seed=next(seeds),
+                                       multiplier=band.item(0, first))
+            calls.append(_couple(bidiagonal(y, first), x[first:a], y, x[a:b], seeded))
+        elif a:
+            t = min(a + _BLOCK, head)
+            product = functools.partial(coupling.product, c=t)
+            calls.append(_couple(bidiagonal(z[:a]), x[:a], z[:a], x[a:t], product))
         calls.append(functools.partial(tpsv, lower, no, no, _address(counts[b - a :]),
                                        _address(triangle), _address(x[a:b]), one))
     if tail is not None:
-        calls.append(_couple(coupling, bidiagonal(z), x, z, size))
+        product = functools.partial(coupling.product, c=size)
+        calls.append(_couple(bidiagonal(z), x[:head], z, x[head:], product))
         calls.append(_tail_solve(tail, x[head:]))
     calls.append(bidiagonal(x))
 
@@ -201,61 +217,6 @@ def _in_place_solve(lu: _Factor, x: np.ndarray):
 def _address(array) -> ctypes.c_void_p:
     """A pointer to ``array``'s first element that holds the array."""
     return array.ctypes.data_as(ctypes.c_void_p)
-
-
-def _couple(coupling: _Coupling, bidiagonal, x: np.ndarray, z: np.ndarray, c: int):
-    """A call that subtracts from ``x[a:c]``, ``a = z.size``, the share
-    ``w[:a] U[:a, a:c]`` of the solved ``w[:a] = x[:a]``: it copies
-    ``w[:a]`` into ``z``, solves ``z L_a = w[:a]`` there by ``bidiagonal``
-    and subtracts ``z M[:a, a:c]`` (:meth:`_Coupling.product`)."""
-    a = z.size
-    solved, rest = x[:a], x[a:c]
-
-    def couple() -> None:
-        np.copyto(z, solved)
-        bidiagonal()
-        np.subtract(rest, coupling.product(z, c), out=rest)
-
-    return couple
-
-
-class _Coupling:
-    """The entries of ``M`` that couple the rows above a split to the
-    columns past it, read from the stencil in O(n) floats, all off the
-    diagonal: ``g``, the stencil times ``-beta`` (``M[i, j] = g[j - i + 1]``
-    for ``2 <= i`` and ``0 < j < n``), ``top``, rows 0 and 1 of ``M`` from
-    column 0, and ``edge``, column ``n``; and ``convolution``, the
-    :class:`~fracdiff1d.operators._Convolution` of the stencil rows' lags
-    ``1 .. n - 3``, the first ``_NEAR`` of them summed directly."""
-
-    def __init__(self, g: np.ndarray, top: np.ndarray, edge: np.ndarray) -> None:
-        self.g, self.top, self.edge = g, top, edge
-        self.convolution = _Convolution(g[2 : edge.size - 2], _NEAR)
-
-    def product(self, z: np.ndarray, c: int) -> np.ndarray:
-        """``z M[:a, a:c]`` for ``a = z.size``, ``2 <= a < c <= n + 1``:
-        rows 0 and 1 by two row axpys, the stencil rows by
-        :attr:`convolution`, and their column ``n``, if ``c`` reaches it,
-        by one dot product.  The window starts at the last entry of
-        ``z[2:]``, so its lags ``1 .. _NEAR`` reach only its first
-        ``_NEAR`` columns from the last ``_NEAR`` rows.  A split with at
-        most ``_NEAR`` stencil rows is summed directly over every column,
-        with no FFT, and its entries are sums of ``a`` products, each within
-        ``a u |z| |M|``; the FFT adds an error that scales with its norms,
-        not with each entry."""
-        a, n = z.size, self.edge.size - 1
-        out = z.item(0) * self.top[0, a:c]
-        out += z.item(1) * self.top[1, a:c]
-        if 2 < a < n:
-            # Entry j - a is sum_i z_i g[j - i + 1] over 2 <= i < a, the lag j - i.
-            end = min(c, n)
-            if a - 2 <= _NEAR:
-                out[: end - a] += np.convolve(z[2:], self.g[2 : end - 1], "valid")
-            else:
-                self.convolution.window(z[2:], a - 3, end - a, out[: end - a])
-        if c > n:
-            out[-1] += _dot(z[2:], self.edge[2:a])
-        return out
 
 
 def _tail_solve(tail: _Tail, x: np.ndarray):
@@ -328,22 +289,28 @@ def _newton_inverse(p: np.ndarray) -> np.ndarray:
 
 
 def _blocks(rows: int) -> list[tuple[int, int]]:
-    """The blocks ``[a, b)`` of ``_BLOCK`` rows, the last one shorter, that
-    tile the first ``rows`` rows of ``U``.  Block ``[a, b)`` stores its
-    diagonal triangle, the rows ``U[k, k:b]`` end to end, which is that
-    triangle's transpose in BLAS lower packed storage,
-    ``(b - a)(b - a + 1) / 2`` floats.  A factor with a tail stores its
-    ``K`` head rows this way (see :class:`_Tail`)."""
-    return [(a, min(a + _BLOCK, rows)) for a in range(0, rows, _BLOCK)]
+    """The triangles ``[a, b)`` that tile the first ``rows`` rows of ``U``:
+    the first block of ``_BLOCK`` rows whole, and each block after it,
+    ``[a, a + _BLOCK)``, as two halves of ``_HALF`` rows, the last triangle
+    shorter.  Triangle ``[a, b)`` stores its rows ``U[k, k:b]`` end to end,
+    which is that triangle's transpose in BLAS lower packed storage,
+    ``(b - a)(b - a + 1) / 2`` floats.  A second half ``[s, t)`` keeps
+    beside it its block's seed, ``U[a-1, s:t]`` (see
+    :meth:`_Coupling.seeded`).  A factor with a tail stores its ``K`` head
+    rows this way (see :class:`_Tail`)."""
+    return [(a, min(a + (_HALF if a else _BLOCK), rows))
+            for a in (0, *range(_BLOCK, rows, _HALF))]
 
 
 class _Factor(NamedTuple):
     """``M = L U`` as :func:`_hessenberg_lu` stores it: the packed
-    triangles of the blocks of ``U``'s head, the multipliers of ``L`` as
-    the band of the unit upper bidiagonal ``L^T``, the :class:`_Coupling`
-    of ``M`` and the :class:`_Tail`, or ``None``."""
+    triangles of :func:`_blocks` of ``U``'s head, the seed of each second
+    half, the multipliers of ``L`` as the band of the unit upper bidiagonal
+    ``L^T``, the :class:`_Coupling` of ``M`` and the :class:`_Tail`, or
+    ``None``."""
 
     triangles: list[np.ndarray]
+    seeds: list[np.ndarray]
     band: np.ndarray
     coupling: _Coupling
     tail: _Tail | None
@@ -389,24 +356,26 @@ def _hessenberg_lu(operator, beta: float) -> _Factor:
     reads a zero row with multiplier 0.  Rows 0 and 1 come from the
     coupling's ``top``, each later row from a copy of the stencil
     (``m_kj = g_{j-k+1}``) whose entry ``n - k + 1``, which no later row
-    reads, first takes ``M[k, n]``.  Each row's part in its block's
-    triangle (see :func:`_blocks`) is written as it is eliminated.  The
+    reads, first takes ``M[k, n]``.  Each row's part in its triangle (see
+    :func:`_blocks`) is written as it is eliminated, and at the start of
+    each block after the first, row ``a - 1`` of ``U``, in the buffer the
+    row above is read from, gives the block's seed.  The
     first row ``K >= 3`` whose stencil part ``P = U[K, K:n]`` equals
     ``U[K-1, K-1:n-1]`` bit for bit, with at least ``_FFT_MIN_N`` rows
     after it, is the elimination's fixed point: past it every row and
     multiplier repeats, shifted, since each is computed by the same
     floating-point operations on the same inputs.  There the pass stops,
-    the block that holds ``K`` is repacked to end at row ``K`` and the
-    rest, column ``n`` carried on from ``U[K-1, n]``, is returned as a
-    :class:`_Tail`; without one the triangles run to row ``n`` and the
-    tail is ``None``.  A non-finite factor or a zero pivot raises
-    :class:`SingularSystem`.
+    the triangle that holds ``K``, and a second half's seed, are cut to
+    end at row ``K`` and the rest, column ``n`` carried on from
+    ``U[K-1, n]``, is returned as a :class:`_Tail`; without one the
+    triangles run to row ``n`` and the tail is ``None``.  A non-finite
+    factor or a zero pivot raises :class:`SingularSystem`.
     """
     n = operator.n
     size = n + 1
     band = np.zeros((2, size), order="F")
     multipliers = band[0]
-    triangles, tail = [], None
+    triangles, seeds, tail = [], [], None
     buffers = np.empty(size), np.empty(size)
     with np.errstate(all="ignore"):  # an overflow fails the health check
         g, edge = operator.g * -beta, operator.edges[:, 1] * -beta
@@ -431,8 +400,10 @@ def _hessenberg_lu(operator, beta: float) -> _Factor:
                 # Pivots settle first; only an equal pivot earns the whole compare.
                 if (3 <= k <= n - _FFT_MIN_N and row.item(0) == above.item(0)
                         and row[:-1].tobytes() == above[: n - k].tobytes()):
-                    if k % _BLOCK:
-                        _shorten(triangle, k - k % _BLOCK, b, k)
+                    if b > k:  # the triangle that holds K, and its seed, end there
+                        _shorten(triangle, first, b, k)
+                        if first % _BLOCK:
+                            seeds[-1] = seeds[-1][: k - first].copy()
                     multipliers[k:] = multiplier
                     column, corner = np.empty(n - k), above.item(-1)
                     for j in range(k, n):
@@ -441,8 +412,12 @@ def _hessenberg_lu(operator, beta: float) -> _Factor:
                                  (edge.item(n) + 1.0) - multiplier * corner)
                     break
                 multipliers[k] = multiplier
-                if k % _BLOCK == 0:
-                    b = min(k + _BLOCK, size)
+                if k % _HALF == 0 and k != _HALF:  # a triangle of _blocks starts
+                    if k % _BLOCK:
+                        seeds.append(seed)
+                    elif k:  # U[k-1, k + _HALF : k + _BLOCK], the block's seed
+                        seed = above[_HALF + 1 : _BLOCK + 1].copy()
+                    first, b = k, min(k + (_HALF if k else _BLOCK), size)
                     triangle = np.empty((b - k) * (b - k + 1) // 2)
                     triangles.append(triangle)
                     start = 0
@@ -453,7 +428,8 @@ def _hessenberg_lu(operator, beta: float) -> _Factor:
         except ZeroDivisionError:
             pivot = 0.0
         # min and max propagate NaN and, unlike isfinite, need no mask of
-        # the triangles.
+        # the triangles.  A seed's entries reach the diagonal of the rows
+        # below it, so a non-finite seed leaves a non-finite triangle.
         healthy = (pivot != 0.0 and math.isfinite(pivot)
                    and all(math.isfinite(triangle.min()) and math.isfinite(triangle.max())
                            for triangle in triangles)
@@ -463,4 +439,4 @@ def _hessenberg_lu(operator, beta: float) -> _Factor:
                         and np.isfinite(tail.column).all()))
     if not healthy:
         raise SingularSystem("implicit system matrix is numerically singular")
-    return _Factor(triangles, band, coupling, tail)
+    return _Factor(triangles, seeds, band, coupling, tail)

@@ -7,8 +7,9 @@ products of ``_Stencil.apply`` are matrix-vector products, whose threads
 each take whole entries.  The runs below reach past 10,000 entries: the
 ledger's dot at n = 12000 and the tail's at n = 16384 (N = 10,454).
 
-No command needs a second thread, so the command line starts OpenBLAS on
-one, unless a thread variable in its environment says otherwise."""
+No command needs a second thread, so the command line, run as a program,
+starts OpenBLAS on one, unless a thread variable in its environment says
+otherwise; importing it as a library changes nothing."""
 
 import ast
 import hashlib
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from fracdiff1d.operators import _DOT_CHUNK, _dot
-from support import child_env, scopes, scopes_in_src
+from support import SRC, child_env, scopes, scopes_in_src
 
 # Names that reach BLAS's dot or matrix products, beside the @ operator.
 PRODUCT_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
@@ -112,13 +113,23 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 # The thread count of each OpenBLAS loaded, read through ctypes as
-# perfbench/traced.py reads it, after importing the command line.
+# perfbench/traced.py reads it, after the command line ran as a program:
+# as `python -m fracdiff1d.cli` runs it, or through the console entry
+# `fracdiff1d`, fracdiff1d._launch.main.
 _CLI_THREADS = """
-import ctypes, json
-import fracdiff1d.cli
+import ctypes, json, runpy, sys
+sys.argv = ["fracdiff1d", "figure", "--list"]
+try:
+    if {entry!r} == "module":
+        runpy.run_module("fracdiff1d.cli", run_name="__main__", alter_sys=True)
+    else:
+        from fracdiff1d._launch import main
+        sys.exit(main())
+except SystemExit as exit:
+    assert exit.code in (0, None), exit.code
 with open("/proc/self/maps") as maps:
-    libs = sorted({line.split()[-1] for line in maps
-                   if "openblas" in line and ".so" in line})
+    libs = sorted({{line.split()[-1] for line in maps
+                   if "openblas" in line and ".so" in line}})
 counts = []
 for path in libs:
     lib = ctypes.CDLL(path)
@@ -129,18 +140,43 @@ for path in libs:
             break
 print(json.dumps(counts))
 """
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
-def test_the_command_line_starts_openblas_on_one_thread_unless_told():
-    base = {key: value for key, value in child_env().items()
-            if key not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+@pytest.mark.parametrize("entry", ["module", "console"])
+def test_the_command_line_starts_openblas_on_one_thread_unless_told(entry):
+    base = {key: value for key, value in child_env().items() if key not in THREAD_VARIABLES}
     # OpenBLAS runs no more threads than the process has processors.
     two = min(2, len(os.sched_getaffinity(0)))
     for extra, expected in (({}, 1), ({"OPENBLAS_NUM_THREADS": "2"}, two)):
-        result = subprocess.run([sys.executable, "-c", _CLI_THREADS], env={**base, **extra},
-                                capture_output=True, text=True, check=True)
-        counts = json.loads(result.stdout)
+        result = subprocess.run([sys.executable, "-c", _CLI_THREADS.format(entry=entry)],
+                                env={**base, **extra}, capture_output=True, text=True,
+                                check=True)
+        counts = json.loads(result.stdout.splitlines()[-1])
         if not counts:
             pytest.skip("numpy's BLAS is not OpenBLAS")
         assert counts == [expected] * len(counts), extra
+
+
+def test_the_console_entry_is_the_launcher():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"fracdiff1d": "fracdiff1d._launch:main"}
+
+
+_IMPORT_CLI = """
+import json, os
+before = dict(os.environ)
+import fracdiff1d.cli
+print(json.dumps(dict(os.environ) == before))
+"""
+
+
+def test_importing_the_command_line_leaves_the_environment_as_it_is():
+    # A library importer, and every child process it starts, keeps its
+    # BLAS threads: only a run as a program sets the default.
+    env = {key: value for key, value in child_env().items() if key not in THREAD_VARIABLES}
+    result = subprocess.run([sys.executable, "-c", _IMPORT_CLI], env=env,
+                            capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) is True

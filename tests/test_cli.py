@@ -427,8 +427,8 @@ class TestMain:
 
     def test_only_dense_paths_are_bounded_by_memory(self, tmp_path, capsys, monkeypatch):
         # On an 8 GiB host an explicit run at n = 40000 needs a few MiB and an
-        # implicit one the 78 MiB of its factor's triangles, under
-        # (_BLOCK + 1) / 2 floats a node, while the dense (n+1)^2 matrix
+        # implicit one the 40 MiB of its factor's triangles, about
+        # (_HALF + 1) / 2 floats a node, while the dense (n+1)^2 matrix
         # would take 11.9 GiB.
         monkeypatch.setattr(operators, "_MEMORY_BYTES", 8 * 2**30)
         out = tmp_path / "run.csv"
@@ -441,7 +441,7 @@ class TestMain:
                     ["figure", "2", "--n", "40000", "--out", str(out)]]
         # Parsed only: the implicit runs would take seconds.  With twice
         # the bytes of their triangles they fit, with those bytes alone not.
-        triangles = 8 * 40001 * (factor._BLOCK + 1) // 2
+        triangles = 8 * sum((b - a) * (b - a + 1) // 2 for a, b in factor._blocks(40001))
         monkeypatch.setattr(operators, "_MEMORY_BYTES", 2 * triangles)
         for argv in implicit:
             assert isinstance(parse_args(argv), SolveCommand)

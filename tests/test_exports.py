@@ -81,6 +81,25 @@ def test_importing_the_package_loads_nothing_until_a_name_is_used():
     assert usage_error == "fracdiff1d.errors"
 
 
+_PRIVATE_PROBE = """
+import json, sys
+import fracdiff1d
+probe = hasattr(fracdiff1d, "__wrapped__"), hasattr(fracdiff1d, "_no_such_module")
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("fracdiff1d."))
+print(json.dumps([probe, loaded]))
+"""
+
+
+def test_a_private_name_probe_loads_nothing():
+    # inspect.unwrap asks hasattr(module, "__wrapped__"): a name that starts
+    # with an underscore is refused before any module is imported.
+    result = subprocess.run([sys.executable, "-c", _PRIVATE_PROBE], env=child_env(),
+                            capture_output=True, text=True, check=True)
+    probe, loaded = json.loads(result.stdout)
+    assert probe == [False, False]
+    assert loaded == []
+
+
 def test_every_public_name_is_used_beyond_the_tests():
     # A use is a name or an attribute in the code of src/ (the package's
     # __init__.py aside), demos/ or perfbench/: a definition, an __all__

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import dtbsv, dtpsv
 
 from fracdiff1d import (
     DimensionMismatch,
@@ -220,11 +221,12 @@ class TestImplicitSolveOracle:
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_one_step_matches_dense_lu(self, form, left, right, alpha):
-        # From n = 512 on, U is stored and solved in blocks of 512 rows.
+        # From n = 512 on, U is stored and solved in triangles: the first
+        # block of 512 rows, then halves of 256.
         cases = [(n, n**alpha * 1e-3)  # dt = 1e-3, c = 1
                  for n in (2, 3, 8, 64, 257, 512, 1000, 1024, 2048)]
         if (form, left, right, alpha) == (RL, R, R, 1.5):
-            cases.append(FIXED_POINT_ON_A_BLOCK_EDGE)
+            cases += FIXED_POINTS.values()
         for n, beta in cases:
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
             u = np.random.default_rng(n).random(n + 1)
@@ -241,7 +243,9 @@ class TestImplicitSolveOracle:
     def test_blocks_without_a_tail_match_dense_lu(self, form, left, right):
         # dt = 0.1 leaves no fixed point: three or seven blocks, each
         # coupled to the solved rows above it through the stencil, up to
-        # row n, which at n = 1024 is a block of its own.
+        # row n, which at n = 1024 is a block of its own; each block but the
+        # first and a last one of at most 256 rows is two halves, coupled
+        # through its seed.
         for n in (1024, 3073):
             spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
             beta = n**1.5 * 0.1
@@ -257,14 +261,15 @@ class TestImplicitSolveOracle:
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
     def test_two_head_blocks_and_a_tail_match_dense_lu(self, form, left, right):
         # The fixed point K is 1125, 1398 and 1267: the head is two full
-        # blocks and a short third, each coupled to the ones above it, and
+        # blocks and a short third, each coupled to the ones above it, the
+        # second as two halves and the third as one or two (K = 1398), and
         # the tail is coupled to all of them.
         n = 3000
         spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
         beta = n**1.5 * 1e-3
         lu = factor._hessenberg_lu(_stencil(spec), beta)
         head = n - lu.tail.p.size
-        assert len(lu.triangles) == -(-head // factor._BLOCK) == 3
+        assert len(lu.triangles) == 4 + (head > 1280) == len(lu.seeds) + 3
         u = np.random.default_rng(n).random(n + 1)
         v, _ = _Stepper(_stencil(spec), beta, Method.IMPLICIT).step(u)
         system = -beta * build_matrix(spec).entries.T
@@ -276,9 +281,9 @@ class TestImplicitSolveOracle:
     def test_one_step_at_n_16384_is_backward_stable(self, dt, tail):
         # Figure 2's scheme where no dense matrix fits a test: a tail of
         # N = 10,454 rows, whose column-n dot sums two chunks (dt = 1e-3),
-        # and no fixed point, so 33 blocks whose couplings reach row n
-        # (dt = 0.1).  Backward errors measured: 1.3e-17 and 3.2e-17, by
-        # either residual (see stencil_residual).
+        # and no fixed point, so 33 blocks in 64 triangles whose couplings
+        # reach row n (dt = 0.1).  Backward errors measured: 1.3e-17 and
+        # 3.2e-17, by either residual (see stencil_residual).
         n = 16384
         spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
         beta = n**1.5 * dt
@@ -401,7 +406,8 @@ def chained_steps(stepper, start, steps=50):
 
 class TestBlasFallback:
     # From n = 1000 at dt = 1e-3 the factor has a tail; at n = 2049 and
-    # dt = 0.1 it has three blocks, the later ones coupled through a dtbsv.
+    # dt = 0.1 it has five blocks, the later ones coupled through a dtbsv,
+    # three of them as halves coupled through another.
     @pytest.mark.parametrize("n,dt", [(128, 1e-3), (1000, 1e-3), (2048, 1e-3), (2049, 0.1)])
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
     def test_scipy_solve_is_bit_identical(self, request, form, left, right, n, dt):
@@ -418,7 +424,8 @@ class TestBlasFallback:
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (PS, R, A)])
     def test_blocked_solve_repeats_bit_for_bit(self, form, left, right):
-        # Three blocks and no tail: two couplings a step.
+        # Five blocks, eight triangles and no tail: four couplings from the
+        # rows above and three from a first half a step.
         n = 2100
         spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
         beta = n**1.5 * 0.1
@@ -551,23 +558,48 @@ def bit_equal(a, b) -> bool:
 # The schemes whose factor and solve are checked across block edges too: a
 # reflecting patch on both columns, two patched rows, a patched row.
 BLOCK_EDGE_SCHEMES = [(RL, R, R), (CAP, A, A), (PS, R, A)]
-# (n, beta) at which RL r/r, alpha = 1.5, reaches its fixed point at
-# K = 512, a block edge, where the block that holds K is not shortened.
-FIXED_POINT_ON_A_BLOCK_EDGE = 1100, 50.875
+# K: (n, beta) at which RL r/r, alpha = 1.5, reaches its fixed point at
+# K, found by a search over beta in steps of 1/64: K = 512, the first
+# block's edge, where its triangle is not shortened; 513, a head of one
+# row past it; 768, the edge of the second block's halves, which then has
+# no second half and no seed; 900, inside that second half, whose triangle
+# and seed are shortened.
+FIXED_POINTS = {512: (1100, 50.875), 513: (1030, 55.421875), 768: (1300, 103.25),
+                900: (1500, 131.875)}
 
 
-def assert_triangles(triangles, U):
+def assert_triangles(triangles, seeds, U):
     """``triangles`` hold, bit for bit, the diagonal triangles of the upper
-    trapezoid ``U``, the first rows of the factor, in blocks of at most
-    ``factor._BLOCK`` rows: each block's rows from the diagonal up to the
-    block's end, end to end, and nothing of ``U`` right of them."""
-    rows, block = U.shape[0], factor._BLOCK
-    bounds = [(a, min(a + block, rows)) for a in range(0, rows, block)]
+    trapezoid ``U``, the first rows of the factor: the first block of at
+    most ``factor._BLOCK`` rows, then halves of at most ``factor._HALF``,
+    each one's rows from the diagonal up to its end, end to end, and
+    nothing of ``U`` right of them.  ``seeds`` hold, for each second half
+    ``[s, t)``, ``U[s - factor._HALF - 1, s:t]``."""
+    rows, block, half = U.shape[0], factor._BLOCK, factor._HALF
+    bounds = [(0, min(block, rows))] + [(a, min(a + half, rows))
+                                        for a in range(block, rows, half)]
     assert factor._blocks(rows) == bounds
     assert len(triangles) == len(bounds), rows
     for (a, b), triangle in zip(bounds, triangles):
         expected = np.concatenate([U[k, k:b] for k in range(a, b)])
         assert bit_equal(triangle, expected), (rows, a)
+    halves = [(s, t) for s, t in bounds if s % block == half]
+    assert len(seeds) == len(halves), rows
+    for (s, t), seed in zip(halves, seeds):
+        assert bit_equal(seed, U[s - half - 1, s:t]), (rows, s)
+
+
+def dense_elimination(spec, beta):
+    """``U`` and the multipliers of ``L`` of ``I - beta B``, by a row-axpy
+    elimination of the dense matrix in place."""
+    n = spec.n
+    U = -beta * build_matrix(spec).entries
+    U.flat[:: n + 2] += 1.0
+    multipliers = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        multipliers[k] = U[k, k - 1] / U[k - 1, k - 1]
+        U[k, k:] -= multipliers[k] * U[k - 1, k:]
+    return U, multipliers
 
 
 class TestStencilOracle:
@@ -590,51 +622,83 @@ class TestStencilOracle:
     @pytest.mark.parametrize("alpha", (1.2, 1.5, 1.8))
     def test_implicit_system_is_bit_identical(self, form, left, right, alpha):
         # The factor repeats, bit for bit, a row-axpy elimination of the
-        # dense I - beta B in place, of which it stores each block's
-        # diagonal triangle: n = 512 puts the last block at one row, 1025
-        # at two, and 1024 at dt = 0.1, without a fixed point, puts row n
-        # alone in a block after two coupled ones.  From the elimination's
-        # fixed point K on, with 512 rows or more after it, only the tail
-        # is kept: P, which every later row repeats shifted, column n and
-        # the last pivot; the block that holds K ends there, or is whole
-        # when K is a block edge.  Every scheme has a tail at n = 1000 and
-        # 2048 from alpha = 1.2 and 1.5, with a head of two blocks at
-        # n = 2048 and alpha = 1.5; none has one up to n = 512 or at
-        # n = 1000 from alpha = 1.8, where the factor is two blocks, and at
-        # n = 2048 from it some have a head of three blocks.
+        # dense I - beta B in place, of which it stores the diagonal
+        # triangles of the first block and of each later block's halves,
+        # and each second half's seed: n = 512 puts the last block at one
+        # row, 1025 at two, and at dt = 0.1, without a fixed point, 1024
+        # puts row n alone in a block after a block of two halves, and 1300
+        # ends in a block of a half and a second half of 21 rows whose seed
+        # reaches column n.  From the elimination's fixed point K on, with
+        # 512 rows or more after it, only the tail is kept: P, which every
+        # later row repeats shifted, column n and the last pivot; the
+        # triangle that holds K, and a second half's seed, end there, or are
+        # whole when K is a triangle's edge (FIXED_POINTS).  Every scheme has
+        # a tail at n = 1000 and 2048 from alpha = 1.2 and 1.5, with a head
+        # past the first block at n = 2048 and alpha = 1.5; none has one up
+        # to n = 512 or at n = 1000 from alpha = 1.8, where the factor is
+        # two blocks, and at n = 2048 from it some have a head of three
+        # blocks.
         cases = [(n, n**alpha * 1e-3) for n in STENCIL_SIZES]
         block = factor._BLOCK
+        untailed = [(n, n**alpha * 0.1) for n in (2 * block, 1300)]
         if (form, left, right) in BLOCK_EDGE_SCHEMES:
             cases += [(n, n**alpha * 1e-3) for n in (block - 1, block, 2 * block + 1)]
-            cases.append((2 * block, (2 * block) ** alpha * 0.1))
+            cases += untailed
+        fixed_points = {}
         if (form, left, right, alpha) == (RL, R, R, 1.5):
-            cases.append(FIXED_POINT_ON_A_BLOCK_EDGE)
+            fixed_points = {case: K for K, case in FIXED_POINTS.items()}
+            cases += fixed_points
         for n, beta in cases:
             spec = SchemeSpec(form, left, right, alpha, 1.0, n)
-            triangles, band, _, tail = factor._hessenberg_lu(_stencil(spec), beta)
-            U = -beta * build_matrix(spec).entries
-            U.flat[:: n + 2] += 1.0
-            multipliers = np.zeros(n + 1)
-            for k in range(1, n + 1):
-                multipliers[k] = U[k, k - 1] / U[k - 1, k - 1]
-                U[k, k:] -= multipliers[k] * U[k - 1, k:]
-            if n <= _FFT_MIN_N or (n == 1000 and alpha == 1.8) or n == 2 * block:
+            triangles, seeds, band, _, tail = factor._hessenberg_lu(_stencil(spec), beta)
+            U, multipliers = dense_elimination(spec, beta)
+            if n <= _FFT_MIN_N or (n == 1000 and alpha == 1.8) or (n, beta) in untailed:
                 assert tail is None, n
             elif n in (1000, 2048) and alpha < 1.8:
                 assert tail is not None, n
-            elif (n, beta) == FIXED_POINT_ON_A_BLOCK_EDGE:
-                assert tail is not None and (n - tail.p.size) % block == 0, n
+            elif (n, beta) in fixed_points:
+                assert tail is not None and n - tail.p.size == fixed_points[n, beta], n
             if tail is None:
-                assert_triangles(triangles, U)
+                assert_triangles(triangles, seeds, U)
             else:
                 head = n - tail.p.size
                 assert head >= 3 and tail.p.size >= _FFT_MIN_N
-                assert_triangles(triangles, U[:head])
+                assert_triangles(triangles, seeds, U[:head])
                 for k in range(head, n):
                     assert bit_equal(U[k, k:n], tail.p[: n - k]), (n, k)
                 assert bit_equal(tail.column, U[head:n, n]), n
                 assert bit_equal(np.float64(tail.pivot), U[n, n]), n
             assert bit_equal(band[0], multipliers) and not band[1].any(), n
+
+    @pytest.mark.parametrize("form,left,right", BLOCK_EDGE_SCHEMES)
+    def test_a_head_of_at_most_512_rows_is_one_triangle_solved_as_before(
+            self, form, left, right):
+        # The verify scale (n = 128), 512 rows without a tail (n = 511 at
+        # dt = 0.1), figure 2 at its defaults (K = 381 for RL r/r) and a
+        # head of 512 rows with a tail (K = 512): one triangle, no seed, and
+        # a solve that is, bit for bit, one dtpsv of the head, its coupling
+        # into the tail and the tail's convolution, then one dtbsv, here by
+        # scipy's BLAS.
+        cases = [(128, 128**1.5 * 1e-3), (511, 511**1.5 * 0.1), (1000, 1000**1.5 * 1e-3)]
+        if (form, left, right) == (RL, R, R):
+            cases.append(FIXED_POINTS[512])
+        for n, beta in cases:
+            spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+            lu = factor._hessenberg_lu(_stencil(spec), beta)
+            (triangle,), size = lu.triangles, n + 1
+            assert lu.seeds == []
+            head = size if lu.tail is None else n - lu.tail.p.size
+            u = np.random.default_rng(n).random(size)
+            expected = u.copy()
+            expected[:head] = dtpsv(head, triangle, expected[:head], lower=1)
+            if lu.tail is not None:
+                z = dtbsv(1, lu.band[:, :head], expected[:head], diag=1)
+                expected[head:] -= lu.coupling.product(z, size)
+                factor._tail_solve(lu.tail, expected[head:])()
+            expected = dtbsv(1, lu.band, expected, diag=1)
+            x = u.copy()
+            factor._in_place_solve(lu, x)()
+            assert bit_equal(x, expected), n
 
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
     def test_coupling_is_the_dense_product(self, form, left, right):
@@ -646,7 +710,7 @@ class TestStencilOracle:
         n, block = 2048, factor._BLOCK
         spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
         beta = n**1.5 * 1e-3
-        coupling, tail = factor._hessenberg_lu(_stencil(spec), beta)[2:]
+        coupling, tail = factor._hessenberg_lu(_stencil(spec), beta)[3:]
         M = -beta * build_matrix(spec).entries
         head = n - tail.p.size
         for a in (2, 3, block, 2 * block, head):
@@ -657,6 +721,36 @@ class TestStencilOracle:
                 bound = a * 2.0**-52 * (np.abs(z) @ np.abs(M[:a, a:c]))
                 assert got.shape == expected.shape, (a, c)
                 assert np.all(np.abs(got - expected) <= bound), (a, c)
+
+    @pytest.mark.parametrize("form,left,right", SUPPORTED)
+    def test_seeded_coupling_is_the_dense_product(self, form, left, right):
+        # A second half [s, t) reads w[a:s] U[a:s, s:t], a = s - 256, as
+        # y M[a:s, s:t] - y_0 m_a U[a-1, s:t] with y L[a:s, a:s] = w[a:s],
+        # from the stencil and the seed.  At dt = 0.1, n = 1300 has two
+        # second halves, the last of 21 rows up to column n; RL r/r has a
+        # second half cut to end at its fixed point at n = 1500.  Measured
+        # within 1.6 u |w| |U[a:s, s:t]| of the dense elimination's product.
+        cases = [(1300, 1300**1.5 * 0.1)]
+        if (form, left, right) == (RL, R, R):
+            cases.append(FIXED_POINTS[900])
+        for n, beta in cases:
+            spec = SchemeSpec(form, left, right, 1.5, 1.0, n)
+            lu = factor._hessenberg_lu(_stencil(spec), beta)
+            U, multipliers = dense_elimination(spec, beta)
+            head = n + 1 if lu.tail is None else n - lu.tail.p.size
+            halves = [(s, t) for s, t in factor._blocks(head) if s % factor._BLOCK]
+            assert len(halves) == len(lu.seeds) == (1 if lu.tail else 2)
+            for (s, t), seed in zip(halves, lu.seeds):
+                a = s - factor._HALF
+                w = np.random.default_rng(s).random(s - a) - 0.5
+                y = w.copy()
+                for k in range(s - a - 2, -1, -1):  # y L[a:s, a:s] = w
+                    y[k] -= multipliers[a + k + 1] * y[k + 1]
+                got = lu.coupling.seeded(y, s, seed, lu.band[0, a])
+                expected = w @ U[a:s, s:t]
+                bound = 16 * 2.0**-52 * (np.abs(w) @ np.abs(U[a:s, s:t]))
+                assert got.shape == expected.shape, (n, s)
+                assert np.all(np.abs(got - expected) <= bound), (n, s)
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A), (PS, R, A)])
     def test_coupling_is_the_exact_product_to_roundoff(self, form, left, right):
@@ -979,7 +1073,7 @@ class TestRunMemory:
         dataclasses.replace(config)
 
     @pytest.mark.parametrize("dt", [None, 0.1])
-    @pytest.mark.parametrize("n", [300, _FFT_MIN_N, 553])
+    @pytest.mark.parametrize("n", [300, _FFT_MIN_N, 553, 1300])
     @pytest.mark.parametrize("form,left,right", [(PS, R, R), (CAP, A, A)])
     def test_implicit_memory_bound_covers_the_run(self, monkeypatch, form, left, right,
                                                   n, dt):
@@ -994,13 +1088,16 @@ class TestRunMemory:
         # step, but the block that holds the fixed point, the first, is
         # allocated whole before the pass finds it, so the run holds about
         # the bound's triangles.  dt = 0.1 has no fixed point, and the
-        # factor is two blocks, coupled by one FFT.
+        # factor is two blocks, coupled by one FFT, or at n = 1300 three,
+        # the later two as halves, each second half coupled through its
+        # seed by the transform of period 512.  At half the explicit limit
+        # n = 1300 has a tail from row 33 and 40.
         config = make_config(form=form, left=left, right=right, n=n, dt=dt, steps=4,
                              method=Method.IMPLICIT, snap_every=1)
         spec = config.spec
         beta = spec.c * spec.h**-spec.alpha * config.dt
         tail = factor._hessenberg_lu(_stencil(spec), beta).tail
-        assert (tail is not None) == (n == 553 and dt is None)
+        assert (tail is not None) == (n in (553, 1300) and dt is None)
         peak = traced_peak(lambda: run_simulation(config))
         monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
         with pytest.raises(InvalidSpec, match="an implicit run recording 5 states"):
@@ -1010,27 +1107,29 @@ class TestRunMemory:
 
     @pytest.mark.parametrize("form,left,right", [(RL, R, R), (CAP, A, A)])
     def test_implicit_run_holds_the_block_triangles(self, form, left, right):
-        # Without a fixed point (dt = 0.1) the factor is seven blocks whose
-        # diagonal triangles take under (_BLOCK + 1) / 2 = 256.5 floats a
-        # node; the whole packed U would take (n + 2) / 2 = 1537, a dense B
-        # n + 1.
+        # Without a fixed point (dt = 0.1) the factor is seven blocks: the
+        # first block's triangle, _BLOCK^2 / 4 floats more than the
+        # (_HALF + 1) / 2 = 128.5 floats a node that the later halves'
+        # triangles take at most, and half a float a node of seeds; the
+        # whole packed U would take (n + 2) / 2 = 1537 floats a node, a
+        # dense B n + 1.
         n = 3073
         config = make_config(form=form, left=left, right=right, n=n, dt=0.1, steps=5,
                              method=Method.IMPLICIT, snap_every=5)
         peak = traced_peak(lambda: run_simulation(config))
-        assert peak <= 8 * (factor._BLOCK / 2 + 28) * (n + 1), peak
+        assert peak <= 8 * ((factor._HALF / 2 + 28) * (n + 1) + factor._BLOCK**2 / 4), peak
 
     def test_a_tail_is_not_stored_as_rows(self):
         # Figure 2 at n = 4000 keeps rows 1464 to 4000 of U as a tail of
-        # O(n) floats: the stepper peaks at under half the triangles of
-        # every row, with the block that holds row 1464 allocated whole.
-        n, block = 4000, factor._BLOCK
+        # O(n) floats: the stepper peaks at under 5/8 of the triangles of
+        # every row (measured 0.57), with the half that holds row 1464
+        # allocated whole.
+        n = 4000
         spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
         beta = spec.c * spec.h**-spec.alpha * 1e-3
         peak = traced_peak(lambda: _Stepper(_stencil(spec), beta, Method.IMPLICIT))
-        full, last = divmod(n + 1, block)
-        triangles = full * block * (block + 1) / 2 + last * (last + 1) / 2
-        assert peak < 0.5 * 8 * triangles, peak
+        triangles = sum((b - a) * (b - a + 1) / 2 for a, b in factor._blocks(n + 1))
+        assert peak < 5 / 8 * 8 * triangles, peak
 
     @pytest.mark.parametrize("method", list(Method))
     @pytest.mark.parametrize("form,left,right", SUPPORTED)
@@ -1078,7 +1177,8 @@ class TestRunMemory:
         # and [1024, 1464), the tail rows 1464 to 4000.  The coupling of
         # z[2:1024] into the 440 columns of the third block needs a period
         # of 1461 lags, not the n - 3 of the whole range; the tail's coupling
-        # and the tail's own convolution do take the whole range.
+        # and the tail's own convolution do take the whole range.  Each
+        # first half's 256 rows reach its second half at a period of 512.
         n = 4000
         spec = SchemeSpec(RL, R, R, 1.5, 1.0, n)
         stepper = _Stepper(_stencil(spec), spec.c * spec.h**-spec.alpha * 1e-3,
@@ -1091,16 +1191,20 @@ class TestRunMemory:
 
         monkeypatch.setattr(np.fft, "rfft", record)
         stepper.step(np.random.default_rng(n).random(n + 1))
-        couplings = {size: period for size, period in calls if size in (510, 1022, 1462)}
-        assert couplings == {510: 1024, 1022: 1536, 1462: 4096}, calls
+        couplings = {size: period for size, period in calls
+                     if size in (256, 510, 1022, 1462)}
+        assert couplings == {256: 512, 510: 1024, 1022: 1536, 1462: 4096}, calls
+        assert [size for size, _ in calls].count(256) == 2
         assert couplings[1022] < n / 2
 
     def test_the_couplings_transforms_fit_the_memory_bound(self, monkeypatch):
         # Without a fixed point (dt = 0.1), n = 4097 is eight blocks and a
         # block of two rows, coupled at windows that end at 1024, 1536, ...,
-        # 4096 and n.  Their transforms take the six periods of the ladder
-        # from 1024 to 4096, 3.5 (n+1) floats, under the 6.4 (n+1) the bound
-        # counts for them, and the run fits the bound.
+        # 4096 and n, and seven blocks of two halves, whose first halves
+        # reach their second at a period of 512.  Their transforms take the
+        # seven periods of the ladder from 512 to 4096, 3.6 (n+1) floats,
+        # under the 6.4 (n+1) the bound counts for them, and the run fits
+        # the bound.
         n = 8 * factor._BLOCK + 1
         config = make_config(form=RL, left=R, right=R, n=n, dt=0.1, steps=4,
                              method=Method.IMPLICIT, snap_every=1)
@@ -1113,9 +1217,9 @@ class TestRunMemory:
         monkeypatch.setattr(timestepper, "_hessenberg_lu", keep)
         peak = traced_peak(lambda: run_simulation(config))
         (lu,) = factors
-        assert lu.tail is None and len(lu.triangles) == 9
+        assert lu.tail is None and len(lu.triangles) == 16 and len(lu.seeds) == 7
         transforms = lu.coupling.convolution.transforms
-        assert sorted(transforms) == [1024, 1536, 2048, 2560, 3072, 4096]
+        assert sorted(transforms) == [512, 1024, 1536, 2048, 2560, 3072, 4096]
         assert sum(transform.size for transform in transforms.values()) * 2 < 6.4 * (n + 1)
         monkeypatch.setattr(operators, "_MEMORY_BYTES", peak - 1)
         with pytest.raises(InvalidSpec, match="an implicit run recording 5 states"):
